@@ -296,7 +296,8 @@ _HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
 
 
 def _parse_label(tok: str, lineno: int) -> int:
-    if not tok.isdigit() or int(tok) <= 0:
+    # str.isdigit also accepts digits such as '²' that int() rejects
+    if not (tok.isascii() and tok.isdigit()) or int(tok) <= 0:
         raise ParseError(lineno, f"expected a positive integer label, got {tok!r}")
     return int(tok)
 

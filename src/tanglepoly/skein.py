@@ -7,10 +7,12 @@ matchings of the boundary.  Matchings are recorded on circular positions
 1..m+n (bottom left-to-right, then top right-to-left), so the top point at
 0-based index i sits at position m + n - i.
 
-Two reduction routes are provided on purpose.  bracket() applies the skein
-relation recursively through diagram surgery; bracket_oracle() enumerates
-all 2^c smoothing states directly over a union-find.  They share no
-resolution code and must agree exactly.
+Two reduction routes are provided on purpose.  bracket() contracts the
+diagram one crossing at a time, keeping a table from matchings of the open
+ends to coefficients, so its cost follows the number of distinct frontier
+matchings rather than 2^c; bracket_oracle() enumerates all 2^c smoothing
+states directly over a union-find.  They share no resolution code and must
+agree exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .diagram import TangleDiagram, ensure_valid, merge_edges
+from .diagram import TangleDiagram, ensure_valid
+# bench/tracing.py patches skein.merge_edges by attribute
+from .diagram import merge_edges  # noqa: F401
 from .errors import DomainError, InvalidDiagramError
 from .laurent import LaurentPoly, ONE, ZERO, delta_power
 from .unionfind import UnionFind
@@ -28,6 +32,9 @@ Matching = tuple[Pair, ...]
 
 _Q = LaurentPoly.monomial(1, 1)
 _QINV = LaurentPoly.monomial(1, -1)
+# _WEIGHTS[s][k]: weight of smoothing s (A, then B) when its joins close k loops
+_WEIGHTS = tuple(tuple(w * delta_power(k) for k in range(3))
+                 for w in (_Q, _QINV))
 
 
 def circular_position(m: int, n: int, side: str, index: int) -> int:
@@ -150,43 +157,94 @@ def resolve_flat(d: TangleDiagram) -> tuple[Matching, int]:
     return matching, len(d.circles)
 
 
-def smooth_first_crossing(d: TangleDiagram, which: str) -> TangleDiagram:
-    """Remove the first crossing, joining its ends per the chosen smoothing.
+def _join(ends: dict[int, int], x: int, y: int) -> int:
+    """Connect ends x and y by an arc; 1 if that closes a loop, else 0.
 
-    "A" joins (a,b) and (c,d) (coefficient q in the skein relation); "B"
-    joins (a,d) and (b,c) (coefficient q^-1).  A join between the two ends
-    of one edge produces a fresh circle.
+    ends maps each open end to the open end at the other side of its path.
+    An end already open continues through the arc to its partner; an end
+    not yet open becomes open with the arc as its path.
     """
-    a, b, c, dd = d.crossings[0]
-    joins = ((a, b), (c, dd)) if which == "A" else ((a, dd), (b, c))
-    return merge_edges(
-        TangleDiagram(m=d.m, n=d.n, crossings=d.crossings[1:],
-                      circles=d.circles, bottom=d.bottom, top=d.top),
-        joins)
+    if x == y:
+        return 1
+    px = ends.pop(x, None)
+    py = ends.pop(y, None)
+    if px == y:
+        return 1
+    u = x if px is None else px
+    v = y if py is None else py
+    ends[u] = v
+    ends[v] = u
+    return 0
+
+
+def _absorption_order(d: TangleDiagram, open_labels: set[int]):
+    """Crossings in contraction order: most labels already open first, ties
+    by code order.  open_labels holds the labels open before any crossing."""
+    open_labels = set(open_labels)
+    holders: dict[int, list[int]] = {}
+    for i, t in enumerate(d.crossings):
+        for lab in t:
+            holders.setdefault(lab, []).append(i)
+    score = [sum(lab in open_labels for lab in t) for t in d.crossings]
+    remaining = dict.fromkeys(range(len(d.crossings)))
+    while remaining:
+        # max keeps the first of equal scores, and remaining is in code order
+        i = max(remaining, key=score.__getitem__)
+        del remaining[i]
+        for lab in d.crossings[i]:
+            if lab in open_labels:
+                open_labels.discard(lab)
+            else:
+                open_labels.add(lab)
+                for j in holders[lab]:
+                    score[j] += 1
+        yield d.crossings[i]
 
 
 def bracket(d: TangleDiagram) -> CoordinateVector:
     """Coordinate vector of a strand diagram in the flat basis.
 
-    Recursive: each crossing (a,b,c,d), under-pair (a,c), splits into the
-    A-smoothing with coefficient q and the B-smoothing with q^-1; flat
-    leaves contribute delta^circles on their matching.  2^c leaves total.
+    Frontier contraction: the state maps a perfect matching of the open
+    ends (boundary positions, and edge labels with one occurrence absorbed)
+    to its coefficient.  Each crossing (a,b,c,d), under-pair (a,c), is
+    absorbed in both smoothings: A joins (a,b),(c,d) with weight q, B joins
+    (a,d),(b,c) with weight q^-1, and each loop a join closes multiplies by
+    delta.  Equal matchings merge, so the work follows the number of
+    distinct frontier matchings, not the 2^c smoothing states.
     """
     _check_strand_diagram(d)
     ensure_valid(d)
     basis = enumerate_basis(d.m, d.n)
+    # boundary ends are named by their negated circular position, so they
+    # never collide with the positive edge labels
+    ends: dict[int, int] = {}
+    for side, labels in (("bot", d.bottom), ("top", d.top)):
+        for i, lab in enumerate(labels):
+            _join(ends, -circular_position(d.m, d.n, side, i), lab)
+    states = {frozenset(ends.items()): ONE}
+    for a, b, c, dd in _absorption_order(d, {x for x in ends if x > 0}):
+        smoothings = (((a, b), (c, dd)), ((a, dd), (b, c)))
+        nxt: dict[frozenset, LaurentPoly] = {}
+        for key, coeff in states.items():
+            for (j1, j2), weight in zip(smoothings, _WEIGHTS):
+                cur = dict(key)
+                loops = _join(cur, *j1) + _join(cur, *j2)
+                new = frozenset(cur.items())
+                term = coeff * weight[loops]
+                if new in nxt:
+                    term = nxt[new] + term
+                if term:
+                    nxt[new] = term
+                else:
+                    nxt.pop(new, None)
+        states = nxt
+    circles = delta_power(len(d.circles))
     acc: dict[Matching, LaurentPoly] = {}
-
-    def rec(cur: TangleDiagram, coeff: LaurentPoly) -> None:
-        if not cur.crossings:
-            matching, circles = resolve_flat(cur)
-            term = coeff * delta_power(circles)
-            acc[matching] = acc.get(matching, ZERO) + term
-            return
-        rec(smooth_first_crossing(cur, "A"), coeff * _Q)
-        rec(smooth_first_crossing(cur, "B"), coeff * _QINV)
-
-    rec(d, ONE)
+    for key, coeff in states.items():
+        matching = tuple(sorted((-u, -v) for u, v in key if u > v))
+        if not is_noncrossing(matching):
+            raise InvalidDiagramError("nonplanar input detected")
+        acc[matching] = coeff * circles
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 

@@ -94,7 +94,7 @@ def test_criterion_05_bracket_oracle_equivalence():
         fast = bracket(d)
         slow = bracket_oracle(d)
         ok = ok and fast.coords == slow.coords
-    _report(5, "recursive and state-table brackets agree on 200 diagrams", ok)
+    _report(5, "frontier and state-table brackets agree on 200 diagrams", ok)
 
 
 def test_criterion_06_reidemeister_invariance():

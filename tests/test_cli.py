@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,9 @@ import pytest
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly.cli import complex_text, main
+from tanglepoly.diagram import serialize_tng
 from tanglepoly.laurent import ROOT_INDICES
+from tanglepoly.moves import braid_pattern
 
 DELTA2 = "q^4 + 2 + q^-4"
 DELTA3 = "-q^6 - 3q^2 - 3q^-2 - q^-6"
@@ -78,6 +81,18 @@ def test_pairing_json(capsys):
 
 def test_p_polynomial(capsys):
     code, out, _ = run(capsys, "p", fixture_path("one_crossing.tng"))
+    assert code == 0
+    assert out == f"P(D) = {DELTA2}\n"
+
+
+def test_p_of_a_long_braid(tmp_path, capsys):
+    # far more crossings than any recursion limit; the plat closure of a
+    # two-strand braid is one unknot, so P(D) is delta^2 whatever the word
+    rng = random.Random(1100)
+    d = braid_pattern(*(rng.choice((1, -1)) for _ in range(1100)))
+    path = tmp_path / "long_braid.tng"
+    path.write_text(serialize_tng(d))
+    code, out, _ = run(capsys, "p", str(path))
     assert code == 0
     assert out == f"P(D) = {DELTA2}\n"
 
@@ -276,6 +291,14 @@ def test_validate_reports_nonplanar(capsys):
 def test_validate_reports_parse_errors_in_band(capsys):
     code, out, _ = run(capsys, "validate",
                        str(FIXTURES / "bad" / "bad_syntax.tng"))
+    assert code == 2
+    assert out.startswith("problem: line 2:")
+
+
+def test_validate_reports_non_ascii_digits_in_band(tmp_path, capsys):
+    path = tmp_path / "superscript.tng"
+    path.write_text("tangle m=1 n=1\nB 1 | \u00b2\n", encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path))
     assert code == 2
     assert out.startswith("problem: line 2:")
 

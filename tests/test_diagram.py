@@ -95,6 +95,7 @@ def test_parse_accepts_comments_and_blank_lines():
     ("tangle m=0 n=0\nO 1 2\nB |\n", "O line needs exactly 1"),
     ("tangle m=0 n=0\nO x\nB |\n", "positive integer label"),
     ("tangle m=0 n=0\nO 0\nB |\n", "positive integer label"),
+    ("tangle m=1 n=1\nB 1 | \u00b2\n", "positive integer label"),
 ])
 def test_parse_errors(text, message):
     with pytest.raises(ParseError) as err:
