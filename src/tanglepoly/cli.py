@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .diagram import TangleDiagram, ensure_valid, load_tng, validate
 from .enhanced import (contract, enumerate_enhancements, invariant_rho_poly,
@@ -168,13 +167,11 @@ def cmd_invariant(args) -> int:
     ks = ROOT_INDICES if args.all_k else (args.k,)
     for k in ks:
         ensure_root_index(k)
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        map_fn = map if args.threads <= 1 else pool.map
-        if args.rho is not None or d.thick:
-            rho = _pick_rho(d, args.rho)
-            poly = invariant_rho_poly(d, rho)
-        else:
-            poly = invariant_total_poly(d, map_fn=map_fn)
+    if args.rho is not None or d.thick:
+        rho = _pick_rho(d, args.rho)
+        poly = invariant_rho_poly(d, rho)
+    else:
+        poly = invariant_total_poly(d)
     values = [(k, poly.eval_root(k)) for k in ks]
     lines = [f"I_{k}(G) = {complex_text(z)}" for k, z in values]
     _emit(args, lines, {
@@ -186,13 +183,11 @@ def cmd_invariant(args) -> int:
 def cmd_verify(args) -> int:
     if args.k is not None:
         ensure_root_index(args.k)
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        map_fn = map if args.threads <= 1 else pool.map
-        try:
-            results = verify_manifest(args.manifest, k=args.k, map_fn=map_fn)
-        except OSError as exc:
-            raise ParseError(
-                0, f"cannot read {args.manifest}: {exc.strerror or exc}") from exc
+    try:
+        results = verify_manifest(args.manifest, k=args.k)
+    except OSError as exc:
+        raise ParseError(
+            0, f"cannot read {args.manifest}: {exc.strerror or exc}") from exc
     lines = []
     for r in results:
         status = "ok" if r.ok else f"FAIL ({r.detail})"
@@ -224,8 +219,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a JSON object instead of text")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for state sums (default 1)")
 
     parser = _Parser(prog="tanglepoly",
                      description="Skein-module invariants of tangles and "

@@ -21,7 +21,7 @@ from itertools import product
 
 from .diagram import TangleDiagram, edge_occurrences, merge_edges
 from .errors import DomainError, InvalidDiagramError
-from .laurent import LaurentPoly, ZERO, ensure_root_index
+from .laurent import LaurentPoly, ensure_root_index, poly_sum
 from .pairing import p_poly
 
 Enhancement = frozenset[int]
@@ -216,10 +216,7 @@ def state_polys(d: TangleDiagram) -> list[tuple[tuple[str, ...], LaurentPoly]]:
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
     """Exact state sum for one enhancement (contract, expand, add)."""
-    total = ZERO
-    for _, poly in state_polys(contract(d, rho)):
-        total = total + poly
-    return total
+    return poly_sum(poly for _, poly in state_polys(contract(d, rho)))
 
 
 def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
@@ -227,18 +224,12 @@ def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
     return invariant_rho_poly(d, rho).eval_root(k)
 
 
-def invariant_total_poly(d: TangleDiagram, map_fn=map) -> LaurentPoly:
-    """Exact sum over all enhancements; zero when none exist.
-
-    map_fn may be a concurrent executor's map; summation order stays fixed.
-    """
-    total = ZERO
-    rhos = enumerate_enhancements(d)
-    for poly in map_fn(lambda rho: invariant_rho_poly(d, rho), rhos):
-        total = total + poly
-    return total
+def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
+    """Exact sum over all enhancements; zero when none exist."""
+    return poly_sum(invariant_rho_poly(d, rho)
+                    for rho in enumerate_enhancements(d))
 
 
-def invariant_total(d: TangleDiagram, k: int, map_fn=map) -> complex:
+def invariant_total(d: TangleDiagram, k: int) -> complex:
     ensure_root_index(k)
-    return invariant_total_poly(d, map_fn=map_fn).eval_root(k)
+    return invariant_total_poly(d).eval_root(k)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 from .diagram import (TangleDiagram, all_labels, edge_occurrences, ensure_valid,
                       load_tng, map_faces, max_label, merge_edges,
                       relabel_occurrence, relabeled)
-from .enhanced import invariant_rho_poly, invariant_total_poly
+from .enhanced import (_rotated_to_front, invariant_rho_poly,
+                       invariant_total_poly)
 from .errors import DomainError, ParseError
 from .laurent import ROOT_INDICES, LaurentPoly
 from .pairing import p_poly
@@ -72,8 +73,8 @@ class SpliceSite:
     end_b: int
 
 
-def splice_22(d: TangleDiagram, site: SpliceSite, pattern: TangleDiagram, *,
-              validate_site: bool = True) -> TangleDiagram:
+def splice_22(d: TangleDiagram, site: SpliceSite,
+              pattern: TangleDiagram) -> TangleDiagram:
     """Glue a (2,2) pattern across two cut edges of the diagram.
 
     The kept end of edge_a meets the pattern's first bottom point, the kept
@@ -98,8 +99,8 @@ def splice_22(d: TangleDiagram, site: SpliceSite, pattern: TangleDiagram, *,
             raise DomainError(f"edge {edge} not in diagram")
     if site.end_a not in (0, 1) or site.end_b not in (0, 1):
         raise DomainError("occurrence ends must be 0 or 1")
-    if validate_site and not any(site.edge_a in face and site.edge_b in face
-                                 for face in map_faces(d)):
+    if not any(site.edge_a in face and site.edge_b in face
+               for face in map_faces(d)):
         raise DomainError("splice site edges do not cobound a face")
 
     base = max_label(d)
@@ -122,8 +123,7 @@ def splice_22(d: TangleDiagram, site: SpliceSite, pattern: TangleDiagram, *,
         (a2, pat.top[0]), (b2, pat.top[1]),
     )
     out = merge_edges(assembled, joins)
-    if validate_site:
-        ensure_valid(out)
+    ensure_valid(out)
     return out
 
 
@@ -139,13 +139,8 @@ def ih_rewrite(d: TangleDiagram, edge: int) -> TangleDiagram:
         raise DomainError(f"edge {edge} is not thick")
     occ = edge_occurrences(d)
     (_, ui, _), (_, vi, _) = occ[edge]
-
-    def rot(t):
-        s = t.index(edge)
-        return t[s:] + t[:s]
-
-    _, a, b = rot(d.trivalent[ui])
-    _, c, dd = rot(d.trivalent[vi])
+    _, a, b = _rotated_to_front(d.trivalent[ui], edge)
+    _, c, dd = _rotated_to_front(d.trivalent[vi], edge)
     new_tri = list(d.trivalent)
     new_tri[ui] = (edge, b, c)
     new_tri[vi] = (edge, dd, a)
@@ -221,9 +216,8 @@ def verify_pair(pair: MovePair, base_dir: str, k: int | None = None) -> PairResu
     return PairResult(pair.name, pair.move, pair.expected, True)
 
 
-def verify_manifest(path: str, k: int | None = None,
-                    map_fn=map) -> tuple[PairResult, ...]:
+def verify_manifest(path: str, k: int | None = None) -> tuple[PairResult, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         pairs = parse_manifest(fh.read())
     base_dir = os.path.dirname(os.path.abspath(path))
-    return tuple(map_fn(lambda p: verify_pair(p, base_dir, k), pairs))
+    return tuple(verify_pair(p, base_dir, k) for p in pairs)

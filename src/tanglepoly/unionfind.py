@@ -9,9 +9,6 @@ class UnionFind:
     def __init__(self, items: Iterable[Hashable] = ()):
         self._parent: dict = {x: x for x in items}
 
-    def add(self, x: Hashable) -> None:
-        self._parent.setdefault(x, x)
-
     def find(self, x: Hashable):
         parent = self._parent
         parent.setdefault(x, x)
@@ -29,12 +26,3 @@ class UnionFind:
             return False
         self._parent[ry] = rx
         return True
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-    def count(self) -> int:
-        return len({self.find(x) for x in self._parent})

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -230,14 +231,6 @@ def test_invariant_rho_conflicts_with_thick_file(capsys):
     assert "conflicts" in err
 
 
-def test_invariant_threads_do_not_change_output(capsys):
-    _, serial, _ = run(capsys, "invariant", fixture_path("theta.tng"),
-                       "--all-k", "--threads", "1")
-    _, threaded, _ = run(capsys, "invariant", fixture_path("theta.tng"),
-                         "--all-k", "--threads", "4")
-    assert serial == threaded
-
-
 def test_invariant_json(capsys):
     code, out, _ = run(capsys, "invariant", fixture_path("handcuff.tng"),
                        "--k", "5", "--json")
@@ -331,11 +324,25 @@ def test_missing_manifest_is_a_parse_error(capsys):
     ["p", "--bogus-flag", "x.tng"],
     ["invariant", "somefile.tng"],
     ["basis", "two", "2"],
+    ["invariant", fixture_path("theta.tng"), "--all-k", "--threads", "4"],
 ])
-def test_usage_errors_exit_1(argv):
+def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    src = FIXTURES.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tanglepoly.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_module_entry_point():

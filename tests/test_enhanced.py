@@ -197,15 +197,6 @@ def test_invariant_functions_validate_the_root_index():
         invariant_rho(d, frozenset(), 4)
 
 
-def test_invariant_total_with_concurrent_map():
-    from concurrent.futures import ThreadPoolExecutor
-    d = theta()
-    serial = invariant_total_poly(d)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        concurrent = invariant_total_poly(d, map_fn=pool.map)
-    assert serial == concurrent
-
-
 def test_invariant_of_pure_strand_diagram_is_its_pairing():
     d = load_tng(fixture_path("trefoil.tng"))
     assert invariant_total_poly(d) == p_poly(d)
