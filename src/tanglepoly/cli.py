@@ -51,15 +51,8 @@ def _emit(args, text_lines, obj) -> None:
             print(line)
 
 
-def _read(path: str) -> TangleDiagram:
-    try:
-        return load_tng(path)
-    except OSError as exc:
-        raise ParseError(0, f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _load(path: str) -> TangleDiagram:
-    d = _read(path)
+    d = load_tng(path)
     ensure_valid(d)
     return d
 
@@ -150,8 +143,7 @@ def _pick_rho(d: TangleDiagram, rho_index: int | None) -> frozenset:
 def cmd_states(args) -> int:
     d = _load(args.file)
     rho = _pick_rho(d, args.rho)
-    contracted = contract(d, rho) if (d.trivalent or rho) else d
-    entries = state_polys(contracted)
+    entries = state_polys(contract(d, rho))
     lines = [f"state {i} [{','.join(patterns)}]: {p}"
              for i, (patterns, p) in enumerate(entries)]
     _emit(args, lines, {
@@ -183,11 +175,7 @@ def cmd_invariant(args) -> int:
 def cmd_verify(args) -> int:
     if args.k is not None:
         ensure_root_index(args.k)
-    try:
-        results = verify_manifest(args.manifest, k=args.k)
-    except OSError as exc:
-        raise ParseError(
-            0, f"cannot read {args.manifest}: {exc.strerror or exc}") from exc
+    results = verify_manifest(args.manifest, k=args.k)
     lines = []
     for r in results:
         status = "ok" if r.ok else f"FAIL ({r.detail})"
@@ -202,7 +190,7 @@ def cmd_verify(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        d = _read(args.file)
+        d = load_tng(args.file)
     except (ParseError, InvalidDiagramError) as exc:
         _emit(args, [f"problem: {exc}"], {"ok": False, "problems": [str(exc)]})
         return 2

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .errors import InvalidDiagramError, ParseError
+from .unionfind import UnionFind
 
 Crossing = tuple[int, int, int, int]
 Trivalent = tuple[int, int, int]
@@ -104,19 +105,13 @@ def edge_occurrences(d: TangleDiagram) -> dict[int, list[tuple[str, int, int]]]:
     entries (slot = position index).  Circle labels do not appear.
     """
     occ: dict[int, list[tuple[str, int, int]]] = {}
-    for i, t in enumerate(d.crossings):
-        for s, lab in enumerate(t):
-            occ.setdefault(lab, []).append(("X", i, s))
-    for i, t in enumerate(d.trivalent):
-        for s, lab in enumerate(t):
-            occ.setdefault(lab, []).append(("V", i, s))
-    for i, t in enumerate(d.fourvalent):
-        for s, lab in enumerate(t):
-            occ.setdefault(lab, []).append(("F", i, s))
-    for p, lab in enumerate(d.bottom):
-        occ.setdefault(lab, []).append(("bot", 0, p))
-    for p, lab in enumerate(d.top):
-        occ.setdefault(lab, []).append(("top", 0, p))
+    for kind, nodes in (("X", d.crossings), ("V", d.trivalent), ("F", d.fourvalent)):
+        for i, t in enumerate(nodes):
+            for s, lab in enumerate(t):
+                occ.setdefault(lab, []).append((kind, i, s))
+    for kind, points in (("bot", d.bottom), ("top", d.top)):
+        for p, lab in enumerate(points):
+            occ.setdefault(lab, []).append((kind, 0, p))
     return occ
 
 
@@ -176,96 +171,83 @@ def ensure_invariants(d: TangleDiagram) -> TangleDiagram:
 # planarity via rotation-system faces
 
 def _rotation_system(d: TangleDiagram):
-    """Darts, ccw-next map, twin map and dart owner vertices of the closed map.
+    """Dart lists of the boundary-closed map: (sigma, twin, owner, labels).
 
-    Boundary points become degree-3 vertices once the frame arcs joining
-    consecutive points (in circular order) are added, so a planar code must
-    give every connected component V - E + F = 2.
+    Every node lists its slots as darts in ccw order.  Every boundary point
+    becomes a degree-3 vertex (frame arc to the next point in circular
+    order, tangle edge, frame arc to the previous point).  Indexed by dart:
+    sigma is the ccw next dart at the same vertex, twin the other end of the
+    edge, owner the vertex id and labels the edge label (None on the frame).
     """
-    sigma: list[int] = []   # ccw next dart at the same vertex
-    owner: list[int] = []   # vertex id per dart
-    twin: dict[int, int] = {}
-    by_label: dict[int, list[int]] = {}
-    n_vertices = 0
-
-    def new_vertex(labels: list[int | None]) -> list[int]:
-        nonlocal n_vertices
+    sigma: list[int] = []
+    owner: list[int] = []
+    labels: list[int | None] = []
+    points = boundary_circular_labels(d)
+    rings: list[tuple] = [t for _, t in d.node_lines()]
+    rings += [(None, lab, None) for lab in points]
+    for vertex, ring in enumerate(rings):
         base = len(sigma)
-        ids = list(range(base, base + len(labels)))
-        for j, lab in enumerate(labels):
-            sigma.append(base + (j + 1) % len(labels))
-            owner.append(n_vertices)
-            if lab is not None:
-                by_label.setdefault(lab, []).append(base + j)
-        n_vertices += 1
-        return ids
+        sigma.extend(base + (j + 1) % len(ring) for j in range(len(ring)))
+        owner.extend([vertex] * len(ring))
+        labels.extend(ring)
 
-    for _, t in d.node_lines():
-        new_vertex(list(t))
-
-    N = d.m + d.n
-    if N:
-        ring = boundary_circular_labels(d)
-        # per point: (frame to next, tangle edge, frame to previous)
-        point_darts = [new_vertex([None, ring[p], None]) for p in range(N)]
-        for p in range(N):
-            twin_a = point_darts[p][0]
-            twin_b = point_darts[(p + 1) % N][2]
-            twin[twin_a] = twin_b
-            twin[twin_b] = twin_a
-
+    twin = [0] * len(sigma)
+    by_label: dict[int, list[int]] = {}
+    for dart, lab in enumerate(labels):
+        if lab is not None:
+            by_label.setdefault(lab, []).append(dart)
     for lab, darts in by_label.items():
         if len(darts) != 2:
             raise InvalidDiagramError(f"label {lab} occurs {len(darts)} time(s), expected 2")
-        twin[darts[0]] = darts[1]
-        twin[darts[1]] = darts[0]
+        twin[darts[0]], twin[darts[1]] = darts[1], darts[0]
+    # the frame arc from point p to point p+1 (darts follow the node darts)
+    first = len(sigma) - 3 * len(points)
+    for p in range(len(points)):
+        a = first + 3 * p
+        b = first + 3 * ((p + 1) % len(points)) + 2
+        twin[a], twin[b] = b, a
+    return sigma, twin, owner, labels
 
-    return sigma, twin, owner, n_vertices
+
+def _faces(sigma: list[int], twin: list[int]) -> tuple[list[int], int]:
+    """Face number per dart and the face count.
+
+    Faces are the orbits of dart -> sigma[twin[dart]], numbered in order of
+    their least dart.
+    """
+    face_of = [-1] * len(sigma)
+    n_faces = 0
+    for start in range(len(sigma)):
+        if face_of[start] < 0:
+            dart = start
+            while face_of[dart] < 0:
+                face_of[dart] = n_faces
+                dart = sigma[twin[dart]]
+            n_faces += 1
+    return face_of, n_faces
 
 
 def planarity_problems(d: TangleDiagram) -> list[str]:
+    """[NONPLANAR_MESSAGE] unless every component of the closed map is a sphere.
+
+    A connected map has V - E + F = 2 - 2g with genus g >= 0, so summed
+    over C components V - E + F = 2C holds exactly when all are planar.
+    """
     try:
-        sigma, twin, owner, n_vertices = _rotation_system(d)
+        sigma, twin, owner, _ = _rotation_system(d)
     except InvalidDiagramError as exc:
         return [str(exc)]
-    n_darts = len(sigma)
-    if not n_darts:
-        return []
-
-    # faces: orbits of dart -> sigma(twin(dart))
-    face_of = [-1] * n_darts
-    n_faces = 0
-    for start in range(n_darts):
-        if face_of[start] >= 0:
-            continue
-        dart = start
-        while face_of[dart] < 0:
-            face_of[dart] = n_faces
-            dart = sigma[twin[dart]]
-        n_faces += 1
-
-    from .unionfind import UnionFind
-    comp = UnionFind(range(n_darts))
-    for dart in range(n_darts):
-        comp.union(dart, twin[dart])
-        comp.union(dart, sigma[dart])
-
-    verts: dict[int, set[int]] = {}
-    edges: dict[int, int] = {}
-    faces: dict[int, set[int]] = {}
-    for dart in range(n_darts):
-        root = comp.find(dart)
-        verts.setdefault(root, set()).add(owner[dart])
-        edges[root] = edges.get(root, 0) + 1
-        faces.setdefault(root, set()).add(face_of[dart])
-
-    problems = []
-    for root in verts:
-        euler = len(verts[root]) - edges[root] // 2 + len(faces[root])
-        if euler != 2:
-            problems.append(NONPLANAR_MESSAGE)
-            break
-    return problems
+    _, n_faces = _faces(sigma, twin)
+    # owners are numbered in dart order
+    n_vertices = owner[-1] + 1 if owner else 0
+    components = UnionFind(range(n_vertices))
+    n_components = n_vertices
+    for dart, other in enumerate(twin):
+        if dart < other and components.union(owner[dart], owner[other]):
+            n_components -= 1
+    if n_vertices - len(sigma) // 2 + n_faces != 2 * n_components:
+        return [NONPLANAR_MESSAGE]
+    return []
 
 
 @dataclass(frozen=True)
@@ -388,86 +370,76 @@ def serialize_tng(d: TangleDiagram) -> str:
     return "\n".join(" ".join(line.split()) for line in lines) + "\n"
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file; a file that cannot be read is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(0, f"cannot read {path}: {reason}") from exc
+
+
 def load_tng(path) -> TangleDiagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tng(fh.read())
+    return parse_tng(read_text(path))
 
 
 def map_faces(d: TangleDiagram) -> tuple[frozenset[int], ...]:
     """Edge-label sets of the faces of the boundary-closed rotation system."""
-    sigma, twin, _, _ = _rotation_system(d)
-    labels = _dart_labels(d, len(sigma))
-    faces: list[frozenset[int]] = []
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        face: set[int] = set()
-        dart = start
-        while not seen[dart]:
-            seen[dart] = True
-            if labels[dart] is not None:
-                face.add(labels[dart])
-            dart = sigma[twin[dart]]
-        faces.append(frozenset(face))
-    return tuple(faces)
-
-
-def _dart_labels(d: TangleDiagram, n_darts: int) -> list[int | None]:
-    labels: list[int | None] = []
-    for _, t in d.node_lines():
-        labels.extend(t)
-    for lab in boundary_circular_labels(d):
-        labels.extend((None, lab, None))
-    assert len(labels) == n_darts
-    return labels
+    sigma, twin, _, labels = _rotation_system(d)
+    face_of, n_faces = _faces(sigma, twin)
+    faces: list[set[int]] = [set() for _ in range(n_faces)]
+    for face, lab in zip(face_of, labels):
+        if lab is not None:
+            faces[face].add(lab)
+    return tuple(map(frozenset, faces))
 
 
 # ---------------------------------------------------------------------------
 # diagram operations
 
 
-def relabeled(d: TangleDiagram, mapping: dict[int, int]) -> TangleDiagram:
+def _renamed(d: TangleDiagram, rename, circles: tuple[int, ...]) -> TangleDiagram:
+    """d with rename applied to every node, boundary and thick label, and the
+    given circles in place of its own."""
     def ren(t):
-        return tuple(mapping.get(x, x) for x in t)
+        return tuple(map(rename, t))
 
     return replace(
         d,
-        crossings=tuple(ren(t) for t in d.crossings),
-        trivalent=tuple(ren(t) for t in d.trivalent),
-        fourvalent=tuple(ren(t) for t in d.fourvalent),
-        circles=ren(d.circles),
-        bottom=ren(d.bottom),
-        top=ren(d.top),
-        thick=frozenset(mapping.get(x, x) for x in d.thick),
+        crossings=tuple(map(ren, d.crossings)),
+        trivalent=tuple(map(ren, d.trivalent)),
+        fourvalent=tuple(map(ren, d.fourvalent)),
+        circles=circles,
+        bottom=ren(d.bottom), top=ren(d.top),
+        thick=frozenset(map(rename, d.thick)),
     )
+
+
+def relabeled(d: TangleDiagram, mapping: dict[int, int]) -> TangleDiagram:
+    def rename(x: int) -> int:
+        return mapping.get(x, x)
+
+    return _renamed(d, rename, tuple(map(rename, d.circles)))
+
+
+_OCCURRENCE_FIELDS = {"X": "crossings", "V": "trivalent", "F": "fourvalent",
+                      "bot": "bottom", "top": "top"}
 
 
 def relabel_occurrence(d: TangleDiagram, kind: str, idx: int, slot: int,
                        new_label: int) -> TangleDiagram:
     """Rename a single edge end, identified by its occurrence coordinates."""
-    def patched(tuples, i):
-        out = list(tuples)
-        t = list(out[i])
-        t[slot] = new_label
-        out[i] = tuple(t)
-        return tuple(out)
+    def patched(t: tuple, i: int, value) -> tuple:
+        return t[:i] + (value,) + t[i + 1:]
 
-    if kind == "X":
-        return replace(d, crossings=patched(d.crossings, idx))
-    if kind == "V":
-        return replace(d, trivalent=patched(d.trivalent, idx))
-    if kind == "F":
-        return replace(d, fourvalent=patched(d.fourvalent, idx))
-    if kind == "bot":
-        t = list(d.bottom)
-        t[slot] = new_label
-        return replace(d, bottom=tuple(t))
-    if kind == "top":
-        t = list(d.top)
-        t[slot] = new_label
-        return replace(d, top=tuple(t))
-    raise ValueError(f"unknown occurrence kind {kind!r}")
+    if kind not in _OCCURRENCE_FIELDS:
+        raise ValueError(f"unknown occurrence kind {kind!r}")
+    name = _OCCURRENCE_FIELDS[kind]
+    seq = getattr(d, name)
+    if kind in ("bot", "top"):
+        return replace(d, **{name: patched(seq, slot, new_label)})
+    return replace(d, **{name: patched(seq, idx, patched(seq[idx], slot, new_label))})
 
 
 def merge_edges(d: TangleDiagram, joins) -> TangleDiagram:
@@ -495,19 +467,7 @@ def merge_edges(d: TangleDiagram, joins) -> TangleDiagram:
             circles.append(fresh)
         else:
             sub[y] = x
-
-    def ren(t):
-        return tuple(canon(x) for x in t)
-
-    return replace(
-        d,
-        crossings=tuple(ren(t) for t in d.crossings),
-        trivalent=tuple(ren(t) for t in d.trivalent),
-        fourvalent=tuple(ren(t) for t in d.fourvalent),
-        circles=tuple(circles),
-        bottom=ren(d.bottom), top=ren(d.top),
-        thick=frozenset(canon(x) for x in d.thick),
-    )
+    return _renamed(d, canon, tuple(circles))
 
 
 def mirror(d: TangleDiagram) -> TangleDiagram:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .diagram import (TangleDiagram, all_labels, edge_occurrences, ensure_valid,
                       load_tng, map_faces, max_label, merge_edges,
-                      relabel_occurrence, relabeled)
+                      read_text, relabel_occurrence, relabeled)
 from .enhanced import (_rotated_to_front, invariant_rho_poly,
                        invariant_total_poly)
 from .errors import DomainError, ParseError
@@ -217,7 +217,6 @@ def verify_pair(pair: MovePair, base_dir: str, k: int | None = None) -> PairResu
 
 
 def verify_manifest(path: str, k: int | None = None) -> tuple[PairResult, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        pairs = parse_manifest(fh.read())
+    pairs = parse_manifest(read_text(path))
     base_dir = os.path.dirname(os.path.abspath(path))
     return tuple(verify_pair(p, base_dir, k) for p in pairs)

@@ -24,17 +24,20 @@ from .diagram import TangleDiagram, ensure_valid
 # bench/tracing.py patches skein.merge_edges by attribute
 from .diagram import merge_edges  # noqa: F401
 from .errors import DomainError, InvalidDiagramError
-from .laurent import LaurentPoly, ONE, ZERO, delta_power
+from .laurent import LaurentPoly, ONE, Q, ZERO, delta_power
 from .unionfind import UnionFind
 
 Pair = tuple[int, int]
 Matching = tuple[Pair, ...]
 
-_Q = LaurentPoly.monomial(1, 1)
-_QINV = LaurentPoly.monomial(1, -1)
+#: Largest (m+n)/2 enumerate_basis accepts.  The basis has Catalan((m+n)/2)
+#: elements, 58786 at 11, and each step up costs about 3.5 times the time
+#: and memory; pairing.MAX_HALF_BOUNDARY caps the square-sized matrix lower.
+MAX_BASIS_HALF_BOUNDARY = 11
+
 # _WEIGHTS[s][k]: weight of smoothing s (A, then B) when its joins close k loops
 _WEIGHTS = tuple(tuple(w * delta_power(k) for k in range(3))
-                 for w in (_Q, _QINV))
+                 for w in (Q, Q.bar()))
 
 
 def circular_position(m: int, n: int, side: str, index: int) -> int:
@@ -99,6 +102,9 @@ def enumerate_basis(m: int, n: int) -> Basis:
         raise DomainError("boundary counts cannot be negative")
     if (m + n) % 2:
         raise DomainError("no flat basis: m + n must be even")
+    if (m + n) // 2 > MAX_BASIS_HALF_BOUNDARY:
+        raise DomainError(
+            f"flat basis supported only for (m+n)/2 <= {MAX_BASIS_HALF_BOUNDARY}")
     raw = _noncrossing_matchings(tuple(range(1, m + n + 1)))
     elements = sorted(tuple(sorted(mt)) for mt in raw)
     return Basis(m, n, tuple(elements))
@@ -241,10 +247,7 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     circles = delta_power(len(d.circles))
     acc: dict[Matching, LaurentPoly] = {}
     for key, coeff in states.items():
-        matching = tuple(sorted((-u, -v) for u, v in key if u > v))
-        if not is_noncrossing(matching):
-            raise InvalidDiagramError("nonplanar input detected")
-        acc[matching] = coeff * circles
+        acc[tuple(sorted((-u, -v) for u, v in key if u > v))] = coeff * circles
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 

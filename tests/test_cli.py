@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -48,6 +49,14 @@ def test_basis_rejects_odd_boundary(capsys):
     code, _, err = run(capsys, "basis", "1", "2")
     assert code == 3
     assert "error:" in err
+
+
+def test_basis_refuses_a_catalan_sized_boundary(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "basis", "40", "40")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: flat basis supported only for (m+n)/2 <= 11\n"
 
 
 def test_bracket_coordinates(capsys):
@@ -296,6 +305,22 @@ def test_validate_reports_non_ascii_digits_in_band(tmp_path, capsys):
     assert out.startswith("problem: line 2:")
 
 
+def test_validate_reports_a_non_utf8_file_in_band(tmp_path, capsys):
+    path = tmp_path / "latin1.tng"
+    path.write_bytes(b"tangle m=1 n=1\nB 1 | 1\n# caf\xe9\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.startswith(f"problem: line 0: cannot read {path}: 'utf-8' codec")
+
+
+def test_p_of_a_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.tng"
+    path.write_bytes(b"\xfftangle m=1 n=1\nB 1 | 1\n")
+    code, out, err = run(capsys, "p", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line 0: cannot read {path}:")
+
+
 def test_validate_json(capsys):
     code, out, _ = run(capsys, "validate",
                        str(FIXTURES / "bad" / "bad_count.tng"), "--json")
@@ -315,6 +340,24 @@ def test_missing_manifest_is_a_parse_error(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/nothing.manifest")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_non_utf8_manifest_is_a_parse_error(tmp_path, capsys):
+    manifest = tmp_path / "latin1.manifest"
+    manifest.write_bytes(b"# \xff\n")
+    code, _, err = run(capsys, "verify", str(manifest))
+    assert code == 2
+    assert err.startswith(f"error: line 0: cannot read {manifest}:")
+
+
+def test_missing_pair_file_is_named(tmp_path, capsys):
+    manifest = tmp_path / "pairs.manifest"
+    manifest.write_text(
+        f"pair gone {FIXTURES / 'circle.tng'} absent.tng R1 exact\n")
+    code, _, err = run(capsys, "verify", str(manifest))
+    assert code == 2
+    assert err == (f"error: line 0: cannot read {tmp_path / 'absent.tng'}: "
+                   "No such file or directory\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -159,6 +160,102 @@ def test_map_faces_one_crossing():
     assert len(faces) == 5
     assert frozenset({1, 2}) in faces
     assert frozenset({3, 4}) in faces
+
+
+def test_map_faces_theta():
+    # faces come in order of their least dart
+    assert map_faces(load_tng(fixture_path("theta.tng"))) == (
+        frozenset({1, 3}), frozenset({1, 2}), frozenset({2, 3}))
+
+
+def test_each_component_must_be_planar():
+    arc = load_tng(fixture_path("identity_11.tng"))
+    curl = parse_tng("tangle m=0 n=0\nX 1 1 2 2\nB |\n")
+    torus = parse_tng("tangle m=0 n=0\nX 1 2 1 2\nB |\n")
+    assert validate(tensor(arc, curl)).ok
+    report = validate(tensor(arc, torus))
+    assert report.problems == (NONPLANAR_MESSAGE,)
+
+
+def _components_are_spheres(d):
+    """Per-component Euler count of the boundary-closed map, from the codes.
+
+    Each boundary point p becomes a vertex (frame p, its label, frame p-1),
+    frame p joining point p to point p+1 in circular order.  A dart is a
+    (vertex, slot) pair; faces are orbits of "other end of the edge, then
+    next slot ccw".
+    """
+    points = boundary_circular_labels(d)
+    rings = [t for _, t in d.node_lines()]
+    rings += [(("frame", p), lab, ("frame", (p - 1) % len(points)))
+              for p, lab in enumerate(points)]
+    ends = {}
+    for v, ring in enumerate(rings):
+        for slot, lab in enumerate(ring):
+            ends.setdefault(lab, []).append((v, slot))
+
+    def other(dart):
+        a, b = ends[rings[dart[0]][dart[1]]]
+        return b if dart == a else a
+
+    component = {}
+    for v in range(len(rings)):
+        if v in component:
+            continue
+        component[v] = v
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for slot in range(len(rings[u])):
+                w = other((u, slot))[0]
+                if w not in component:
+                    component[w] = v
+                    stack.append(w)
+
+    euler = {root: 0 for root in component.values()}
+    for v, root in component.items():
+        euler[root] += 1 - len(rings[v]) / 2
+    seen = set()
+    for v, ring in enumerate(rings):
+        for slot in range(len(ring)):
+            if (v, slot) in seen:
+                continue
+            euler[component[v]] += 1
+            dart = (v, slot)
+            while dart not in seen:
+                seen.add(dart)
+                u, s = other(dart)
+                dart = (u, (s + 1) % len(rings[u]))
+    return all(x == 2 for x in euler.values())
+
+
+def _perturbed(rng, d):
+    """d with the slots of one or two nodes shuffled and maybe two bottom
+    points swapped: label counts stay valid, planarity may not."""
+    nodes = {"crossings": list(d.crossings), "trivalent": list(d.trivalent)}
+    names = [k for k, v in nodes.items() if v]
+    for _ in range(rng.randint(1, 2) if names else 0):
+        name = rng.choice(names)
+        i = rng.randrange(len(nodes[name]))
+        nodes[name][i] = tuple(rng.sample(nodes[name][i], len(nodes[name][i])))
+    bottom = list(d.bottom)
+    if len(bottom) >= 2 and rng.random() < 0.3:
+        i, j = rng.sample(range(len(bottom)), 2)
+        bottom[i], bottom[j] = bottom[j], bottom[i]
+    return replace(d, crossings=tuple(nodes["crossings"]),
+                   trivalent=tuple(nodes["trivalent"]), bottom=tuple(bottom))
+
+
+def test_validate_agrees_with_a_per_component_euler_count():
+    rng = random.Random(20261018)
+    verdicts = []
+    for i in range(600):
+        make = random_tangle if i % 2 else random_trivalent
+        d = _perturbed(rng, make(random.Random(rng.randrange(10 ** 6))))
+        ok = _components_are_spheres(d)
+        assert validate(d).ok == ok, serialize_tng(d)
+        verdicts.append(ok)
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
 
 
 def test_relabeled_and_is_isomorphic():

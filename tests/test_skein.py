@@ -66,6 +66,14 @@ def test_basis_rejects_odd_or_negative_boundaries():
         enumerate_basis(-2, 2)
 
 
+def test_basis_and_bracket_refuse_wide_boundaries():
+    with pytest.raises(DomainError, match=r"\(m\+n\)/2 <= 11"):
+        enumerate_basis(12, 12)
+    strands = tuple(range(1, 13))
+    with pytest.raises(DomainError, match=r"\(m\+n\)/2 <= 11"):
+        bracket(TangleDiagram(m=12, n=12, bottom=strands, top=strands))
+
+
 def test_coordinate_vector_shape_is_checked():
     basis = enumerate_basis(2, 2)
     with pytest.raises(ValueError):
