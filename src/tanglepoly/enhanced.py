@@ -13,20 +13,47 @@ polynomial.  Summing the 4^n states gives the per-enhancement invariant;
 summing that over all enhancements gives the total.  Both are exposed
 symbolically (exact polynomials) and numerically (values at the eight
 admissible roots).
+
+The sum is not taken state by state.  The bracket expands T- = q T0 +
+q^-1 Tinf and T+ = q^-1 T0 + q Tinf, and P(D) = v A bar(v)^t is linear in
+v and in bar(v), so the four patterns of one vertex sum to the Gram weight
+
+    W = [[3, q^2 + q^-2], [q^2 + q^-2, 3]]
+
+over its two flat smoothings.  Hence, over the 2^n flat states s (every
+vertex smoothed to T0 or Tinf, crossings kept) with bracket vectors v_s,
+
+    sum of P over the 4^n states = sum_s v_s A (W^(x)n bar(v))_s,
+
+which costs 2^n brackets, n butterfly passes of W and 2^n pairings.
+expand_states and state_polys keep the literal 4^n expansion for the
+`states` listing and as the oracle of that identity.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .diagram import TangleDiagram, edge_occurrences, merge_edges
+from .diagram import TangleDiagram, edge_occurrences, ensure_valid, merge_edges
 from .errors import DomainError, InvalidDiagramError
-from .laurent import LaurentPoly, ensure_root_index, poly_sum
-from .pairing import p_poly
+from .laurent import LaurentPoly, ZERO, ensure_root_index, poly_sum
+from .pairing import check_half_boundary, p_poly, pair
+from .skein import CoordinateVector, _frontier_bracket
 
 Enhancement = frozenset[int]
 
 STATE_PATTERNS = ("T-", "T+", "T0", "Tinf")
+
+# diagonal and off-diagonal entries of the Gram weight W (module docstring)
+_W_SAME = 3
+_W_OTHER = LaurentPoly({2: 1, -2: 1})
+
+#: Largest number n of 4-valent vertices after contraction (the diagram's
+#: own plus one per thick edge, the same for every enhancement) that the
+#: state sums accept.  Each enhancement costs 2^n flat brackets and
+#: pairings; a closed chain of 10 4-valent vertices takes about 0.3 s on a
+#: 2-core Xeon with Python 3.11, and each step up about twice that.
+MAX_STATE_VERTICES = 10
 
 
 def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
@@ -214,9 +241,52 @@ def state_polys(d: TangleDiagram) -> list[tuple[tuple[str, ...], LaurentPoly]]:
     return [(patterns, p_poly(state)) for patterns, state in expand_states(d)]
 
 
+def _check_state_vertices(d: TangleDiagram) -> None:
+    n = len(d.fourvalent) + len(d.trivalent) // 2
+    if n > MAX_STATE_VERTICES:
+        raise DomainError(
+            f"state sum supported only for at most {MAX_STATE_VERTICES} "
+            f"4-valent vertices after contraction, got {n}")
+
+
+def _flat_joins(vertices, s: int) -> list[tuple[int, int]]:
+    """Arcs of flat state s: bit k smooths vertex k as T0 (0) or Tinf (1)."""
+    joins: list[tuple[int, int]] = []
+    for k, (a, b, c, dd) in enumerate(vertices):
+        joins.extend(((a, dd), (b, c)) if s >> k & 1 else ((a, b), (c, dd)))
+    return joins
+
+
+def _state_sum(c: TangleDiagram) -> LaurentPoly:
+    """Sum of P over the 4^n states of a contracted diagram, from 2^n flat ones.
+
+    v_s is the bracket of c with vertex k smoothed by bit k of s; the
+    partners u = W^{(x)n} bar(v) come from n butterfly passes, and the sum
+    is the sum over s of v_s * A * u_s^t.
+    """
+    check_half_boundary(c.m, c.n)
+    ensure_valid(c)
+    vertices = c.fourvalent
+    flat = [_frontier_bracket(c, _flat_joins(vertices, s))
+            for s in range(1 << len(vertices))]
+    partners = [[x.bar() for x in v.coords] for v in flat]
+    for k in range(len(vertices)):
+        bit = 1 << k
+        for s in range(len(partners)):
+            if not s & bit:
+                x, y = partners[s], partners[s | bit]
+                partners[s] = [_W_SAME * a + _W_OTHER * b if a or b else ZERO
+                               for a, b in zip(x, y)]
+                partners[s | bit] = [_W_OTHER * a + _W_SAME * b if a or b
+                                     else ZERO for a, b in zip(x, y)]
+    return poly_sum(pair(v, CoordinateVector(v.basis, tuple(u)))
+                    for v, u in zip(flat, partners))
+
+
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
-    """Exact state sum for one enhancement (contract, expand, add)."""
-    return poly_sum(poly for _, poly in state_polys(contract(d, rho)))
+    """Exact state sum for one enhancement (contract, then the 2^n flat states)."""
+    _check_state_vertices(d)
+    return _state_sum(contract(d, rho))
 
 
 def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
@@ -226,6 +296,7 @@ def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
 
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements; zero when none exist."""
+    _check_state_vertices(d)
     return poly_sum(invariant_rho_poly(d, rho)
                     for rho in enumerate_enhancements(d))
 

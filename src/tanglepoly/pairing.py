@@ -20,7 +20,8 @@ from functools import lru_cache
 from .diagram import TangleDiagram
 from .errors import DomainError
 from .laurent import LaurentPoly, ZERO, delta_power, ensure_root_index
-from .skein import Basis, Matching, bracket, enumerate_basis, vector_bar
+from .skein import (Basis, CoordinateVector, Matching, bracket,
+                    enumerate_basis, vector_bar)
 from .unionfind import UnionFind
 
 #: Catalan growth makes larger bases impractical to pair.
@@ -74,11 +75,16 @@ class PairingMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
 
-@lru_cache(maxsize=None)
-def pairing_matrix(m: int, n: int) -> PairingMatrix:
+def check_half_boundary(m: int, n: int) -> None:
+    """Refuse a boundary too wide to pair, before any bracket is spent on it."""
     if (m + n) // 2 > MAX_HALF_BOUNDARY:
         raise DomainError(
             f"pairing supported only for (m+n)/2 <= {MAX_HALF_BOUNDARY}")
+
+
+@lru_cache(maxsize=None)
+def pairing_matrix(m: int, n: int) -> PairingMatrix:
+    check_half_boundary(m, n)
     basis = enumerate_basis(m, n)
     entries = tuple(
         tuple(delta_power(plat_loop_count(m, n, e_i, e_j))
@@ -88,20 +94,25 @@ def pairing_matrix(m: int, n: int) -> PairingMatrix:
     return PairingMatrix(basis, entries)
 
 
-def p_poly(d: TangleDiagram) -> LaurentPoly:
-    """Exact pairing polynomial of a strand diagram."""
-    v = bracket(d)
-    vb = vector_bar(v)
-    a = pairing_matrix(d.m, d.n)
+def pair(u: CoordinateVector, w: CoordinateVector) -> LaurentPoly:
+    """u * A * w^t for two vectors over the same (m,n) basis."""
+    a = pairing_matrix(u.basis.m, u.basis.n)
     total = ZERO
-    for i, vi in enumerate(v.coords):
-        if not vi:
+    for i, ui in enumerate(u.coords):
+        if not ui:
             continue
         row = a.entries[i]
-        for j, vbj in enumerate(vb.coords):
-            if vbj:
-                total = total + vi * row[j] * vbj
+        for j, wj in enumerate(w.coords):
+            if wj:
+                total = total + ui * row[j] * wj
     return total
+
+
+def p_poly(d: TangleDiagram) -> LaurentPoly:
+    """Exact pairing polynomial of a strand diagram."""
+    check_half_boundary(d.m, d.n)
+    v = bracket(d)
+    return pair(v, vector_bar(v))
 
 
 def p_eval(d: TangleDiagram, k: int) -> complex:

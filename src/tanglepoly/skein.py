@@ -24,7 +24,7 @@ from .diagram import TangleDiagram, ensure_valid
 # bench/tracing.py patches skein.merge_edges by attribute
 from .diagram import merge_edges  # noqa: F401
 from .errors import DomainError, InvalidDiagramError
-from .laurent import LaurentPoly, ONE, Q, ZERO, delta_power
+from .laurent import LaurentPoly, Q, ZERO, delta_power
 from .unionfind import UnionFind
 
 Pair = tuple[int, int]
@@ -220,6 +220,16 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     """
     _check_strand_diagram(d)
     ensure_valid(d)
+    return _frontier_bracket(d)
+
+
+def _frontier_bracket(d: TangleDiagram, joins=()) -> CoordinateVector:
+    """bracket() without its checks, for diagrams already known valid.
+
+    joins lists extra arcs (x, y), each connecting an end of edge x to an
+    end of edge y, laid before any crossing is absorbed; a smoothed 4-valent
+    vertex is two such arcs.  The vertices of d themselves are not read.
+    """
     basis = enumerate_basis(d.m, d.n)
     # boundary ends are named by their negated circular position, so they
     # never collide with the positive edge labels
@@ -227,7 +237,8 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     for side, labels in (("bot", d.bottom), ("top", d.top)):
         for i, lab in enumerate(labels):
             _join(ends, -circular_position(d.m, d.n, side, i), lab)
-    states = {frozenset(ends.items()): ONE}
+    loops = sum(_join(ends, x, y) for x, y in joins)
+    states = {frozenset(ends.items()): delta_power(len(d.circles) + loops)}
     for a, b, c, dd in _absorption_order(d, {x for x in ends if x > 0}):
         smoothings = (((a, b), (c, dd)), ((a, dd), (b, c)))
         nxt: dict[frozenset, LaurentPoly] = {}
@@ -244,10 +255,8 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
                 else:
                     nxt.pop(new, None)
         states = nxt
-    circles = delta_power(len(d.circles))
-    acc: dict[Matching, LaurentPoly] = {}
-    for key, coeff in states.items():
-        acc[tuple(sorted((-u, -v) for u, v in key if u > v))] = coeff * circles
+    acc = {tuple(sorted((-u, -v) for u, v in key if u > v)): coeff
+           for key, coeff in states.items()}
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 

@@ -8,8 +8,9 @@ import time
 import pytest
 
 from conftest import FIXTURES, fixture_path
+from tanglepoly import enhanced, pairing
 from tanglepoly.cli import complex_text, main
-from tanglepoly.diagram import serialize_tng
+from tanglepoly.diagram import TangleDiagram, ensure_valid, serialize_tng
 from tanglepoly.laurent import ROOT_INDICES
 from tanglepoly.moves import braid_pattern
 
@@ -105,6 +106,21 @@ def test_p_of_a_long_braid(tmp_path, capsys):
     code, out, _ = run(capsys, "p", str(path))
     assert code == 0
     assert out == f"P(D) = {DELTA2}\n"
+
+
+def test_p_refuses_a_wide_boundary_before_the_bracket(tmp_path, capsys,
+                                                    monkeypatch):
+    def refuse(d):
+        raise AssertionError("bracket reached")
+
+    monkeypatch.setattr(pairing, "bracket", refuse)
+    labels = tuple(range(1, 12))
+    path = tmp_path / "identity_11_11.tng"
+    path.write_text(serialize_tng(
+        TangleDiagram(m=11, n=11, bottom=labels, top=labels)))
+    code, out, err = run(capsys, "p", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: pairing supported only for (m+n)/2 <= 8\n"
 
 
 def test_p_at_a_root(capsys):
@@ -238,6 +254,44 @@ def test_invariant_rho_conflicts_with_thick_file(capsys):
                        "--k", "1", "--rho", "0")
     assert code == 3
     assert "conflicts" in err
+
+
+def _necklace(n):
+    """Closed chain of n 4-valent vertices, neighbours joined by two edges."""
+    up, low = range(1, n + 1), range(n + 1, 2 * n + 1)
+    return TangleDiagram(m=0, n=0, fourvalent=tuple(
+        (up[k], up[k - 1], low[k - 1], low[k]) for k in range(n)))
+
+
+def _ladder(rungs):
+    """Closed ladder spine, end rungs doubled: 2 * rungs trivalent vertices."""
+    rung = range(1, rungs + 1)
+    top = range(rungs + 1, 2 * rungs)
+    bot = range(2 * rungs, 3 * rungs - 1)
+    first, last = 3 * rungs - 1, 3 * rungs
+    vertices = [(top[0], first, rung[0]), (bot[0], rung[0], first),
+                (last, top[-1], rung[-1]), (last, rung[-1], bot[-1])]
+    for i in range(1, rungs - 1):
+        vertices += [(top[i], top[i - 1], rung[i]),
+                     (bot[i], rung[i], bot[i - 1])]
+    return TangleDiagram(m=0, n=0, trivalent=tuple(vertices))
+
+
+@pytest.mark.parametrize("diagram", [_necklace(11), _ladder(11)],
+                         ids=["necklace", "ladder"])
+def test_invariant_refuses_too_many_vertices(diagram, tmp_path, capsys,
+                                             monkeypatch):
+    def refuse(d):
+        raise AssertionError("enhancements enumerated")
+
+    monkeypatch.setattr(enhanced, "enumerate_enhancements", refuse)
+    assert enhanced.MAX_STATE_VERTICES == 10
+    path = tmp_path / "big.tng"
+    path.write_text(serialize_tng(ensure_valid(diagram)))
+    code, out, err = run(capsys, "invariant", str(path), "--all-k")
+    assert (code, out) == (3, "")
+    assert err == ("error: state sum supported only for at most 10 4-valent "
+                   "vertices after contraction, got 11\n")
 
 
 def test_invariant_json(capsys):

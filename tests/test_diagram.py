@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
@@ -12,7 +12,7 @@ from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram, all_labels,
                                 map_faces, max_label, merge_edges, mirror,
                                 parse_tng, relabel_occurrence, relabeled,
                                 serialize_tng, tensor, validate)
-from tanglepoly.errors import InvalidDiagramError, ParseError
+from tanglepoly.errors import InvalidDiagramError, ParseError, TangleError
 from tanglepoly.generate import random_tangle, random_trivalent
 
 GOOD_FIXTURES = (
@@ -335,3 +335,20 @@ def test_random_trivalent_graphs_validate(seed):
     assert validate(d).ok
     assert d.m == d.n == 0
     assert not d.crossings
+
+
+# words of the .tng grammar, near misses included, so drawn text reaches
+# the checks after the first line as well as the tokenizer
+_TNG_WORDS = st.sampled_from((
+    "tangle", "m=0", "n=0", "m=1", "n=2", "m=99999999999", "X", "V", "F",
+    "O", "B", "T", "|", "#", "1", "2", "3", "4", "0", "-1", "\u00b2", "x",
+    "\n", "\n", "\n"))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.lists(_TNG_WORDS).map(" ".join)))
+def test_parse_tng_raises_only_package_errors(text):
+    try:
+        parse_tng(text)
+    except TangleError:
+        pass

@@ -1,10 +1,12 @@
+import glob
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
+from tanglepoly import enhanced, pairing
 from tanglepoly.diagram import TangleDiagram, is_isomorphic, load_tng
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
@@ -13,9 +15,10 @@ from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  invariant_total, invariant_total_poly,
                                  state_polys)
 from tanglepoly.errors import DomainError, InvalidDiagramError
-from tanglepoly.generate import random_trivalent
-from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
-from tanglepoly.moves import insert_kink
+from tanglepoly.generate import random_splice_site, random_trivalent
+from tanglepoly.laurent import (LaurentPoly, ROOT_INDICES, ZERO, delta_power,
+                                poly_sum)
+from tanglepoly.moves import braid_pattern, insert_kink, splice_22
 from tanglepoly.pairing import p_poly
 
 
@@ -212,3 +215,109 @@ def test_fourvalent_diagrams_have_the_empty_enhancement():
     for _, poly in states:
         summed = summed + poly
     assert total == summed
+
+
+def _oracle_rho_poly(d, rho):
+    return poly_sum(poly for _, poly in state_polys(contract(d, rho)))
+
+
+def _assert_matches_oracle(d, name):
+    rhos = [frozenset(d.thick)] if d.thick else enumerate_enhancements(d)
+    for rho in rhos:
+        assert invariant_rho_poly(d, rho) == _oracle_rho_poly(d, rho), (name, rho)
+    return len(rhos)
+
+
+def test_flat_states_match_the_state_oracle_on_fixtures():
+    checked = 0
+    for path in sorted(glob.glob(str(FIXTURES / "*.tng"))
+                       + glob.glob(str(FIXTURES / "pairs" / "*.tng"))):
+        d = load_tng(path)
+        try:
+            checked += _assert_matches_oracle(d, path)
+        except DomainError:
+            # a strand through crossings joins two vertices: not enumerable
+            assert not d.thick and d.crossings
+    assert checked >= 30
+
+
+def _splice_braids(rng, d):
+    """d with up to two random braid patterns spliced in."""
+    for _ in range(rng.randint(1, 2)):
+        site = random_splice_site(rng, d)
+        if site is None:
+            break
+        signs = [rng.choice((1, -1)) for _ in range(rng.randint(1, 3))]
+        d = splice_22(d, site, braid_pattern(*signs))
+    return d
+
+
+def _check_spliced(seed):
+    """Check a random graph with braids spliced in before and after each
+    contraction; returns the number of checked enhancements with crossings."""
+    rng = random.Random(seed)
+    graph = random_trivalent(rng, max_vertices=6)
+    checked = 0
+    spliced = _splice_braids(rng, graph)
+    try:
+        enumerate_enhancements(spliced)
+    except DomainError:
+        pass  # a strand through crossings joins two vertices
+    else:
+        checked += _assert_matches_oracle(spliced, seed) if spliced.crossings else 0
+    for rho in enumerate_enhancements(graph):
+        c = _splice_braids(rng, contract(graph, rho))
+        if c.crossings:
+            checked += _assert_matches_oracle(c, (seed, sorted(rho)))
+    return checked
+
+
+def test_flat_states_match_the_state_oracle_on_spliced_graphs():
+    assert sum(_check_spliced(seed) for seed in range(40)) >= 40
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 10 ** 6))
+def test_flat_states_match_the_state_oracle_on_drawn_seeds(seed):
+    _check_spliced(seed)
+
+
+def test_state_sum_never_calls_the_state_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 4^n state route was called")
+
+    for owner, name in ((enhanced, "expand_states"), (enhanced, "state_polys"),
+                        (enhanced, "p_poly"), (pairing, "p_poly")):
+        monkeypatch.setattr(owner, name, refuse)
+    for name in ("theta", "handcuff"):
+        d = load_tng(fixture_path(f"{name}.tng"))
+        assert invariant_total_poly(d) == GOLDEN_TOTALS[name]
+
+
+def test_state_sums_still_reject_a_nonplanar_graph():
+    # both vertices share one rotation: the theta graph on a torus
+    d = D(trivalent=((1, 2, 3), (1, 2, 3)))
+    with pytest.raises(InvalidDiagramError):
+        invariant_rho_poly(d, frozenset({1}))
+    with pytest.raises(InvalidDiagramError):
+        invariant_total_poly(d)
+
+
+def test_state_vertex_limit_is_checked_before_enumeration(monkeypatch):
+    def refuse(d):
+        raise AssertionError("enhancements enumerated")
+
+    monkeypatch.setattr(enhanced, "MAX_STATE_VERTICES", 1)
+    monkeypatch.setattr(enhanced, "enumerate_enhancements", refuse)
+    one_f = load_tng(fixture_path("pattern_identity.tng"))
+    assert invariant_rho_poly(one_f, frozenset()) == \
+        _oracle_rho_poly(one_f, frozenset())
+    two_f = load_tng(fixture_path("pairs/n4_a.tng"))
+    with pytest.raises(DomainError, match="at most 1 4-valent"):
+        invariant_total_poly(two_f)
+    with pytest.raises(DomainError, match="at most 1 4-valent"):
+        invariant_rho_poly(two_f, frozenset())
+    # two thick edges to come: theta has one, a pair of thetas two
+    two_thetas = D(trivalent=((1, 2, 3), (3, 2, 1), (4, 5, 6), (6, 5, 4)))
+    with pytest.raises(DomainError, match="got 2"):
+        invariant_total_poly(two_thetas)

@@ -8,7 +8,8 @@ from conftest import FIXTURES, fixture_path
 from tanglepoly.diagram import (TangleDiagram, all_labels, is_isomorphic,
                                 load_tng, map_faces, mirror)
 from tanglepoly.enhanced import contract, invariant_rho_poly
-from tanglepoly.errors import DomainError, InvalidDiagramError, ParseError
+from tanglepoly.errors import (DomainError, InvalidDiagramError, ParseError,
+                               TangleError)
 from tanglepoly.generate import random_splice_site, random_tangle
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES
 from tanglepoly.moves import (MovePair, SpliceSite, braid_pattern,
@@ -251,6 +252,20 @@ def test_parse_manifest():
 def test_parse_manifest_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_manifest(text)
+
+
+_MANIFEST_WORDS = st.sampled_from((
+    "pair", "r2", "pairs/a.tng", "b.tng", "R2", "exact", "root", "#", "\n",
+    "\n"))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.lists(_MANIFEST_WORDS).map(" ".join)))
+def test_parse_manifest_raises_only_package_errors(text):
+    try:
+        parse_manifest(text)
+    except TangleError:
+        pass
 
 
 def test_shipped_manifest_passes():
