@@ -11,7 +11,7 @@ themselves are invariant under the Reidemeister moves.
 from .diagram import (TangleDiagram, ValidationReport, all_labels,
                       edge_occurrences, ensure_valid, is_isomorphic, load_tng,
                       map_faces, max_label, merge_edges, mirror, parse_tng,
-                      relabeled, serialize_tng, tensor, validate)
+                      reflect, relabeled, serialize_tng, tensor, validate)
 from .enhanced import (Enhancement, STATE_PATTERNS, check_enhancement,
                        contract, enhancements_by_vertex_sums,
                        enumerate_enhancements, expand_states, invariant_rho,
@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "TangleDiagram", "ValidationReport", "all_labels", "edge_occurrences",
     "ensure_valid", "is_isomorphic", "load_tng", "map_faces", "max_label",
-    "merge_edges", "mirror", "parse_tng", "relabeled", "serialize_tng",
-    "tensor", "validate",
+    "merge_edges", "mirror", "parse_tng", "reflect", "relabeled",
+    "serialize_tng", "tensor", "validate",
     "Enhancement", "STATE_PATTERNS", "check_enhancement", "contract",
     "enhancements_by_vertex_sums", "enumerate_enhancements", "expand_states",
     "invariant_rho", "invariant_rho_poly", "invariant_total",

@@ -13,8 +13,8 @@ import json
 import sys
 
 from .diagram import TangleDiagram, ensure_valid, load_tng, validate
-from .enhanced import (contract, enumerate_enhancements, invariant_rho_poly,
-                       invariant_total_poly, state_polys)
+from .enhanced import (check_state_listing, contract, enumerate_enhancements,
+                       invariant_rho_poly, invariant_total_poly, state_polys)
 from .errors import DomainError, InvalidDiagramError, ParseError, TangleError
 from .laurent import ROOT_INDICES, LaurentPoly, ensure_root_index
 from .moves import verify_manifest
@@ -96,11 +96,12 @@ def cmd_pairing(args) -> int:
 
 def cmd_p(args) -> int:
     d = _load(args.file)
+    if args.k is not None:
+        ensure_root_index(args.k)
     p = p_poly(d)
     if args.k is None:
         _emit(args, [f"P(D) = {p}"], {"p": poly_json(p)})
     else:
-        ensure_root_index(args.k)
         z = p.eval_root(args.k)
         _emit(args, [f"P(D)_{args.k} = {complex_text(z)}"],
               {"k": args.k, "value": complex_json(z)})
@@ -142,6 +143,7 @@ def _pick_rho(d: TangleDiagram, rho_index: int | None) -> frozenset:
 
 def cmd_states(args) -> int:
     d = _load(args.file)
+    check_state_listing(d)
     rho = _pick_rho(d, args.rho)
     entries = state_polys(contract(d, rho))
     lines = [f"state {i} [{','.join(patterns)}]: {p}"

@@ -476,6 +476,25 @@ def mirror(d: TangleDiagram) -> TangleDiagram:
     return replace(d, crossings=flipped)
 
 
+def reflect(d: TangleDiagram) -> TangleDiagram:
+    """Reflect the strip left to right.
+
+    Boundary points reverse on both sides, and every node's ccw order
+    reverses: a crossing (a,b,c,d) becomes (a,d,c,b), keeping its
+    under-pair (a,c) while its A and B smoothings trade places.
+    """
+    def reverse(t):
+        return (t[0],) + t[:0:-1]
+
+    return replace(
+        d,
+        crossings=tuple(map(reverse, d.crossings)),
+        trivalent=tuple(map(reverse, d.trivalent)),
+        fourvalent=tuple(map(reverse, d.fourvalent)),
+        bottom=d.bottom[::-1], top=d.top[::-1],
+    )
+
+
 def tensor(d1: TangleDiagram, d2: TangleDiagram) -> TangleDiagram:
     """Place d2 to the right of d1; d2 is relabeled above d1's labels."""
     offset = max_label(d1)

@@ -55,6 +55,12 @@ _W_OTHER = LaurentPoly({2: 1, -2: 1})
 #: 2-core Xeon with Python 3.11, and each step up about twice that.
 MAX_STATE_VERTICES = 10
 
+#: Largest n the `states` listing accepts.  It expands and prints all 4^n
+#: states: a closed chain of 7 4-valent vertices lists 16384 of them in
+#: about 4 s on a 2-core Xeon with Python 3.11, and each step up takes
+#: four times as long.
+MAX_LISTED_STATE_VERTICES = 7
+
 
 def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
     """Direct vertex-to-vertex edges: (label, vertex index, vertex index).
@@ -241,12 +247,22 @@ def state_polys(d: TangleDiagram) -> list[tuple[tuple[str, ...], LaurentPoly]]:
     return [(patterns, p_poly(state)) for patterns, state in expand_states(d)]
 
 
-def _check_state_vertices(d: TangleDiagram) -> None:
+def _check_vertex_limit(d: TangleDiagram, limit: int, what: str) -> None:
     n = len(d.fourvalent) + len(d.trivalent) // 2
-    if n > MAX_STATE_VERTICES:
+    if n > limit:
         raise DomainError(
-            f"state sum supported only for at most {MAX_STATE_VERTICES} "
+            f"{what} supported only for at most {limit} "
             f"4-valent vertices after contraction, got {n}")
+
+
+def _check_state_vertices(d: TangleDiagram) -> None:
+    _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
+
+
+def check_state_listing(d: TangleDiagram) -> None:
+    """Refuse, before any contraction, a diagram whose 4^n states the
+    `states` listing could not expand in reasonable time."""
+    _check_vertex_limit(d, MAX_LISTED_STATE_VERTICES, "state listing")
 
 
 def _flat_joins(vertices, s: int) -> list[tuple[int, int]]:

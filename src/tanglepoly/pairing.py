@@ -10,21 +10,35 @@ and a strand diagram D gets the polynomial
 which is unchanged by the three Reidemeister moves.  Its evaluations at the
 eight admissible roots of unity are additionally unchanged by replacing
 three half-twists on two parallel strands with none.
+
+p_poly does not build A.  Reflecting D left to right turns its bracket
+into bar(v(D)) read on reflected matchings, so by bilinearity
+
+    P(D) = < plat closure of D (x) reflect(D) >,
+
+the bracket of one closed diagram.  When m and n are even, no closing arc
+joins the two copies, the closure falls apart into the plat closure of D
+and its reflection, and P(D) = b * bar(b) with b the bracket of D's own
+plat closure.  pairing_matrix, plat_loop_count and pair keep the matrix
+route for the `pairing` subcommand and as the oracle of this identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .diagram import TangleDiagram
+from .diagram import TangleDiagram, ensure_valid, reflect, tensor
 from .errors import DomainError
 from .laurent import LaurentPoly, ZERO, delta_power, ensure_root_index
-from .skein import (Basis, CoordinateVector, Matching, bracket,
-                    enumerate_basis, vector_bar)
+# bench/tracing.py patches pairing.bracket by attribute
+from .skein import bracket  # noqa: F401
+from .skein import (Basis, CoordinateVector, Matching, _check_strand_diagram,
+                    _frontier_states, enumerate_basis)
 from .unionfind import UnionFind
 
-#: Catalan growth makes larger bases impractical to pair.
+#: Largest (m+n)/2 pairing_matrix and the state sums accept: the matrix
+#: is square in the Catalan-sized basis.  p_poly builds no matrix.
 MAX_HALF_BOUNDARY = 8
 
 
@@ -108,11 +122,30 @@ def pair(u: CoordinateVector, w: CoordinateVector) -> LaurentPoly:
     return total
 
 
+def _closed_bracket(d: TangleDiagram) -> LaurentPoly:
+    """Bracket of the plat closure of a valid strand diagram.
+
+    Bottom points 1-2, 3-4, ... and top points 1-2, 3-4, ... (left to
+    right) are capped, so m and n must be even; the caps are laid as joins.
+    """
+    caps = list(zip(d.bottom[::2], d.bottom[1::2]))
+    caps += zip(d.top[::2], d.top[1::2])
+    closed = replace(d, m=0, n=0, bottom=(), top=())
+    return _frontier_states(closed, caps).get(frozenset(), ZERO)
+
+
 def p_poly(d: TangleDiagram) -> LaurentPoly:
-    """Exact pairing polynomial of a strand diagram."""
-    check_half_boundary(d.m, d.n)
-    v = bracket(d)
-    return pair(v, vector_bar(v))
+    """Exact pairing polynomial of a strand diagram, from one closure.
+
+    Even m and n: b * bar(b) with b the bracket of the plat closure of d.
+    Odd m and n: the bracket of the plat closure of d (x) reflect(d).
+    """
+    _check_strand_diagram(d)
+    ensure_valid(d)
+    if d.m % 2 == 0:
+        b = _closed_bracket(d)
+        return b * b.bar()
+    return _closed_bracket(tensor(d, reflect(d)))
 
 
 def p_eval(d: TangleDiagram, k: int) -> complex:

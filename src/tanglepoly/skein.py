@@ -32,7 +32,9 @@ Matching = tuple[Pair, ...]
 
 #: Largest (m+n)/2 enumerate_basis accepts.  The basis has Catalan((m+n)/2)
 #: elements, 58786 at 11, and each step up costs about 3.5 times the time
-#: and memory; pairing.MAX_HALF_BOUNDARY caps the square-sized matrix lower.
+#: and memory; pairing.MAX_HALF_BOUNDARY caps the square-sized pairing
+#: matrix and the state sums lower.  P(D) is the bracket of a closure and
+#: needs no basis, so neither limit applies to it.
 MAX_BASIS_HALF_BOUNDARY = 11
 
 # _WEIGHTS[s][k]: weight of smoothing s (A, then B) when its joins close k loops
@@ -231,6 +233,18 @@ def _frontier_bracket(d: TangleDiagram, joins=()) -> CoordinateVector:
     vertex is two such arcs.  The vertices of d themselves are not read.
     """
     basis = enumerate_basis(d.m, d.n)
+    acc = {tuple(sorted((-u, -v) for u, v in key if u > v)): coeff
+           for key, coeff in _frontier_states(d, joins).items()}
+    return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
+
+
+def _frontier_states(d: TangleDiagram, joins=()) -> dict[frozenset, LaurentPoly]:
+    """The final state table of the frontier contraction, zeros dropped.
+
+    Keys are frozensets of (end, partner) items over the boundary ends.  A
+    diagram with no boundary, such as a closure whose caps are laid as
+    joins, leaves at most the one key frozenset().
+    """
     # boundary ends are named by their negated circular position, so they
     # never collide with the positive edge labels
     ends: dict[int, int] = {}
@@ -255,9 +269,7 @@ def _frontier_bracket(d: TangleDiagram, joins=()) -> CoordinateVector:
                 else:
                     nxt.pop(new, None)
         states = nxt
-    acc = {tuple(sorted((-u, -v) for u, v in key if u > v)): coeff
-           for key, coeff in states.items()}
-    return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
+    return states
 
 
 def bracket_oracle(d: TangleDiagram) -> CoordinateVector:

@@ -6,12 +6,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
-from tanglepoly import enhanced, pairing
+from tanglepoly import cli, enhanced, pairing, skein
 from tanglepoly.cli import complex_text, main
 from tanglepoly.diagram import TangleDiagram, ensure_valid, serialize_tng
-from tanglepoly.laurent import ROOT_INDICES
+from tanglepoly.laurent import ROOT_INDICES, delta_power
 from tanglepoly.moves import braid_pattern
 
 DELTA2 = "q^4 + 2 + q^-4"
@@ -108,17 +110,43 @@ def test_p_of_a_long_braid(tmp_path, capsys):
     assert out == f"P(D) = {DELTA2}\n"
 
 
-def test_p_refuses_a_wide_boundary_before_the_bracket(tmp_path, capsys,
-                                                    monkeypatch):
-    def refuse(d):
-        raise AssertionError("bracket reached")
+def _refuse(*args, **kwargs):
+    raise AssertionError("matrix route reached")
 
-    monkeypatch.setattr(pairing, "bracket", refuse)
-    labels = tuple(range(1, 12))
-    path = tmp_path / "identity_11_11.tng"
+
+@pytest.mark.parametrize("width", [11, 41])
+def test_p_of_a_wide_identity_is_a_delta_power(width, tmp_path, capsys,
+                                               monkeypatch):
+    # the closure route builds no basis and no matrix at any width
+    for owner, name in ((pairing, "pairing_matrix"), (pairing, "bracket"),
+                        (pairing, "enumerate_basis"),
+                        (skein, "enumerate_basis")):
+        monkeypatch.setattr(owner, name, _refuse)
+    labels = tuple(range(1, width + 1))
+    path = tmp_path / "identity.tng"
     path.write_text(serialize_tng(
-        TangleDiagram(m=11, n=11, bottom=labels, top=labels)))
-    code, out, err = run(capsys, "p", str(path))
+        TangleDiagram(m=width, n=width, bottom=labels, top=labels)))
+    code, out, _ = run(capsys, "p", str(path))
+    assert (code, out) == (0, f"P(D) = {delta_power(width)}\n")
+
+
+def _wide_fourvalent():
+    """(9,9) identity with the two left strands through one 4-valent vertex."""
+    rest = tuple(range(3, 10))
+    return TangleDiagram(m=9, n=9, fourvalent=((1, 2, 11, 10),),
+                         bottom=(1, 2) + rest, top=(10, 11) + rest)
+
+
+@pytest.mark.parametrize("argv", [["pairing", "9", "9"],
+                                  ["invariant", "wide.tng", "--k", "1"]])
+def test_wide_pairings_are_refused_before_any_basis(argv, tmp_path, capsys,
+                                                     monkeypatch):
+    for owner in (pairing, skein):
+        monkeypatch.setattr(owner, "enumerate_basis", _refuse)
+    path = tmp_path / "wide.tng"
+    path.write_text(serialize_tng(ensure_valid(_wide_fourvalent())))
+    argv = [str(path) if a == "wide.tng" else a for a in argv]
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == "error: pairing supported only for (m+n)/2 <= 8\n"
 
@@ -144,7 +172,11 @@ def test_p_rejects_graph_diagrams(capsys):
     assert "error:" in err
 
 
-def test_p_rejects_bad_root_index(capsys):
+def test_p_rejects_bad_root_index(capsys, monkeypatch):
+    def refuse(d):
+        raise AssertionError("P(D) computed before the root check")
+
+    monkeypatch.setattr(cli, "p_poly", refuse)
     code, _, err = run(capsys, "p", fixture_path("circle.tng"), "--k", "2")
     assert code == 3
     assert "root index" in err
@@ -292,6 +324,24 @@ def test_invariant_refuses_too_many_vertices(diagram, tmp_path, capsys,
     assert (code, out) == (3, "")
     assert err == ("error: state sum supported only for at most 10 4-valent "
                    "vertices after contraction, got 11\n")
+
+
+@pytest.mark.parametrize("diagram,flags", [
+    (_necklace(8), []), (_ladder(8), ["--rho", "0"])],
+    ids=["necklace", "ladder"])
+def test_states_refuses_too_many_vertices(diagram, flags, tmp_path, capsys,
+                                          monkeypatch):
+    def refuse(d):
+        raise AssertionError("states expanded")
+
+    monkeypatch.setattr(enhanced, "expand_states", refuse)
+    assert enhanced.MAX_LISTED_STATE_VERTICES == 7
+    path = tmp_path / "big.tng"
+    path.write_text(serialize_tng(ensure_valid(diagram)))
+    code, out, err = run(capsys, "states", str(path), *flags)
+    assert (code, out) == (3, "")
+    assert err == ("error: state listing supported only for at most 7 "
+                   "4-valent vertices after contraction, got 8\n")
 
 
 def test_invariant_json(capsys):
@@ -449,3 +499,43 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "P(D)_1 = 3.000000000 + 0.000000000i\n"
+
+
+FIXTURE_FILES = sorted(str(p) for p in FIXTURES.rglob("*") if p.is_file())
+FILE_COMMANDS = ("bracket", "p", "rho", "states", "invariant", "verify",
+                 "validate")
+
+
+@st.composite
+def _flags(draw):
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(("--json", "--k", "--rho",
+                                               "--all-k")), unique=True)):
+        argv.append(flag)
+        if flag == "--k":
+            argv.append(str(draw(st.sampled_from((-1, 0, 1, 2, 13, 24)))))
+        elif flag == "--rho":
+            argv.append(str(draw(st.integers(-1, 3))))
+    return argv
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+@settings(max_examples=15)
+@given(flags=_flags())
+def test_no_traceback_on_any_fixture_file(command, flags):
+    for path in FIXTURE_FILES:
+        assert _exit_code([command, path, *flags]) in (0, 1, 2, 3), path
+
+
+@pytest.mark.parametrize("command", ["basis", "pairing"])
+@settings(max_examples=25)
+@given(m=st.integers(-1, 5), n=st.integers(-1, 5), flags=_flags())
+def test_no_traceback_on_any_boundary_counts(command, m, n, flags):
+    assert _exit_code([command, str(m), str(n), *flags]) in (0, 1, 2, 3)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram, all_labels,
                                 boundary_circular_labels, edge_occurrences,
                                 ensure_valid, is_isomorphic, load_tng,
                                 map_faces, max_label, merge_edges, mirror,
-                                parse_tng, relabel_occurrence, relabeled,
-                                serialize_tng, tensor, validate)
+                                parse_tng, reflect, relabel_occurrence,
+                                relabeled, serialize_tng, tensor, validate)
 from tanglepoly.errors import InvalidDiagramError, ParseError, TangleError
 from tanglepoly.generate import random_tangle, random_trivalent
 
@@ -305,6 +305,26 @@ def test_mirror_swaps_over_and_under():
     assert mirror(braid_pattern(+1)) == braid_pattern(-1)
     d = load_tng(fixture_path("trefoil.tng"))
     assert mirror(mirror(d)) == d
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.relative_to(FIXTURES).as_posix()
+                   for p in FIXTURES.rglob("*.tng") if p.parent.name != "bad"))
+def test_reflect_is_an_involution_that_keeps_fixtures_valid(path):
+    d = load_tng(fixture_path(path))
+    r = reflect(d)
+    assert validate(r).ok
+    assert reflect(r) == d
+    assert (r.bottom, r.top) == (d.bottom[::-1], d.top[::-1])
+
+
+def test_reflect_reverses_each_node():
+    d = D(crossings=((1, 2, 4, 3),), trivalent=((5, 6, 7), (7, 6, 5)),
+          fourvalent=((8, 9, 10, 11),))
+    r = reflect(d)
+    assert r.crossings == ((1, 3, 4, 2),)
+    assert r.trivalent == ((5, 7, 6), (5, 6, 7))
+    assert r.fourvalent == ((8, 11, 10, 9),)
 
 
 def test_tensor_places_side_by_side():

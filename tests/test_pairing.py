@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path
-from tanglepoly.diagram import load_tng, max_label, mirror
+from conftest import FIXTURES, fixture_path
+from tanglepoly import pairing, skein
+from tanglepoly.diagram import TangleDiagram, load_tng, max_label, mirror
 from tanglepoly.errors import DomainError
 from tanglepoly.generate import random_tangle
 from tanglepoly.laurent import ROOT_INDICES, delta_power
-from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_eval, p_poly,
+from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_eval, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
-from tanglepoly.skein import enumerate_basis
+from tanglepoly.skein import bracket, enumerate_basis, vector_bar
 
 
 def test_plat_loop_counts_for_the_22_basis():
@@ -136,3 +137,64 @@ def test_p_poly_is_palindromic_and_real_at_roots(seed):
     assert p.bar() == p
     for k in ROOT_INDICES:
         assert abs(p.eval_root(k).imag) < 1e-9
+
+
+def _p_via_matrix(d):
+    v = bracket(d)
+    return pair(v, vector_bar(v))
+
+
+def _strand_files():
+    for path in sorted(FIXTURES.glob("*.tng")) + \
+            sorted((FIXTURES / "pairs").glob("*.tng")):
+        d = load_tng(str(path))
+        if not (d.trivalent or d.fourvalent):
+            yield str(path)
+
+
+STRAND_FILES = tuple(_strand_files())
+
+
+def test_closure_matches_the_matrix_on_strand_fixtures():
+    assert len(STRAND_FILES) >= 15
+    for path in STRAND_FILES:
+        d = load_tng(path)
+        assert p_poly(d) == _p_via_matrix(d), path
+
+
+def test_closure_matches_the_matrix_on_seeded_tangles():
+    boundaries = set()
+    for seed in range(300):
+        d = random_tangle(random.Random(seed), max_crossings=8)
+        boundaries.add((d.m % 2, d.n % 2))
+        assert p_poly(d) == _p_via_matrix(d), seed
+    # both the b * bar(b) and the doubled closure are exercised
+    assert boundaries == {(0, 0), (1, 1)}
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(0, 8))
+def test_closure_matches_the_matrix_on_drawn_tangles(seed, crossings):
+    d = random_tangle(random.Random(seed), max_crossings=crossings)
+    assert p_poly(d) == _p_via_matrix(d)
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_identity_pairs_to_a_delta_power(width):
+    labels = tuple(range(1, width + 1))
+    d = TangleDiagram(m=width, n=width, bottom=labels, top=labels)
+    assert p_poly(d) == _p_via_matrix(d) == delta_power(width)
+
+
+def test_p_poly_builds_no_basis_matrix_or_bracket(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matrix route was called")
+
+    for owner, name in ((pairing, "pairing_matrix"), (pairing, "pair"),
+                        (pairing, "bracket"), (pairing, "enumerate_basis"),
+                        (skein, "bracket"), (skein, "enumerate_basis")):
+        monkeypatch.setattr(owner, name, refuse)
+    for name, expected in GOLDEN_P.items():
+        assert p_poly(load_tng(fixture_path(f"{name}.tng"))) == expected, name
+    p = p_poly(load_tng(fixture_path("trefoil.tng")))
+    assert p.terms == {16: -1, 12: -1, 4: 2, 0: 4, -4: 2, -12: -1, -16: -1}
