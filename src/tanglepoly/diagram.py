@@ -45,7 +45,7 @@ NONPLANAR_MESSAGE = "nonplanar or inconsistent rotation system"
 
 
 def _min_rotation(t: tuple, steps: tuple[int, ...]) -> tuple:
-    return min(tuple(t[(i + s) % len(t)] for i in range(len(t))) for s in steps)
+    return min(t[s:] + t[:s] for s in steps)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from .skein import (Basis, CoordinateVector, Matching, _check_strand_diagram,
                     _frontier_states, enumerate_basis)
 from .unionfind import UnionFind
 
-#: Largest (m+n)/2 pairing_matrix and the state sums accept: the matrix
-#: is square in the Catalan-sized basis.  p_poly builds no matrix.
+#: Largest (m+n)/2 pairing_matrix accepts: the matrix is square in the
+#: Catalan-sized basis.  p_poly and the state sums build no matrix.
 MAX_HALF_BOUNDARY = 8
 
 
@@ -89,16 +89,11 @@ class PairingMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
 
-def check_half_boundary(m: int, n: int) -> None:
-    """Refuse a boundary too wide to pair, before any bracket is spent on it."""
+@lru_cache(maxsize=None)
+def pairing_matrix(m: int, n: int) -> PairingMatrix:
     if (m + n) // 2 > MAX_HALF_BOUNDARY:
         raise DomainError(
             f"pairing supported only for (m+n)/2 <= {MAX_HALF_BOUNDARY}")
-
-
-@lru_cache(maxsize=None)
-def pairing_matrix(m: int, n: int) -> PairingMatrix:
-    check_half_boundary(m, n)
     basis = enumerate_basis(m, n)
     entries = tuple(
         tuple(delta_power(plat_loop_count(m, n, e_i, e_j))
@@ -122,16 +117,17 @@ def pair(u: CoordinateVector, w: CoordinateVector) -> LaurentPoly:
     return total
 
 
-def _closed_bracket(d: TangleDiagram) -> LaurentPoly:
-    """Bracket of the plat closure of a valid strand diagram.
+def _closed_bracket(d: TangleDiagram, nodes=()) -> LaurentPoly:
+    """Bracket of the plat closure of a valid diagram.
 
     Bottom points 1-2, 3-4, ... and top points 1-2, 3-4, ... (left to
     right) are capped, so m and n must be even; the caps are laid as joins.
+    Only d's crossings and the given frontier nodes are absorbed.
     """
     caps = list(zip(d.bottom[::2], d.bottom[1::2]))
     caps += zip(d.top[::2], d.top[1::2])
     closed = replace(d, m=0, n=0, bottom=(), top=())
-    return _frontier_states(closed, caps).get(frozenset(), ZERO)
+    return _frontier_states(closed, caps, nodes).get(frozenset(), ZERO)
 
 
 def p_poly(d: TangleDiagram) -> LaurentPoly:

@@ -33,8 +33,8 @@ Matching = tuple[Pair, ...]
 #: Largest (m+n)/2 enumerate_basis accepts.  The basis has Catalan((m+n)/2)
 #: elements, 58786 at 11, and each step up costs about 3.5 times the time
 #: and memory; pairing.MAX_HALF_BOUNDARY caps the square-sized pairing
-#: matrix and the state sums lower.  P(D) is the bracket of a closure and
-#: needs no basis, so neither limit applies to it.
+#: matrix lower.  P(D) and the state sums bracket closures and need no
+#: basis, so neither limit applies to them.
 MAX_BASIS_HALF_BOUNDARY = 11
 
 # _WEIGHTS[s][k]: weight of smoothing s (A, then B) when its joins close k loops
@@ -185,28 +185,37 @@ def _join(ends: dict[int, int], x: int, y: int) -> int:
     return 0
 
 
-def _absorption_order(d: TangleDiagram, open_labels: set[int]):
-    """Crossings in contraction order: most labels already open first, ties
-    by code order.  open_labels holds the labels open before any crossing."""
+def _crossing_node(t):
+    """A crossing (a,b,c,d) as a frontier node: A joins (a,b),(c,d) with
+    weight q, B joins (a,d),(b,c) with weight q^-1."""
+    a, b, c, dd = t
+    return t, ((((a, b), (c, dd)), _WEIGHTS[0]), (((a, dd), (b, c)), _WEIGHTS[1]))
+
+
+def _absorption_order(nodes, open_labels: set[int]):
+    """Smoothings of the nodes in contraction order: most labels already
+    open first, ties by list order.  open_labels holds the labels open
+    before any node."""
     open_labels = set(open_labels)
     holders: dict[int, list[int]] = {}
-    for i, t in enumerate(d.crossings):
-        for lab in t:
+    for i, (labels, _) in enumerate(nodes):
+        for lab in labels:
             holders.setdefault(lab, []).append(i)
-    score = [sum(lab in open_labels for lab in t) for t in d.crossings]
-    remaining = dict.fromkeys(range(len(d.crossings)))
+    score = [sum(lab in open_labels for lab in labels) for labels, _ in nodes]
+    remaining = dict.fromkeys(range(len(nodes)))
     while remaining:
-        # max keeps the first of equal scores, and remaining is in code order
+        # max keeps the first of equal scores, and remaining is in list order
         i = max(remaining, key=score.__getitem__)
         del remaining[i]
-        for lab in d.crossings[i]:
+        labels, smoothings = nodes[i]
+        for lab in labels:
             if lab in open_labels:
                 open_labels.discard(lab)
             else:
                 open_labels.add(lab)
                 for j in holders[lab]:
                     score[j] += 1
-        yield d.crossings[i]
+        yield smoothings
 
 
 def bracket(d: TangleDiagram) -> CoordinateVector:
@@ -222,24 +231,20 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     """
     _check_strand_diagram(d)
     ensure_valid(d)
-    return _frontier_bracket(d)
-
-
-def _frontier_bracket(d: TangleDiagram, joins=()) -> CoordinateVector:
-    """bracket() without its checks, for diagrams already known valid.
-
-    joins lists extra arcs (x, y), each connecting an end of edge x to an
-    end of edge y, laid before any crossing is absorbed; a smoothed 4-valent
-    vertex is two such arcs.  The vertices of d themselves are not read.
-    """
     basis = enumerate_basis(d.m, d.n)
     acc = {tuple(sorted((-u, -v) for u, v in key if u > v)): coeff
-           for key, coeff in _frontier_states(d, joins).items()}
+           for key, coeff in _frontier_states(d).items()}
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
-def _frontier_states(d: TangleDiagram, joins=()) -> dict[frozenset, LaurentPoly]:
+def _frontier_states(d: TangleDiagram, joins=(), nodes=()) -> dict[frozenset, LaurentPoly]:
     """The final state table of the frontier contraction, zeros dropped.
+
+    joins lists extra arcs (x, y), each connecting an end of edge x to an
+    end of edge y, laid before any node is absorbed.  The nodes absorbed
+    are d's crossings followed by the given nodes, each a pair (labels,
+    smoothings): every smoothing is (arcs, weights), and weights[k] is its
+    weight when its arcs close k loops.  The vertices of d are not read.
 
     Keys are frozensets of (end, partner) items over the boundary ends.  A
     diagram with no boundary, such as a closure whose caps are laid as
@@ -253,15 +258,17 @@ def _frontier_states(d: TangleDiagram, joins=()) -> dict[frozenset, LaurentPoly]
             _join(ends, -circular_position(d.m, d.n, side, i), lab)
     loops = sum(_join(ends, x, y) for x, y in joins)
     states = {frozenset(ends.items()): delta_power(len(d.circles) + loops)}
-    for a, b, c, dd in _absorption_order(d, {x for x in ends if x > 0}):
-        smoothings = (((a, b), (c, dd)), ((a, dd), (b, c)))
+    all_nodes = [_crossing_node(t) for t in d.crossings] + list(nodes)
+    for smoothings in _absorption_order(all_nodes, {x for x in ends if x > 0}):
         nxt: dict[frozenset, LaurentPoly] = {}
         for key, coeff in states.items():
-            for (j1, j2), weight in zip(smoothings, _WEIGHTS):
+            for arcs, weights in smoothings:
                 cur = dict(key)
-                loops = _join(cur, *j1) + _join(cur, *j2)
+                loops = 0
+                for x, y in arcs:
+                    loops += _join(cur, x, y)
                 new = frozenset(cur.items())
-                term = coeff * weight[loops]
+                term = coeff * weights[loops]
                 if new in nxt:
                     term = nxt[new] + term
                 if term:

@@ -137,18 +137,29 @@ def _wide_fourvalent():
                          bottom=(1, 2) + rest, top=(10, 11) + rest)
 
 
-@pytest.mark.parametrize("argv", [["pairing", "9", "9"],
-                                  ["invariant", "wide.tng", "--k", "1"]])
-def test_wide_pairings_are_refused_before_any_basis(argv, tmp_path, capsys,
+@pytest.mark.parametrize("argv", [["pairing", "9", "9"]])
+def test_wide_pairings_are_refused_before_any_basis(argv, capsys,
                                                      monkeypatch):
     for owner in (pairing, skein):
         monkeypatch.setattr(owner, "enumerate_basis", _refuse)
-    path = tmp_path / "wide.tng"
-    path.write_text(serialize_tng(ensure_valid(_wide_fourvalent())))
-    argv = [str(path) if a == "wide.tng" else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == "error: pairing supported only for (m+n)/2 <= 8\n"
+
+
+def test_invariant_at_a_wide_boundary_builds_no_basis(tmp_path, capsys,
+                                                      monkeypatch):
+    d = ensure_valid(_wide_fourvalent())
+    states = enhanced.state_polys(d)
+    assert len(states) == 4
+    expected = sum(p for _, p in states).eval_root(1)
+    for owner, name in ((pairing, "enumerate_basis"), (skein, "enumerate_basis"),
+                        (pairing, "pairing_matrix"), (pairing, "pair")):
+        monkeypatch.setattr(owner, name, _refuse)
+    path = tmp_path / "wide.tng"
+    path.write_text(serialize_tng(d))
+    code, out, _ = run(capsys, "invariant", str(path), "--k", "1")
+    assert (code, out) == (0, f"I_1(G) = {complex_text(expected)}\n")
 
 
 def test_p_at_a_root(capsys):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
-from tanglepoly import enhanced, pairing
-from tanglepoly.diagram import TangleDiagram, is_isomorphic, load_tng
+from tanglepoly import enhanced, pairing, skein
+from tanglepoly.diagram import (TangleDiagram, ensure_valid, is_isomorphic,
+                                load_tng, merge_edges)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -282,6 +283,62 @@ def test_flat_states_match_the_state_oracle_on_drawn_seeds(seed):
     _check_spliced(seed)
 
 
+def _braid_graph(seed, strands, boundary, length, vertices):
+    """(boundary, boundary) graph tangle from a seeded braid word on strands
+    strands: `vertices` of its crossings become 4-valent vertices, and the
+    strands right of the boundary are capped off in pairs at both ends."""
+    rng = random.Random(seed)
+    ends = list(range(1, strands + 1))
+    nodes = []
+    for k in range(length):
+        i = rng.randrange(strands - 1)
+        x, y = ends[i], ends[i + 1]
+        u, v = strands + 2 * k + 1, strands + 2 * k + 2
+        nodes.append((y, v, u, x) if rng.random() < 0.5 else (x, y, v, u))
+        ends[i], ends[i + 1] = u, v
+    picks = set(rng.sample(range(length), vertices))
+    d = D(m=boundary, n=boundary,
+          crossings=tuple(t for k, t in enumerate(nodes) if k not in picks),
+          fourvalent=tuple(t for k, t in enumerate(nodes) if k in picks),
+          bottom=tuple(range(1, boundary + 1)), top=tuple(ends[:boundary]))
+    caps = list(zip(range(boundary + 1, strands, 2),
+                    range(boundary + 2, strands + 1, 2)))
+    caps += zip(ends[boundary::2], ends[boundary + 1::2])
+    return ensure_valid(merge_edges(d, caps))
+
+
+@pytest.mark.parametrize("boundary", [1, 2, 3, 4])
+def test_coupled_sweep_matches_the_state_oracle_on_braid_graphs(boundary):
+    for seed in range(6):
+        d = _braid_graph(seed, boundary + 2, boundary, 6, 3)
+        assert (d.m, d.n, len(d.fourvalent)) == (boundary, boundary, 3)
+        _assert_matches_oracle(d, (boundary, seed))
+
+
+def test_coupled_sweep_matches_the_state_oracle_at_a_wide_boundary():
+    # the shape that took minutes through the pairing matrix, at 4 vertices
+    d = _braid_graph(3, 8, 8, 12, 4)
+    assert (d.m, len(d.crossings), len(d.fourvalent)) == (8, 8, 4)
+    _assert_matches_oracle(d, "wide")
+
+
+def test_state_sum_builds_no_basis_and_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a basis, matrix or bracket vector was built")
+
+    cases = [(contract(theta(), frozenset({2})), GOLDEN_TOTALS["handcuff"])]
+    for boundary in (1, 4):
+        d = _braid_graph(boundary, boundary + 2, boundary, 6, 3)
+        cases.append((d, _oracle_rho_poly(d, frozenset())))
+    for owner, name in ((skein, "enumerate_basis"), (skein, "bracket"),
+                        (pairing, "enumerate_basis"), (pairing, "bracket"),
+                        (pairing, "pairing_matrix"), (pairing, "pair"),
+                        (pairing, "p_poly"), (enhanced, "p_poly")):
+        monkeypatch.setattr(owner, name, refuse)
+    for c, expected in cases:
+        assert enhanced._state_sum(c) == expected
+
+
 def test_state_sum_never_calls_the_state_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the 4^n state route was called")
@@ -300,6 +357,13 @@ def test_state_sums_still_reject_a_nonplanar_graph():
     with pytest.raises(InvalidDiagramError):
         invariant_rho_poly(d, frozenset({1}))
     with pytest.raises(InvalidDiagramError):
+        invariant_total_poly(d)
+
+
+def test_total_invariant_validates_before_enumerating():
+    # labels 2 and 4 occur once: the enumerator would trace a missing end
+    d = D(trivalent=((1, 1, 2), (3, 3, 4)))
+    with pytest.raises(InvalidDiagramError, match="label 2 occurs 1"):
         invariant_total_poly(d)
 
 
