@@ -18,17 +18,15 @@ The sum is not taken state by state.  P(D) is the bracket of the plat
 closure of D (x) reflect(D), and the bracket expands T- = q T0 + q^-1 Tinf
 and T+ = q^-1 T0 + q Tinf, with conjugate weights in the reflected copy.
 So the four patterns of one vertex, taken in both copies at once, sum to
-the twin weight W[s][t] on the joint flat smoothings (s in D, t in its
-reflection),
-
-    W = [[3, q^2 + q^-2], [q^2 + q^-2, 3]],
-
-and the sum over the 4^n states is one frontier contraction of the
-closure of D (x) reflect(D) that absorbs each vertex together with its
-twin in the four joint smoothings.  Its cost follows the frontier width,
-and it needs no basis and no pairing matrix at any boundary.
-expand_states and state_polys keep the literal 4^n expansion for the
-`states` listing and as the oracle of that identity.
+the twin weight W[s][t] = [[3, q^2 + q^-2], [q^2 + q^-2, 3]] on the joint
+flat smoothings (s in D, t in its reflection), and the 4^n states sum to
+one frontier contraction of that closure which absorbs each vertex with
+its twin in the four joint smoothings.  Nor is any diagram contracted: the
+enhancements of a graph differ only in their thick edges, so its doubled
+closure is built once and each enhancement is one sweep with the twins of
+its thick edges' contracted vertices.  contract, expand_states and
+state_polys keep the literal 4^n expansion for the `states` listing and as
+the oracle of these identities.
 """
 
 from __future__ import annotations
@@ -38,9 +36,10 @@ from itertools import product
 from .diagram import (TangleDiagram, edge_occurrences, ensure_valid, max_label,
                       merge_edges, reflect, tensor)
 from .errors import DomainError, InvalidDiagramError
-from .laurent import (DELTA, LaurentPoly, delta_power, ensure_root_index,
-                      poly_sum)
-from .pairing import _closed_bracket, p_poly
+from .laurent import (DELTA, ZERO, LaurentPoly, delta_power,
+                      ensure_root_index, poly_sum)
+from .pairing import _plat_closure, p_poly
+from .skein import _frontier_states
 
 Enhancement = frozenset[int]
 
@@ -54,9 +53,9 @@ _TWIN_WEIGHTS = tuple(tuple(tuple(w * delta_power(k) for k in range(5))
 
 #: Largest number n of 4-valent vertices after contraction (the diagram's
 #: own plus one per thick edge, the same for every enhancement) that the
-#: state sums accept.  Each enhancement is one frontier sweep (3 ms for a
+#: state sums accept.  Each enhancement is one frontier sweep (2 ms for a
 #: closed chain of 10 on a 2-core Xeon, Python 3.11), so the enhancement
-#: count rules: a closed 10-rung ladder has 233 and takes about 0.5 s.
+#: count rules: a closed 10-rung ladder has 233 and takes about 0.2 s.
 MAX_STATE_VERTICES = 10
 
 #: Largest n the `states` listing accepts.  It expands and prints all 4^n
@@ -165,11 +164,6 @@ def enhancements_by_vertex_sums(d: TangleDiagram) -> tuple[Enhancement, ...]:
     return tuple(sorted(out, key=sorted))
 
 
-def _rotated_to_front(t: tuple[int, ...], label: int) -> tuple[int, ...]:
-    s = t.index(label)
-    return t[s:] + t[:s]
-
-
 def check_enhancement(d: TangleDiagram, rho: Enhancement) -> None:
     """Raise DomainError unless rho is a valid thick set for d."""
     occ = edge_occurrences(d)
@@ -192,25 +186,27 @@ def check_enhancement(d: TangleDiagram, rho: Enhancement) -> None:
             "invalid enhancement: a vertex carries no thick edge")
 
 
+def _contracted_vertex(d: TangleDiagram, occ, label: int):
+    """The 4-valent vertex (a,b,c,d) a thick edge contracts to, from its
+    endpoint rotations (label,a,b) and (label,c,d); occ = edge_occurrences(d)."""
+    (_, ui, s), (_, vi, t) = occ[label]
+    u, v = d.trivalent[ui], d.trivalent[vi]
+    return u[s - 2], u[s - 1], v[t - 2], v[t - 1]
+
+
 def contract(d: TangleDiagram, rho: Enhancement) -> TangleDiagram:
     """Contract every thick edge into a 4-valent vertex.
 
-    For a thick edge e with endpoint rotations (e,a,b) and (e,c,d) the new
-    vertex has rotation (a,b,c,d); all thin structure is unchanged and the
-    result carries no trivalent vertices and no thick set.
+    The new vertices follow d's own, in label order; all thin structure is
+    unchanged and the result carries no trivalent vertices and no thick set.
     """
     check_enhancement(d, rho)
     occ = edge_occurrences(d)
-    new_four: list[tuple[int, int, int, int]] = []
-    for label in sorted(rho):
-        (_, ui, _), (_, vi, _) = occ[label]
-        e, a, b = _rotated_to_front(d.trivalent[ui], label)
-        e, c, dd = _rotated_to_front(d.trivalent[vi], label)
-        new_four.append((a, b, c, dd))
     return TangleDiagram(
         m=d.m, n=d.n,
         crossings=d.crossings,
-        fourvalent=d.fourvalent + tuple(new_four),
+        fourvalent=d.fourvalent + tuple(
+            _contracted_vertex(d, occ, label) for label in sorted(rho)),
         circles=d.circles,
         bottom=d.bottom, top=d.top,
     )
@@ -259,10 +255,6 @@ def _check_vertex_limit(d: TangleDiagram, limit: int, what: str) -> None:
             f"4-valent vertices after contraction, got {n}")
 
 
-def _check_state_vertices(d: TangleDiagram) -> None:
-    _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
-
-
 def check_state_listing(d: TangleDiagram) -> None:
     """Refuse, before any contraction, a diagram whose 4^n states the
     `states` listing could not expand in reasonable time."""
@@ -281,22 +273,30 @@ def _twin_node(vertex, offset: int):
         for s in range(2) for t in range(2))
 
 
-def _state_sum(c: TangleDiagram) -> LaurentPoly:
-    """Sum of P over the 4^n states of a valid contracted diagram.
+def _state_sums(d: TangleDiagram, rhos) -> LaurentPoly:
+    """Sum over the valid thick sets rhos of a valid d of its state sums.
 
-    One frontier contraction of the plat closure of c (x) reflect(c): the
-    crossings of both copies in their two smoothings, each vertex with its
-    twin in the four joint smoothings weighted by W.
+    Planned once: the plat closure of d (x) reflect(d), whose crossings,
+    circles and caps every contraction shares (vertices are not read), and
+    the twin nodes of d's 4-valent vertices and of each thick edge's.
     """
-    offset = max_label(c)  # tensor's shift of the reflected copy
-    twins = [_twin_node(v, offset) for v in c.fourvalent]
-    return _closed_bracket(tensor(c, reflect(c)), twins)
+    offset = max_label(d)  # tensor's shift of the reflected copy
+    closed, caps = _plat_closure(tensor(d, reflect(d)))
+    fixed = [_twin_node(v, offset) for v in d.fourvalent]
+    occ = edge_occurrences(d)
+    thick = {label: _twin_node(_contracted_vertex(d, occ, label), offset)
+             for label in set().union(*rhos)}
+    sweeps = (_frontier_states(closed, caps, fixed + [
+        thick[label] for label in sorted(rho)]) for rho in rhos)
+    return poly_sum(states.get(frozenset(), ZERO) for states in sweeps)
 
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
-    """Exact state sum for one enhancement (contract, then one sweep)."""
-    _check_state_vertices(d)
-    return _state_sum(ensure_valid(contract(d, rho)))
+    """Exact state sum for one enhancement (one sweep, no contraction)."""
+    _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
+    ensure_valid(d)
+    check_enhancement(d, rho)
+    return _state_sums(d, [rho])
 
 
 def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
@@ -306,11 +306,9 @@ def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
 
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements; zero when none exist."""
-    _check_state_vertices(d)
-    # once for all enhancements: contraction keeps label counts and planarity
+    _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
     ensure_valid(d)
-    return poly_sum(_state_sum(contract(d, rho))
-                    for rho in enumerate_enhancements(d))
+    return _state_sums(d, enumerate_enhancements(d))
 
 
 def invariant_total(d: TangleDiagram, k: int) -> complex:

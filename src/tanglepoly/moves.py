@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .diagram import (TangleDiagram, all_labels, edge_occurrences, ensure_valid,
                       load_tng, map_faces, max_label, merge_edges,
                       read_text, relabel_occurrence, relabeled)
-from .enhanced import (_rotated_to_front, invariant_rho_poly,
+from .enhanced import (_contracted_vertex, invariant_rho_poly,
                        invariant_total_poly)
 from .errors import DomainError, ParseError
 from .laurent import ROOT_INDICES, LaurentPoly
@@ -139,8 +139,7 @@ def ih_rewrite(d: TangleDiagram, edge: int) -> TangleDiagram:
         raise DomainError(f"edge {edge} is not thick")
     occ = edge_occurrences(d)
     (_, ui, _), (_, vi, _) = occ[edge]
-    _, a, b = _rotated_to_front(d.trivalent[ui], edge)
-    _, c, dd = _rotated_to_front(d.trivalent[vi], edge)
+    a, b, c, dd = _contracted_vertex(d, occ, edge)
     new_tri = list(d.trivalent)
     new_tri[ui] = (edge, b, c)
     new_tri[vi] = (edge, dd, a)

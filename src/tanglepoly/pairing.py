@@ -117,17 +117,18 @@ def pair(u: CoordinateVector, w: CoordinateVector) -> LaurentPoly:
     return total
 
 
-def _closed_bracket(d: TangleDiagram, nodes=()) -> LaurentPoly:
-    """Bracket of the plat closure of a valid diagram.
-
-    Bottom points 1-2, 3-4, ... and top points 1-2, 3-4, ... (left to
-    right) are capped, so m and n must be even; the caps are laid as joins.
-    Only d's crossings and the given frontier nodes are absorbed.
-    """
+def _plat_closure(d: TangleDiagram):
+    """(closed, caps): d without its boundary, and the caps of its plat
+    closure as joins, bottom points 1-2, 3-4, ... and top points 1-2, 3-4,
+    ... (left to right).  m and n must be even."""
     caps = list(zip(d.bottom[::2], d.bottom[1::2]))
     caps += zip(d.top[::2], d.top[1::2])
-    closed = replace(d, m=0, n=0, bottom=(), top=())
-    return _frontier_states(closed, caps, nodes).get(frozenset(), ZERO)
+    return replace(d, m=0, n=0, bottom=(), top=()), caps
+
+
+def _closed_bracket(d: TangleDiagram) -> LaurentPoly:
+    """Bracket of the plat closure of a valid diagram with m and n even."""
+    return _frontier_states(*_plat_closure(d)).get(frozenset(), ZERO)
 
 
 def p_poly(d: TangleDiagram) -> LaurentPoly:

@@ -248,7 +248,9 @@ def _frontier_states(d: TangleDiagram, joins=(), nodes=()) -> dict[frozenset, La
 
     Keys are frozensets of (end, partner) items over the boundary ends.  A
     diagram with no boundary, such as a closure whose caps are laid as
-    joins, leaves at most the one key frozenset().
+    joins, leaves at most the one key frozenset().  The weights of one
+    state's smoothings are summed per landing key first, so a state pays
+    one multiplication per distinct key it reaches, not per smoothing.
     """
     # boundary ends are named by their negated circular position, so they
     # never collide with the positive edge labels
@@ -262,20 +264,20 @@ def _frontier_states(d: TangleDiagram, joins=(), nodes=()) -> dict[frozenset, La
     for smoothings in _absorption_order(all_nodes, {x for x in ends if x > 0}):
         nxt: dict[frozenset, LaurentPoly] = {}
         for key, coeff in states.items():
+            landed: dict[frozenset, LaurentPoly] = {}
             for arcs, weights in smoothings:
                 cur = dict(key)
                 loops = 0
                 for x, y in arcs:
                     loops += _join(cur, x, y)
                 new = frozenset(cur.items())
-                term = coeff * weights[loops]
-                if new in nxt:
-                    term = nxt[new] + term
-                if term:
-                    nxt[new] = term
-                else:
-                    nxt.pop(new, None)
-        states = nxt
+                w = weights[loops]
+                landed[new] = landed[new] + w if new in landed else w
+            for new, wsum in landed.items():
+                if wsum:
+                    term = coeff * wsum
+                    nxt[new] = nxt[new] + term if new in nxt else term
+        states = {key: coeff for key, coeff in nxt.items() if coeff}
     return states
 
 

@@ -1,5 +1,6 @@
 import glob
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, fixture_path
 from tanglepoly import enhanced, pairing, skein
 from tanglepoly.diagram import (TangleDiagram, ensure_valid, is_isomorphic,
-                                load_tng, merge_edges)
+                                load_tng, max_label, merge_edges, relabeled)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -16,11 +17,13 @@ from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  invariant_total, invariant_total_poly,
                                  state_polys)
 from tanglepoly.errors import DomainError, InvalidDiagramError
-from tanglepoly.generate import random_splice_site, random_trivalent
+from tanglepoly.generate import (MAX_ACTIVE, _MorseBuilder, random_splice_site,
+                                 random_trivalent)
 from tanglepoly.laurent import (LaurentPoly, ROOT_INDICES, ZERO, delta_power,
                                 poly_sum)
 from tanglepoly.moves import braid_pattern, insert_kink, splice_22
 from tanglepoly.pairing import p_poly
+from test_cli import _ladder
 
 
 def D(**kw):
@@ -336,7 +339,32 @@ def test_state_sum_builds_no_basis_and_no_matrix(monkeypatch):
                         (pairing, "p_poly"), (enhanced, "p_poly")):
         monkeypatch.setattr(owner, name, refuse)
     for c, expected in cases:
-        assert enhanced._state_sum(c) == expected
+        assert enhanced._state_sums(c, [frozenset()]) == expected
+
+
+def test_the_plan_is_built_once_per_graph(monkeypatch):
+    d = ensure_valid(_ladder(4))
+    rhos = enumerate_enhancements(d)
+    assert len(rhos) == 13
+    expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
+    calls = {"tensor": 0, "reflect": 0}
+
+    def counted(name):
+        original = getattr(enhanced, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    def refuse(*args):
+        raise AssertionError("an enhancement was contracted")
+
+    monkeypatch.setattr(enhanced, "contract", refuse)
+    for name in calls:
+        monkeypatch.setattr(enhanced, name, counted(name))
+    assert invariant_total_poly(d) == expected
+    assert calls == {"tensor": 1, "reflect": 1}
 
 
 def test_state_sum_never_calls_the_state_oracle(monkeypatch):
@@ -367,6 +395,13 @@ def test_total_invariant_validates_before_enumerating():
         invariant_total_poly(d)
 
 
+def test_rho_invariant_validates_before_checking_the_enhancement():
+    # the same malformed diagram: a bad file, not a bad enhancement
+    d = D(trivalent=((1, 1, 2), (3, 3, 4)))
+    with pytest.raises(InvalidDiagramError, match="label 2 occurs 1"):
+        invariant_rho_poly(d, frozenset({2}))
+
+
 def test_state_vertex_limit_is_checked_before_enumeration(monkeypatch):
     def refuse(d):
         raise AssertionError("enhancements enumerated")
@@ -385,3 +420,87 @@ def test_state_vertex_limit_is_checked_before_enumeration(monkeypatch):
     two_thetas = D(trivalent=((1, 2, 3), (3, 2, 1), (4, 5, 6), (6, 5, 4)))
     with pytest.raises(DomainError, match="got 2"):
         invariant_total_poly(two_thetas)
+
+
+def _graph_tangle(seed):
+    """Seeded Morse tangle on 0-3 bottom strands drawn from 2-8 cup, cap,
+    cross, split and merge rows, with at most 3 crossings and 4 trivalent
+    vertices before the parity fix: boundary, crossings and trivalent
+    vertices together."""
+    rng = random.Random(seed)
+    b = _MorseBuilder(rng.randint(0, 3))
+    crossings, vertices = 3, 4
+    for _ in range(rng.randint(2, 8)):
+        width = len(b.active)
+        ops = ["cup"] if width + 2 <= MAX_ACTIVE else []
+        if width >= 1 and vertices > 0 and width < MAX_ACTIVE:
+            ops.append("split")
+        if width >= 2:
+            ops.append("cap")
+            if crossings > 0:
+                ops.append("cross")
+            if vertices > 0:
+                ops.append("merge")
+        op = rng.choice(ops or ["cup"])
+        if op == "cup":
+            b.cup(rng.randint(0, width))
+        elif op == "cap":
+            b.cap(rng.randrange(width - 1))
+        elif op == "cross":
+            b.cross(rng.randrange(width - 1), rng.choice((1, -1)))
+            crossings -= 1
+        elif op == "split":
+            b.split(rng.randrange(width))
+            vertices -= 1
+        else:
+            b.merge(rng.randrange(width - 1))
+            vertices -= 1
+    if (len(b.bottom) + len(b.active)) % 2:
+        if not b.active:
+            b.cup(0)
+        if len(b.active) == 1:
+            b.split(0)
+        else:
+            b.merge(rng.randrange(len(b.active) - 1))
+    return b.finish()
+
+
+def _check_graph_tangle(seed):
+    """Planner against the state oracle on one seeded graph tangle; returns
+    the tangle and its enhancement count, None when both sides refuse it."""
+    d = _graph_tangle(seed)
+    try:
+        rhos = enumerate_enhancements(d)
+    except DomainError as exc:
+        # a strand through crossings joins two vertices: the planner agrees
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            invariant_total_poly(d)
+        return d, None
+    variants = [d]
+    if d.trivalent and rhos:
+        # a thick edge on the largest label: the reflected copy is shifted
+        # past it although no contraction keeps it
+        variants.append(relabeled(d, {min(rhos[0]): max_label(d) + 1}))
+    for g in variants:
+        expected = poly_sum(_oracle_rho_poly(g, rho)
+                            for rho in enumerate_enhancements(g))
+        assert invariant_total_poly(g) == expected, seed
+    return d, len(rhos)
+
+
+def test_planner_matches_the_state_oracle_on_graph_tangles():
+    shapes = refused = 0
+    for seed in range(300):
+        d, checked = _check_graph_tangle(seed)
+        if checked is None:
+            refused += 1
+        elif checked and d.m + d.n and d.crossings and d.trivalent:
+            shapes += 1
+    assert shapes >= 40
+    assert refused >= 1
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 10 ** 6))
+def test_planner_matches_the_state_oracle_on_drawn_graph_tangles(seed):
+    _check_graph_tangle(seed)
