@@ -1,11 +1,11 @@
 """Skein-module invariants of tangles and trivalent graph diagrams.
 
 The pipeline: parse a planar diagram (.tng), resolve crossings into the
-flat-tangle basis over Z[q, q^-1], pair the result with its mirror to get
-the polynomial P(D), and for graph diagrams sum a 4-pattern state expansion
-over thick-edge enhancements.  Values at the eight admissible roots of
-unity are invariant under 3-moves and the graph moves; the polynomials
-themselves are invariant under the Reidemeister moves.
+flat-tangle basis over Z[q, q^-1], take P(D) as the bracket of the plat
+closure of D beside its reflection, and for graph diagrams sum one coupled
+frontier sweep of that closure per thick-edge enhancement.  Values at the
+eight admissible roots of unity are invariant under 3-moves and the graph
+moves; the polynomials themselves are invariant under the Reidemeister moves.
 """
 
 from .diagram import (TangleDiagram, ValidationReport, all_labels,
@@ -19,7 +19,6 @@ from .enhanced import (Enhancement, STATE_PATTERNS, check_enhancement,
                        invariant_total_poly, state_polys)
 from .errors import (DomainError, InvalidDiagramError, ParseError,
                      TangleError)
-from .generate import random_splice_site, random_tangle, random_trivalent
 from .laurent import (DELTA, ONE, Q, ROOT_INDICES, ZERO, LaurentPoly,
                       delta_power, ensure_root_index, root_value)
 from .moves import (MovePair, PairResult, SpliceSite, TOL_ROOT, braid_pattern,
@@ -56,3 +55,11 @@ __all__ = [
     "UnionFind",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the generators are imported on first use, off the CLI's start-up path
+    if name in ("random_splice_site", "random_tangle", "random_trivalent"):
+        from . import generate
+        return getattr(generate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

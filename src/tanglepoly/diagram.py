@@ -31,8 +31,7 @@ have the Euler characteristic of a sphere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidDiagramError, ParseError
 from .unionfind import UnionFind
@@ -48,32 +47,52 @@ def _min_rotation(t: tuple, steps: tuple[int, ...]) -> tuple:
     return min(t[s:] + t[:s] for s in steps)
 
 
-@dataclass(frozen=True)
-class TangleDiagram:
-    m: int
-    n: int
-    crossings: tuple[Crossing, ...] = ()
-    trivalent: tuple[Trivalent, ...] = ()
-    fourvalent: tuple[Fourvalent, ...] = ()
-    circles: tuple[int, ...] = ()
-    bottom: tuple[int, ...] = ()
-    top: tuple[int, ...] = ()
-    thick: frozenset[int] = field(default_factory=frozenset)
+class _Record:
+    """Immutable value, compared, hashed and shown by the fields in _FIELDS."""
 
-    def __post_init__(self):
+    __slots__ = _FIELDS = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._FIELDS, self._key()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class TangleDiagram(_Record):
+    __slots__ = _FIELDS = ("m", "n", "crossings", "trivalent", "fourvalent",
+                           "circles", "bottom", "top", "thick")
+
+    def __init__(self, m: int, n: int, crossings=(), trivalent=(),
+                 fourvalent=(), circles=(), bottom=(), top=(),
+                 thick=frozenset()):
         # Rotating a crossing or 4-valent code by two slots presents the same
         # node (the under-strand convention is slot-pair {0, 2} either way);
         # a trivalent code is free under any rotation.  Store the least one.
-        object.__setattr__(self, "crossings", tuple(
-            _min_rotation(tuple(t), (0, 2)) for t in self.crossings))
-        object.__setattr__(self, "trivalent", tuple(
-            _min_rotation(tuple(t), (0, 1, 2)) for t in self.trivalent))
-        object.__setattr__(self, "fourvalent", tuple(
-            _min_rotation(tuple(t), (0, 2)) for t in self.fourvalent))
-        object.__setattr__(self, "circles", tuple(self.circles))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "thick", frozenset(self.thick))
+        super().__init__(
+            m, n, tuple(_min_rotation(tuple(t), (0, 2)) for t in crossings),
+            tuple(_min_rotation(tuple(t), (0, 1, 2)) for t in trivalent),
+            tuple(_min_rotation(tuple(t), (0, 2)) for t in fourvalent),
+            tuple(circles), tuple(bottom), tuple(top), frozenset(thick))
 
     def node_lines(self) -> Iterator[tuple[str, tuple[int, ...]]]:
         for t in self.crossings:
@@ -82,6 +101,11 @@ class TangleDiagram:
             yield "V", t
         for t in self.fourvalent:
             yield "F", t
+
+
+def replace(d: TangleDiagram, **changes) -> TangleDiagram:
+    """d with the given fields changed, normalised like the constructor."""
+    return TangleDiagram(**dict(zip(d._FIELDS, d._key()), **changes))
 
 
 def all_labels(d: TangleDiagram) -> set[int]:
@@ -250,8 +274,7 @@ def planarity_problems(d: TangleDiagram) -> list[str]:
     return []
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 

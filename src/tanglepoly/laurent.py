@@ -77,7 +77,10 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            # a constant equals its int, so it must hash like it too
+            terms = self._terms
+            self._hash = (hash(terms.get(0, 0)) if terms.keys() <= {0}
+                          else hash(frozenset(terms.items())))
         return self._hash
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
@@ -109,7 +112,7 @@ class LaurentPoly:
         return self.__add__(-other)
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly({0: other}).__sub__(self)
+        return (-self).__add__(other)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):

@@ -18,11 +18,11 @@ and the total invariant for other graph diagrams.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .diagram import (TangleDiagram, all_labels, edge_occurrences, ensure_valid,
                       load_tng, map_faces, max_label, merge_edges,
-                      read_text, relabel_occurrence, relabeled)
+                      read_text, relabel_occurrence, relabeled, replace)
 from .enhanced import (_contracted_vertex, invariant_rho_poly,
                        invariant_total_poly)
 from .errors import DomainError, ParseError
@@ -64,8 +64,7 @@ def insert_kink(d: TangleDiagram, edge: int, sign: int = 1) -> TangleDiagram:
     return replace(cut, crossings=cut.crossings + (crossing,))
 
 
-@dataclass(frozen=True)
-class SpliceSite:
+class SpliceSite(NamedTuple):
     """Two cut points: an edge plus which of its occurrences keeps the label."""
     edge_a: int
     end_a: int
@@ -150,8 +149,7 @@ def ih_rewrite(d: TangleDiagram, edge: int) -> TangleDiagram:
 # fixture-pair manifest
 
 
-@dataclass(frozen=True)
-class MovePair:
+class MovePair(NamedTuple):
     name: str
     file_a: str
     file_b: str
@@ -159,8 +157,7 @@ class MovePair:
     expected: str
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     name: str
     move: str
     expected: str

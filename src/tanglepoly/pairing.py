@@ -25,10 +25,10 @@ route for the `pairing` subcommand and as the oracle of this identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
-from .diagram import TangleDiagram, ensure_valid, reflect, tensor
+from .diagram import TangleDiagram, ensure_valid, reflect, replace, tensor
 from .errors import DomainError
 from .laurent import LaurentPoly, ZERO, delta_power, ensure_root_index
 # bench/tracing.py patches pairing.bracket by attribute
@@ -83,8 +83,7 @@ def plat_loop_count(m: int, n: int, e_i: Matching, e_j: Matching) -> int:
     return loops
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
+class PairingMatrix(NamedTuple):
     basis: Basis
     entries: tuple[tuple[LaurentPoly, ...], ...]
 

@@ -17,10 +17,9 @@ agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .diagram import TangleDiagram, ensure_valid
+from .diagram import TangleDiagram, _Record, ensure_valid
 # bench/tracing.py patches skein.merge_edges by attribute
 from .diagram import merge_edges  # noqa: F401
 from .errors import DomainError, InvalidDiagramError
@@ -60,16 +59,13 @@ def format_matching(matching: Matching) -> str:
     return "".join(f"({a},{b})" for a, b in matching)
 
 
-@dataclass(frozen=True)
-class Basis:
-    m: int
-    n: int
-    elements: tuple[Matching, ...]
-    _index: dict[Matching, int] = field(
-        default_factory=dict, repr=False, compare=False)
+class Basis(_Record):
+    _FIELDS = ("m", "n", "elements")
+    __slots__ = _FIELDS + ("_index",)
 
-    def __post_init__(self):
-        self._index.update({mt: i for i, mt in enumerate(self.elements)})
+    def __init__(self, m: int, n: int, elements: tuple[Matching, ...]):
+        super().__init__(m, n, elements,
+                         {mt: i for i, mt in enumerate(elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -112,14 +108,13 @@ def enumerate_basis(m: int, n: int) -> Basis:
     return Basis(m, n, tuple(elements))
 
 
-@dataclass(frozen=True)
-class CoordinateVector:
-    basis: Basis
-    coords: tuple[LaurentPoly, ...]
+class CoordinateVector(_Record):
+    __slots__ = _FIELDS = ("basis", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.basis.elements):
+    def __init__(self, basis: Basis, coords: tuple[LaurentPoly, ...]):
+        if len(coords) != len(basis.elements):
             raise ValueError("coordinate count does not match basis size")
+        super().__init__(basis, coords)
 
     def __getitem__(self, i: int) -> LaurentPoly:
         return self.coords[i]

@@ -503,6 +503,38 @@ def test_cli_import_does_not_load_concurrent_futures():
     assert proc.stdout == "False\n"
 
 
+COLD_START = """
+import json, sys
+import tanglepoly
+core = [m for m in ("diagram", "pairing", "enhanced", "laurent", "skein",
+                    "moves") if "tanglepoly." + m not in sys.modules]
+import tanglepoly.cli
+loaded = [m for m in ("dataclasses", "inspect", "tanglepoly.generate")
+          if m in sys.modules]
+lazy = (tanglepoly.random_trivalent
+        is sys.modules["tanglepoly.generate"].random_trivalent)
+names = {}
+exec("from tanglepoly import *", names)
+unbound = sorted(set(tanglepoly.__all__) - names.keys())
+print(json.dumps([core, loaded, lazy, unbound]))
+"""
+
+
+def test_cli_cold_start_imports_no_dataclasses_or_generators():
+    # the bench reads the six core modules from sys.modules after
+    # `import tanglepoly`; the generators load on first use
+    src = FIXTURES.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], [], True, []]
+    for path in src.rglob("*.py"):
+        text = path.read_text()
+        assert "import dataclasses" not in text, path
+        assert "from dataclasses" not in text, path
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tanglepoly", "p",

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,8 @@ from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram, all_labels,
                                 ensure_valid, is_isomorphic, load_tng,
                                 map_faces, max_label, merge_edges, mirror,
                                 parse_tng, reflect, relabel_occurrence,
-                                relabeled, serialize_tng, tensor, validate)
+                                relabeled, replace, serialize_tng, tensor,
+                                validate)
 from tanglepoly.errors import InvalidDiagramError, ParseError, TangleError
 from tanglepoly.generate import random_tangle, random_trivalent
 

@@ -178,3 +178,18 @@ def test_hash_consistent_with_equality(p, q):
         assert hash(p) == hash(q)
     seen = {p: "first"}
     assert seen[LaurentPoly(p.terms)] == "first"
+
+
+def test_constants_hash_like_the_ints_they_equal():
+    assert hash(LaurentPoly({0: 3})) == hash(3)
+    assert hash(LaurentPoly({0: -1})) == hash(-1)
+    assert len({ZERO, 0}) == 1 and len({ONE, 1}) == 1
+    assert {1: "x"}[ONE] == "x"
+    assert {0: "z"}.get(ZERO) == "z"
+
+
+def test_subtraction_from_a_non_int_is_refused():
+    with pytest.raises(TypeError):
+        2.5 - ONE
+    assert 3 - ONE == 2
+    assert 1 - Q == LaurentPoly({0: 1, 1: -1})

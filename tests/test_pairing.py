@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import pairing, skein
-from tanglepoly.diagram import TangleDiagram, load_tng, max_label, mirror
+from tanglepoly.diagram import (TangleDiagram, load_tng, max_label, mirror,
+                               replace)
 from tanglepoly.errors import DomainError
 from tanglepoly.generate import random_tangle
 from tanglepoly.laurent import ROOT_INDICES, delta_power
