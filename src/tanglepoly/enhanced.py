@@ -14,19 +14,26 @@ summing that over all enhancements gives the total.  Both are exposed
 symbolically (exact polynomials) and numerically (values at the eight
 admissible roots).
 
-The sum is not taken state by state.  P(D) is the bracket of the plat
-closure of D (x) reflect(D), and the bracket expands T- = q T0 + q^-1 Tinf
-and T+ = q^-1 T0 + q Tinf, with conjugate weights in the reflected copy.
-So the four patterns of one vertex, taken in both copies at once, sum to
-the twin weight W[s][t] = [[3, q^2 + q^-2], [q^2 + q^-2, 3]] on the joint
-flat smoothings (s in D, t in its reflection), and the 4^n states sum to
-one frontier contraction of that closure which absorbs each vertex with
-its twin in the four joint smoothings.  Nor is any diagram contracted: the
-enhancements of a graph differ only in their thick edges, so its doubled
-closure is built once and each enhancement is one sweep with the twins of
-its thick edges' contracted vertices.  contract, expand_states and
-state_polys keep the literal 4^n expansion for the `states` listing and as
-the oracle of these identities.
+The sums are not taken state by state, nor enhancement by enhancement.
+P(D) is the bracket of the plat closure of D (x) reflect(D), and the
+bracket expands T- = q T0 + q^-1 Tinf and T+ = q^-1 T0 + q Tinf, with
+conjugate weights in the reflected copy.  So the four patterns of one
+vertex, taken in both copies at once, sum to the twin weight
+W[s][t] = [[3, q^2 + q^-2], [q^2 + q^-2, 3]] on the joint flat smoothings
+(s in D, t in its reflection), and the 4^n states sum to one frontier
+contraction of that closure which absorbs each vertex with its twin in the
+four joint smoothings.  The enhancements differ only in their thick edges,
+so the total is one contraction of the graph's own doubled closure, read
+off its label tuples: every direct edge that lies in some perfect
+matching is an option, skipped (weight 1, no arcs) or taken (absorbing
+the twin node of the 4-valent vertex its contraction makes), and the
+frontier key records which vertices are covered, so only the states that
+take one edge at every vertex survive.  Its cost follows the frontier
+width, not the enhancement count.  The per-enhancement invariant is the
+same sweep with the enhancement's edges as the only options.  contract,
+expand_states and state_polys keep the literal 4^n expansion for the
+`states` listing and as the oracle of these identities;
+enumerate_enhancements lists the enhancements for `rho`.
 """
 
 from __future__ import annotations
@@ -34,11 +41,10 @@ from __future__ import annotations
 from itertools import product
 
 from .diagram import (TangleDiagram, edge_occurrences, ensure_valid, max_label,
-                      merge_edges, reflect, tensor)
+                      merge_edges)
 from .errors import DomainError, InvalidDiagramError
-from .laurent import (DELTA, ZERO, LaurentPoly, delta_power,
-                      ensure_root_index, poly_sum)
-from .pairing import _plat_closure, p_poly
+from .laurent import DELTA, ZERO, LaurentPoly, delta_power, ensure_root_index
+from .pairing import _doubled_closure, p_poly
 from .skein import _frontier_states
 
 Enhancement = frozenset[int]
@@ -53,9 +59,12 @@ _TWIN_WEIGHTS = tuple(tuple(tuple(w * delta_power(k) for k in range(5))
 
 #: Largest number n of 4-valent vertices after contraction (the diagram's
 #: own plus one per thick edge, the same for every enhancement) that the
-#: state sums accept.  Each enhancement is one frontier sweep (2 ms for a
-#: closed chain of 10 on a 2-core Xeon, Python 3.11), so the enhancement
-#: count rules: a closed 10-rung ladder has 233 and takes about 0.2 s.
+#: state sums accept.  All enhancements are summed in one frontier sweep,
+#: whose cost follows the frontier width rather than n: on a 2-core Xeon
+#: with Python 3.11, a closed chain of 10 takes about 1.2 ms and a closed
+#: 10-rung ladder (233 enhancements) about 3 ms, 40 rungs about 27 ms.  So
+#: this bound is a proxy that refuses work which would finish; it is kept
+#: until a limit on the sweep's own width replaces it.
 MAX_STATE_VERTICES = 10
 
 #: Largest n the `states` listing accepts.  It expands and prints all 4^n
@@ -102,38 +111,57 @@ def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
     return links
 
 
+def _links_by_vertex(nv: int, links) -> list[list[tuple[int, int]]]:
+    by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for label, u, v in links:
+        by_vertex[u].append((label, v))
+        by_vertex[v].append((label, u))
+    return by_vertex
+
+
+def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
+    """Yield every perfect matching by links that extends chosen, whose
+    vertices are the matched ones, as a thick set.  Backtracking: the first
+    unmatched vertex is tried with each of its links in turn."""
+    try:
+        u = matched.index(False)
+    except ValueError:
+        yield frozenset(chosen)
+        return
+    matched[u] = True
+    for label, v in by_vertex[u]:
+        if not matched[v]:
+            matched[v] = True
+            chosen.append(label)
+            yield from _matchings(by_vertex, matched, chosen)
+            chosen.pop()
+            matched[v] = False
+    matched[u] = False
+
+
 def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
     """All valid thick sets, sorted; empty thick set if no trivalent vertices."""
     nv = len(d.trivalent)
     if nv == 0:
         return (frozenset(),)
-    links = _traced_vertex_links(d)
-    by_vertex: dict[int, list[tuple[int, int]]] = {v: [] for v in range(nv)}
-    for label, u, v in links:
-        by_vertex[u].append((label, v))
-        by_vertex[v].append((label, u))
-
-    found: set[Enhancement] = set()
-    matched = [False] * nv
-
-    def search(chosen: list[int]) -> None:
-        try:
-            u = matched.index(False)
-        except ValueError:
-            found.add(frozenset(chosen))
-            return
-        matched[u] = True
-        for label, v in by_vertex[u]:
-            if not matched[v]:
-                matched[v] = True
-                chosen.append(label)
-                search(chosen)
-                chosen.pop()
-                matched[v] = False
-        matched[u] = False
-
-    search([])
+    by_vertex = _links_by_vertex(nv, _traced_vertex_links(d))
+    found = set(_matchings(by_vertex, [False] * nv, []))
     return tuple(sorted(found, key=sorted))
+
+
+def _matched_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
+    """The traced links that lie in at least one valid thick set: a search
+    from each link, stopped at the first perfect matching it completes,
+    whose links are then all known to qualify."""
+    links = _traced_vertex_links(d)
+    by_vertex = _links_by_vertex(len(d.trivalent), links)
+    kept: set[int] = set()
+    for label, u, v in links:
+        if label not in kept:
+            matched = [False] * len(by_vertex)
+            matched[u] = matched[v] = True
+            kept.update(next(_matchings(by_vertex, matched, [label]), ()))
+    return [link for link in links if link[0] in kept]
 
 
 def enhancements_by_vertex_sums(d: TangleDiagram) -> tuple[Enhancement, ...]:
@@ -273,30 +301,40 @@ def _twin_node(vertex, offset: int):
         for s in range(2) for t in range(2))
 
 
-def _state_sums(d: TangleDiagram, rhos) -> LaurentPoly:
-    """Sum over the valid thick sets rhos of a valid d of its state sums.
+def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
+    """Sum of the state sums of a valid d over its thick sets by links,
+    (label, vertex index, vertex index) triples, in one sweep.
 
-    Planned once: the plat closure of d (x) reflect(d), whose crossings,
-    circles and caps every contraction shares (vertices are not read), and
-    the twin nodes of d's 4-valent vertices and of each thick edge's.
+    The sweep contracts the plat closure of d (x) reflect(d), read off d's
+    label tuples, absorbing d's 4-valent vertices with their twins, and
+    each link as an option: taken, it absorbs the twin node of the vertex
+    its contraction makes; skipped, it lays nothing.  The frontier core
+    keeps only the states where every trivalent vertex is taken exactly
+    once, so the sweep sums over the perfect matchings by links.
     """
     offset = max_label(d)  # tensor's shift of the reflected copy
-    closed, caps = _plat_closure(tensor(d, reflect(d)))
-    fixed = [_twin_node(v, offset) for v in d.fourvalent]
     occ = edge_occurrences(d)
-    thick = {label: _twin_node(_contracted_vertex(d, occ, label), offset)
-             for label in set().union(*rhos)}
-    sweeps = (_frontier_states(closed, caps, fixed + [
-        thick[label] for label in sorted(rho)]) for rho in rhos)
-    return poly_sum(states.get(frozenset(), ZERO) for states in sweeps)
+    # a vertex's mark, its key item, pairs an id past every label of the
+    # doubled closure with itself
+    groups = [((2 * offset + 1 + u,) * 2, t + tuple(x + offset for x in t))
+              for u, t in enumerate(d.trivalent)]
+    options = [((groups[u], groups[v]),
+                _twin_node(_contracted_vertex(d, occ, label), offset)[1])
+               for label, u, v in links]
+    states = _frontier_states(*_doubled_closure(d), nodes=[
+        _twin_node(v, offset) for v in d.fourvalent], options=options)
+    return states.get(frozenset(), ZERO)
 
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
-    """Exact state sum for one enhancement (one sweep, no contraction)."""
+    """Exact state sum for one enhancement: the sweep with rho's edges as
+    the only options."""
     _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
     ensure_valid(d)
     check_enhancement(d, rho)
-    return _state_sums(d, [rho])
+    occ = edge_occurrences(d)
+    return _state_sum(d, [(label, occ[label][0][1], occ[label][1][1])
+                          for label in sorted(rho)])
 
 
 def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
@@ -305,10 +343,13 @@ def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
 
 
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
-    """Exact sum over all enhancements; zero when none exist."""
+    """Exact sum over all enhancements, in one sweep; zero when none exist."""
     _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
     ensure_valid(d)
-    return _state_sums(d, enumerate_enhancements(d))
+    links = _matched_links(d)
+    if d.trivalent and not links:
+        return ZERO
+    return _state_sum(d, links)
 
 
 def invariant_total(d: TangleDiagram, k: int) -> complex:

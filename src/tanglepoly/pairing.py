@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagram import TangleDiagram, ensure_valid, reflect, replace, tensor
+from .diagram import TangleDiagram, ensure_valid, max_label
 from .errors import DomainError
 from .laurent import LaurentPoly, ZERO, delta_power, ensure_root_index
 # bench/tracing.py patches pairing.bracket by attribute
@@ -116,18 +116,31 @@ def pair(u: CoordinateVector, w: CoordinateVector) -> LaurentPoly:
     return total
 
 
-def _plat_closure(d: TangleDiagram):
-    """(closed, caps): d without its boundary, and the caps of its plat
-    closure as joins, bottom points 1-2, 3-4, ... and top points 1-2, 3-4,
-    ... (left to right).  m and n must be even."""
-    caps = list(zip(d.bottom[::2], d.bottom[1::2]))
-    caps += zip(d.top[::2], d.top[1::2])
-    return replace(d, m=0, n=0, bottom=(), top=()), caps
+def _caps(bottom, top) -> list[tuple[int, int]]:
+    """The plat closure's caps as joins: bottom points 1-2, 3-4, ... and
+    top points 1-2, 3-4, ... (left to right)."""
+    return list(zip(bottom[::2], bottom[1::2])) + list(zip(top[::2], top[1::2]))
 
 
-def _closed_bracket(d: TangleDiagram) -> LaurentPoly:
-    """Bracket of the plat closure of a valid diagram with m and n even."""
-    return _frontier_states(*_plat_closure(d)).get(frozenset(), ZERO)
+def _doubled_closure(d: TangleDiagram):
+    """(crossings, circles, caps) of the plat closure of d (x) reflect(d),
+    read off d's label tuples: the reflected copy reverses the ccw order of
+    every crossing and the boundary, and its labels are shifted by
+    max_label(d), as tensor shifts them."""
+    offset = max_label(d)
+
+    def twin(t):
+        return tuple(x + offset for x in t)
+
+    crossings = d.crossings + tuple(twin((a, dd, c, b))
+                                    for a, b, c, dd in d.crossings)
+    return crossings, 2 * len(d.circles), _caps(
+        d.bottom + twin(d.bottom[::-1]), d.top + twin(d.top[::-1]))
+
+
+def _closed_bracket(crossings, circles: int, caps) -> LaurentPoly:
+    """Bracket of a closed diagram given by its crossings, circles and caps."""
+    return _frontier_states(crossings, circles, caps).get(frozenset(), ZERO)
 
 
 def p_poly(d: TangleDiagram) -> LaurentPoly:
@@ -139,9 +152,9 @@ def p_poly(d: TangleDiagram) -> LaurentPoly:
     _check_strand_diagram(d)
     ensure_valid(d)
     if d.m % 2 == 0:
-        b = _closed_bracket(d)
+        b = _closed_bracket(d.crossings, len(d.circles), _caps(d.bottom, d.top))
         return b * b.bar()
-    return _closed_bracket(tensor(d, reflect(d)))
+    return _closed_bracket(*_doubled_closure(d))
 
 
 def p_eval(d: TangleDiagram, k: int) -> complex:

@@ -187,30 +187,117 @@ def _crossing_node(t):
     return t, ((((a, b), (c, dd)), _WEIGHTS[0]), (((a, dd), (b, c)), _WEIGHTS[1]))
 
 
-def _absorption_order(nodes, open_labels: set[int]):
-    """Smoothings of the nodes in contraction order: most labels already
-    open first, ties by list order.  open_labels holds the labels open
-    before any node."""
-    open_labels = set(open_labels)
-    holders: dict[int, list[int]] = {}
-    for i, (labels, _) in enumerate(nodes):
+def _absorption_order(nodes, options):
+    """(smoothings, cover, done) of every node and option, in contraction
+    order.
+
+    A node (labels, smoothings) owns the ends of its labels.  An option
+    (groups, smoothings) is a node that may be skipped: groups holds its
+    two vertices as (mark, labels), and a vertex owns its labels' ends
+    jointly with its other options, since whichever option covers it lays
+    them.  cover is the frozenset of the option's marks (None for a node),
+    and done holds the marks whose last option this is.
+
+    Greedy: each step absorbs the entry with the best gain, ties by list
+    order (nodes, then options).  Touching an owner closes each of its
+    labels whose other end is touched (an end laid by a join counts as
+    touched) and opens the others; the gain counts closed labels less
+    opened ones.  A vertex between its first and its last option weighs
+    as if all its labels were open, since its key item keeps the states
+    where it is covered apart from those where it is not: starting a
+    vertex costs that many, finishing one gains them.
+    """
+    entries = [(smoothings, None, (i,)) for i, (_, smoothings) in enumerate(nodes)]
+    labels_of = {i: labels for i, (labels, _) in enumerate(nodes)}
+    for groups, smoothings in options:
+        marks = tuple(mark for mark, _ in groups)
+        entries.append((smoothings, frozenset(marks), marks))
+        labels_of.update(groups)
+    holders: dict = {owner: [] for owner in labels_of}
+    for j, (_, _, owners) in enumerate(entries):
+        for owner in owners:
+            holders[owner].append(j)
+    where: dict[int, list] = {}
+    for owner, labels in labels_of.items():
         for lab in labels:
-            holders.setdefault(lab, []).append(i)
-    score = [sum(lab in open_labels for lab in labels) for labels, _ in nodes]
-    remaining = dict.fromkeys(range(len(nodes)))
+            where.setdefault(lab, []).append(owner)
+
+    def far_end(lab, owner):
+        ends = where[lab]
+        if len(ends) == 1:  # a join laid the other end
+            return None
+        return ends[1] if ends[0] == owner else ends[0]
+
+    far_of = {owner: [far_end(lab, owner) for lab in labels]
+              for owner, labels in labels_of.items()}
+    # options left per vertex
+    left = {mark: len(holders[mark]) for _, cover, _ in entries if cover
+            for mark in cover}
+    touched: set = set()
+
+    def pending(owner) -> int:
+        """Weight of a vertex's key item, counted in its options' gains."""
+        weight = len(labels_of[owner])
+        if left[owner] == 1:  # the next option finishes it
+            return weight if owner in touched else 0
+        return 0 if owner in touched else -weight
+
+    score = []
+    for _, cover, owners in entries:
+        gain = 0
+        for owner in owners:
+            for far in far_of[owner]:
+                gain += 1 if far is None else 0 if far in owners else -1
+            if cover:
+                gain += pending(owner)
+        score.append(gain)
+    order = []
+    remaining = dict.fromkeys(range(len(entries)))
     while remaining:
         # max keeps the first of equal scores, and remaining is in list order
-        i = max(remaining, key=score.__getitem__)
-        del remaining[i]
-        labels, smoothings = nodes[i]
-        for lab in labels:
-            if lab in open_labels:
-                open_labels.discard(lab)
+        j = max(remaining, key=score.__getitem__)
+        del remaining[j]
+        order.append(j)
+        _, cover, owners = entries[j]
+        for owner in owners:
+            if cover:
+                before = pending(owner)
+                left[owner] -= 1
+                was_touched = owner in touched
+                touched.add(owner)
+                change = pending(owner) - before
+                for h in holders[owner]:
+                    score[h] += change
+                if was_touched:
+                    continue
             else:
-                open_labels.add(lab)
-                for j in holders[lab]:
-                    score[j] += 1
-        yield smoothings
+                touched.add(owner)
+            for far in far_of[owner]:
+                if far == owner:
+                    continue
+                if far is None or far in touched:  # the label closes
+                    for h in holders[owner]:
+                        score[h] -= 1
+                else:  # the label opens
+                    for h in holders[owner]:
+                        score[h] += 1
+                    for h in holders[far]:
+                        score[h] += 1 if owner in entries[h][2] else 2
+    last = {}
+    for j in order:
+        last.update(dict.fromkeys(entries[j][1] or (), j))
+    return [(entries[j][0], entries[j][1],
+             frozenset(mark for mark in entries[j][1] or () if last[mark] == j))
+            for j in order]
+
+
+def _boundary_arcs(d: TangleDiagram) -> list[Pair]:
+    """Arcs from every boundary end to its edge.  Boundary ends are named by
+    their negated circular position, so they never collide with the
+    positive edge labels."""
+    return [(-circular_position(d.m, d.n, side, i), lab)
+            for side, labels in (("bot", d.bottom), ("top", d.top))
+            for i, lab in enumerate(labels)]
 
 
 def bracket(d: TangleDiagram) -> CoordinateVector:
@@ -227,41 +314,55 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     _check_strand_diagram(d)
     ensure_valid(d)
     basis = enumerate_basis(d.m, d.n)
+    states = _frontier_states(d.crossings, len(d.circles), _boundary_arcs(d))
     acc = {tuple(sorted((-u, -v) for u, v in key if u > v)): coeff
-           for key, coeff in _frontier_states(d).items()}
+           for key, coeff in states.items()}
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
-def _frontier_states(d: TangleDiagram, joins=(), nodes=()) -> dict[frozenset, LaurentPoly]:
+def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
+                     options=()) -> dict[frozenset, LaurentPoly]:
     """The final state table of the frontier contraction, zeros dropped.
 
-    joins lists extra arcs (x, y), each connecting an end of edge x to an
-    end of edge y, laid before any node is absorbed.  The nodes absorbed
-    are d's crossings followed by the given nodes, each a pair (labels,
-    smoothings): every smoothing is (arcs, weights), and weights[k] is its
-    weight when its arcs close k loops.  The vertices of d are not read.
+    The diagram is given by its parts: its crossings, its number of free
+    circles, and joins, arcs (x, y) each connecting an end of edge x to an
+    end of edge y (or a boundary end -p to edge y), laid before any node is
+    absorbed.  The nodes absorbed are the crossings, the given nodes, each
+    a pair (labels, smoothings), and the given options (see
+    _absorption_order): every smoothing is (arcs, weights), and weights[k]
+    is its weight when its arcs close k loops.
 
-    Keys are frozensets of (end, partner) items over the boundary ends.  A
-    diagram with no boundary, such as a closure whose caps are laid as
-    joins, leaves at most the one key frozenset().  The weights of one
-    state's smoothings are summed per landing key first, so a state pays
-    one multiplication per distinct key it reaches, not per smoothing.
+    An option is either skipped, with weight 1 and no arcs, or taken in
+    its smoothings, which needs both its vertices uncovered.  A state key
+    is a frozenset of (end, partner) items over the open ends, plus an item
+    (mark, mark) for each covered vertex that has options left; marks lie
+    outside the label range, so _join never touches them.  When a vertex's
+    last option has been absorbed, states where it is uncovered are dropped
+    and its mark leaves the key.  So the options sum over the perfect
+    matchings of their vertices by options.
+
+    A closed diagram, its caps laid as joins, leaves at most the one key
+    frozenset().  The weights of one state's smoothings are summed per
+    landing key first, so a state pays one multiplication per distinct key
+    it reaches, not per smoothing.
     """
-    # boundary ends are named by their negated circular position, so they
-    # never collide with the positive edge labels
     ends: dict[int, int] = {}
-    for side, labels in (("bot", d.bottom), ("top", d.top)):
-        for i, lab in enumerate(labels):
-            _join(ends, -circular_position(d.m, d.n, side, i), lab)
     loops = sum(_join(ends, x, y) for x, y in joins)
-    states = {frozenset(ends.items()): delta_power(len(d.circles) + loops)}
-    all_nodes = [_crossing_node(t) for t in d.crossings] + list(nodes)
-    for smoothings in _absorption_order(all_nodes, {x for x in ends if x > 0}):
+    states = {frozenset(ends.items()): delta_power(circles + loops)}
+    all_nodes = [_crossing_node(t) for t in crossings] + list(nodes)
+    for smoothings, cover, done in _absorption_order(all_nodes, options):
         nxt: dict[frozenset, LaurentPoly] = {}
         for key, coeff in states.items():
+            base = key
+            if cover is not None:
+                # skipped: the key is kept, and the take keys all carry cover
+                nxt[key] = nxt[key] + coeff if key in nxt else coeff
+                if not cover.isdisjoint(key):
+                    continue
+                base = key | cover
             landed: dict[frozenset, LaurentPoly] = {}
             for arcs, weights in smoothings:
-                cur = dict(key)
+                cur = dict(base)
                 loops = 0
                 for x, y in arcs:
                     loops += _join(cur, x, y)
@@ -272,7 +373,11 @@ def _frontier_states(d: TangleDiagram, joins=(), nodes=()) -> dict[frozenset, La
                 if wsum:
                     term = coeff * wsum
                     nxt[new] = nxt[new] + term if new in nxt else term
-        states = {key: coeff for key, coeff in nxt.items() if coeff}
+        if done:
+            states = {key - done: coeff for key, coeff in nxt.items()
+                      if coeff and done <= key}
+        else:
+            states = {key: coeff for key, coeff in nxt.items() if coeff}
     return states
 
 

@@ -324,10 +324,11 @@ def _ladder(rungs):
                          ids=["necklace", "ladder"])
 def test_invariant_refuses_too_many_vertices(diagram, tmp_path, capsys,
                                              monkeypatch):
-    def refuse(d):
-        raise AssertionError("enhancements enumerated")
+    def refuse(*args, **kwargs):
+        raise AssertionError("enhancements searched or swept")
 
-    monkeypatch.setattr(enhanced, "enumerate_enhancements", refuse)
+    for name in ("enumerate_enhancements", "_matchings", "_frontier_states"):
+        monkeypatch.setattr(enhanced, name, refuse)
     assert enhanced.MAX_STATE_VERTICES == 10
     path = tmp_path / "big.tng"
     path.write_text(serialize_tng(ensure_valid(diagram)))

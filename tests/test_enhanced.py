@@ -339,7 +339,27 @@ def test_state_sum_builds_no_basis_and_no_matrix(monkeypatch):
                         (pairing, "p_poly"), (enhanced, "p_poly")):
         monkeypatch.setattr(owner, name, refuse)
     for c, expected in cases:
-        assert enhanced._state_sums(c, [frozenset()]) == expected
+        assert invariant_total_poly(c) == expected
+
+
+def _count_sweeps(monkeypatch):
+    """Count the frontier sweeps of the state sums, and refuse every route
+    that lists, contracts or expands enhancements."""
+    sweeps = []
+    original = enhanced._frontier_states
+
+    def counted(*args, **kwargs):
+        sweeps.append(len(kwargs.get("options", ())))
+        return original(*args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("an enhancement was listed, contracted or expanded")
+
+    monkeypatch.setattr(enhanced, "_frontier_states", counted)
+    for name in ("enumerate_enhancements", "contract", "expand_states",
+                 "state_polys"):
+        monkeypatch.setattr(enhanced, name, refuse)
+    return sweeps
 
 
 def test_the_plan_is_built_once_per_graph(monkeypatch):
@@ -347,24 +367,65 @@ def test_the_plan_is_built_once_per_graph(monkeypatch):
     rhos = enumerate_enhancements(d)
     assert len(rhos) == 13
     expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
-    calls = {"tensor": 0, "reflect": 0}
-
-    def counted(name):
-        original = getattr(enhanced, name)
-
-        def call(*args):
-            calls[name] += 1
-            return original(*args)
-        return call
-
-    def refuse(*args):
-        raise AssertionError("an enhancement was contracted")
-
-    monkeypatch.setattr(enhanced, "contract", refuse)
-    for name in calls:
-        monkeypatch.setattr(enhanced, name, counted(name))
+    sweeps = _count_sweeps(monkeypatch)
     assert invariant_total_poly(d) == expected
-    assert calls == {"tensor": 1, "reflect": 1}
+    # one sweep, every direct edge of the ladder an option
+    assert sweeps == [3 * 4]
+
+
+def test_a_ten_rung_ladder_is_one_sweep(monkeypatch):
+    d = ensure_valid(_ladder(10))
+    rhos = enumerate_enhancements(d)
+    assert len(rhos) == 233
+    # 4^10 states per enhancement are out of the oracle's reach: the
+    # restricted sweeps, checked against it on the fixtures, stand in
+    expected = poly_sum(invariant_rho_poly(d, rho) for rho in rhos)
+    sweeps = _count_sweeps(monkeypatch)
+    assert invariant_total_poly(d) == expected
+    assert sweeps == [3 * 10]
+
+
+def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
+    # edge 7 must be thick, so edges 4 and 5 never are
+    d = ensure_valid(D(trivalent=((2, 4, 3), (2, 3, 5), (4, 7, 5), (6, 6, 7))))
+    assert len(enhanced._traced_vertex_links(d)) == 5
+    assert sorted(link[0] for link in enhanced._matched_links(d)) == [2, 3, 7]
+    rhos = enumerate_enhancements(d)
+    assert rhos == (frozenset({2, 7}), frozenset({3, 7}))
+    expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
+    sweeps = _count_sweeps(monkeypatch)
+    assert invariant_total_poly(d) == expected
+    assert sweeps == [3]
+
+
+@pytest.mark.parametrize("d", [
+    load_tng(fixture_path("all_external.tng")),
+    # a claw: every link holds the centre, so two leaves stay uncovered
+    D(m=6, trivalent=((1, 2, 3), (1, 4, 5), (2, 6, 7), (3, 8, 9)),
+      bottom=(4, 5, 6, 7, 8, 9)),
+], ids=["no-links", "claw"])
+def test_a_graph_without_perfect_matching_sums_to_zero_unswept(d, monkeypatch):
+    assert d.trivalent and not enumerate_enhancements(d)
+    sweeps = _count_sweeps(monkeypatch)
+    assert invariant_total_poly(d) == ZERO
+    assert sweeps == []
+
+
+def test_the_total_sweep_sums_the_restricted_sweeps_on_fixtures():
+    checked = 0
+    for path in sorted(glob.glob(str(FIXTURES / "*.tng"))
+                       + glob.glob(str(FIXTURES / "pairs" / "*.tng"))):
+        d = load_tng(path)
+        try:
+            rhos = enumerate_enhancements(d)
+        except DomainError:
+            with pytest.raises(DomainError):
+                invariant_total_poly(d)
+            continue
+        assert invariant_total_poly(d) == poly_sum(
+            invariant_rho_poly(d, rho) for rho in rhos), path
+        checked += len(rhos)
+    assert checked >= 30
 
 
 def test_state_sum_never_calls_the_state_oracle(monkeypatch):
@@ -403,14 +464,16 @@ def test_rho_invariant_validates_before_checking_the_enhancement():
 
 
 def test_state_vertex_limit_is_checked_before_enumeration(monkeypatch):
-    def refuse(d):
-        raise AssertionError("enhancements enumerated")
+    def refuse(*args, **kwargs):
+        raise AssertionError("enhancements searched or swept")
 
     monkeypatch.setattr(enhanced, "MAX_STATE_VERTICES", 1)
     monkeypatch.setattr(enhanced, "enumerate_enhancements", refuse)
+    monkeypatch.setattr(enhanced, "_matchings", refuse)
     one_f = load_tng(fixture_path("pattern_identity.tng"))
     assert invariant_rho_poly(one_f, frozenset()) == \
         _oracle_rho_poly(one_f, frozenset())
+    monkeypatch.setattr(enhanced, "_frontier_states", refuse)
     two_f = load_tng(fixture_path("pairs/n4_a.tng"))
     with pytest.raises(DomainError, match="at most 1 4-valent"):
         invariant_total_poly(two_f)
