@@ -34,7 +34,6 @@ import re
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidDiagramError, ParseError
-from .unionfind import UnionFind
 
 Crossing = tuple[int, int, int, int]
 Trivalent = tuple[int, int, int]
@@ -148,7 +147,9 @@ def boundary_circular_labels(d: TangleDiagram) -> list[int]:
 # structural invariants
 
 
-def invariant_problems(d: TangleDiagram) -> list[str]:
+def invariant_problems(d: TangleDiagram, occ=None) -> list[str]:
+    """Label, boundary and thick-edge problems, in a fixed order; occ is
+    edge_occurrences(d), built here when not given."""
     problems: list[str] = []
     if (d.m + d.n) % 2:
         problems.append(f"boundary size m+n = {d.m + d.n} is odd")
@@ -157,7 +158,8 @@ def invariant_problems(d: TangleDiagram) -> list[str]:
     if len(d.top) != d.n:
         problems.append(f"header says n={d.n} but B lists {len(d.top)} top points")
 
-    occ = edge_occurrences(d)
+    if occ is None:
+        occ = edge_occurrences(d)
     circle_set = set(d.circles)
     if len(circle_set) != len(d.circles):
         problems.append("a circle label is repeated")
@@ -203,19 +205,18 @@ def _rotation_system(d: TangleDiagram):
     sigma is the ccw next dart at the same vertex, twin the other end of the
     edge, owner the vertex id and labels the edge label (None on the frame).
     """
-    sigma: list[int] = []
-    owner: list[int] = []
-    labels: list[int | None] = []
+    rings: list[tuple] = [*d.crossings, *d.trivalent, *d.fourvalent]
     points = boundary_circular_labels(d)
-    rings: list[tuple] = [t for _, t in d.node_lines()]
     rings += [(None, lab, None) for lab in points]
-    for vertex, ring in enumerate(rings):
-        base = len(sigma)
-        sigma.extend(base + (j + 1) % len(ring) for j in range(len(ring)))
-        owner.extend([vertex] * len(ring))
-        labels.extend(ring)
+    labels = [lab for ring in rings for lab in ring]
+    owner = [vertex for vertex, ring in enumerate(rings) for _ in ring]
+    sigma = list(range(1, len(labels) + 1))
+    end = 0
+    for ring in rings:
+        end += len(ring)
+        sigma[end - 1] = end - len(ring)
 
-    twin = [0] * len(sigma)
+    twin = [0] * len(labels)
     by_label: dict[int, list[int]] = {}
     for dart, lab in enumerate(labels):
         if lab is not None:
@@ -225,7 +226,7 @@ def _rotation_system(d: TangleDiagram):
             raise InvalidDiagramError(f"label {lab} occurs {len(darts)} time(s), expected 2")
         twin[darts[0]], twin[darts[1]] = darts[1], darts[0]
     # the frame arc from point p to point p+1 (darts follow the node darts)
-    first = len(sigma) - 3 * len(points)
+    first = len(labels) - 3 * len(points)
     for p in range(len(points)):
         a = first + 3 * p
         b = first + 3 * ((p + 1) % len(points)) + 2
@@ -262,13 +263,21 @@ def planarity_problems(d: TangleDiagram) -> list[str]:
     except InvalidDiagramError as exc:
         return [str(exc)]
     _, n_faces = _faces(sigma, twin)
-    # owners are numbered in dart order
+    # owners are numbered in dart order; components by union-find over
+    # owners, each root found by path halving
     n_vertices = owner[-1] + 1 if owner else 0
-    components = UnionFind(range(n_vertices))
+    root = list(range(n_vertices))
     n_components = n_vertices
     for dart, other in enumerate(twin):
-        if dart < other and components.union(owner[dart], owner[other]):
-            n_components -= 1
+        if dart < other:
+            a, b = owner[dart], owner[other]
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a != b:
+                root[b] = a
+                n_components -= 1
     if n_vertices - len(sigma) // 2 + n_faces != 2 * n_components:
         return [NONPLANAR_MESSAGE]
     return []
@@ -279,16 +288,17 @@ class ValidationReport(NamedTuple):
     problems: tuple[str, ...]
 
 
-def validate(d: TangleDiagram) -> ValidationReport:
-    """Full structural and planarity check; never raises on bad diagrams."""
-    problems = invariant_problems(d)
+def validate(d: TangleDiagram, occ=None) -> ValidationReport:
+    """Full structural and planarity check; never raises on bad diagrams.
+    occ is edge_occurrences(d), built here when not given."""
+    problems = invariant_problems(d, occ)
     if not problems:
         problems = planarity_problems(d)
     return ValidationReport(not problems, tuple(problems))
 
 
-def ensure_valid(d: TangleDiagram) -> TangleDiagram:
-    report = validate(d)
+def ensure_valid(d: TangleDiagram, occ=None) -> TangleDiagram:
+    report = validate(d, occ)
     if not report.ok:
         raise InvalidDiagramError("; ".join(report.problems))
     return d

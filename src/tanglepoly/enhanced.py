@@ -33,15 +33,20 @@ width, not the enhancement count.  The per-enhancement invariant is the
 same sweep with the enhancement's edges as the only options.  contract,
 expand_states and state_polys keep the literal 4^n expansion for the
 `states` listing and as the oracle of these identities;
-enumerate_enhancements lists the enhancements for `rho`.
+enumerate_enhancements lists the enhancements for `rho`, once the same
+sweep, with options that lay no arcs, has counted them within
+MAX_LISTED_ENHANCEMENTS.
+
+Each sweep is planned in one pass over the diagram: a call builds
+edge_occurrences(d) once, and that one index serves validation, the link
+tracing, the contracted vertices and the shift of the reflected copy.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .diagram import (TangleDiagram, edge_occurrences, ensure_valid, max_label,
-                      merge_edges)
+from .diagram import TangleDiagram, edge_occurrences, ensure_valid, merge_edges
 from .errors import DomainError, InvalidDiagramError
 from .laurent import DELTA, ZERO, LaurentPoly, delta_power, ensure_root_index
 from .pairing import _doubled_closure, p_poly
@@ -74,17 +79,17 @@ MAX_STATE_VERTICES = 10
 MAX_LISTED_STATE_VERTICES = 7
 
 
-def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
+def _traced_vertex_links(d: TangleDiagram, occ) -> list[tuple[int, int, int]]:
     """Direct vertex-to-vertex edges: (label, vertex index, vertex index).
 
     Starting from every trivalent-vertex slot, follows the strand through
-    crossings (a crossing is entered at one slot and left two slots later).
-    Strands reaching the boundary, a 4-valent vertex, or their own vertex
-    are thin by force and dropped.  A strand that joins two distinct
-    trivalent vertices but passes through a crossing cannot be drawn thick
-    in this encoding, so it is rejected rather than silently thinned.
+    crossings (a crossing is entered at one slot and left two slots later),
+    reading each label's other end off occ = edge_occurrences(d).  Strands
+    reaching the boundary, a 4-valent vertex, or their own vertex are thin
+    by force and dropped.  A strand that joins two distinct trivalent
+    vertices but passes through a crossing cannot be drawn thick in this
+    encoding, so it is rejected rather than silently thinned.
     """
-    occ = edge_occurrences(d)
     links: list[tuple[int, int, int]] = []
     for vi, t in enumerate(d.trivalent):
         for slot, start_label in enumerate(t):
@@ -92,8 +97,8 @@ def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
             prev = ("V", vi, slot)
             hops = 0
             while True:
-                ends = occ[label]
-                kind, idx, s = next(e for e in ends if e != prev)
+                near, far = occ[label]
+                kind, idx, s = near if far == prev else far
                 if kind == "X":
                     hops += 1
                     s2 = (s + 2) % 4
@@ -122,38 +127,90 @@ def _links_by_vertex(nv: int, links) -> list[list[tuple[int, int]]]:
 def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
     """Yield every perfect matching by links that extends chosen, whose
     vertices are the matched ones, as a thick set.  Backtracking: the first
-    unmatched vertex is tried with each of its links in turn."""
-    try:
-        u = matched.index(False)
-    except ValueError:
-        yield frozenset(chosen)
-        return
-    matched[u] = True
-    for label, v in by_vertex[u]:
-        if not matched[v]:
-            matched[v] = True
-            chosen.append(label)
-            yield from _matchings(by_vertex, matched, chosen)
-            chosen.pop()
-            matched[v] = False
-    matched[u] = False
+    unmatched vertex is tried with each of its links in turn.  The open
+    levels live on an explicit stack, so the depth is not bounded by the
+    recursion limit."""
+    levels: list[tuple] = []  # (vertex, iterator over its untried links)
+    partners: list[int] = []  # the vertex each open level is matched to
+
+    def first_unmatched(start: int) -> int:
+        try:
+            return matched.index(False, start)
+        except ValueError:
+            return -1
+
+    u = first_unmatched(0)
+    while True:
+        if u < 0:
+            yield frozenset(chosen)
+        else:
+            matched[u] = True
+            levels.append((u, iter(by_vertex[u])))
+        while levels:
+            top, links = levels[-1]
+            if len(partners) == len(levels):  # undo this level's link
+                matched[partners.pop()] = False
+                chosen.pop()
+            for label, v in links:
+                if not matched[v]:
+                    matched[v] = True
+                    partners.append(v)
+                    chosen.append(label)
+                    break
+            else:
+                levels.pop()
+                matched[top] = False
+                continue
+            u = first_unmatched(top)  # every vertex before top is matched
+            break
+        else:
+            return
+
+
+#: Largest number of enhancements `rho`, and `--rho` in `states` and
+#: `invariant`, list.  The listing holds and sorts them all: a closed
+#: 22-rung ladder has 75025, listed by `rho` in about 2.3 s on a 2-core
+#: Xeon with Python 3.11, and the count grows by a factor of about 1.6 per
+#: rung.  The count comes first, from a sweep that lays no arcs: it
+#: refuses a 1200-rung ladder (about 10^251 enhancements) in about 0.5 s.
+MAX_LISTED_ENHANCEMENTS = 100000
+
+
+def _count_matchings(d: TangleDiagram, links) -> int:
+    """Number of perfect matchings of d's trivalent vertices by links: the
+    frontier sweep with every link an option whose take lays no arcs."""
+    if len({w for _, u, v in links for w in (u, v)}) < len(d.trivalent):
+        return 0  # a vertex without links
+    # no arcs are laid, so any distinct marks do
+    vertices = [((u, u), t) for u, t in enumerate(d.trivalent)]
+    take = (((), (1,)),)  # one smoothing: no arcs, weight 1
+    states = _frontier_states((), vertices=vertices,
+                              options=[(u, v, take) for _, u, v in links])
+    return states.get(frozenset(), ZERO).terms.get(0, 0)
 
 
 def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
-    """All valid thick sets, sorted; empty thick set if no trivalent vertices."""
+    """All valid thick sets, sorted; empty thick set if no trivalent vertices.
+
+    Refuses with DomainError, before listing any, a diagram with more than
+    MAX_LISTED_ENHANCEMENTS of them."""
     nv = len(d.trivalent)
     if nv == 0:
         return (frozenset(),)
-    by_vertex = _links_by_vertex(nv, _traced_vertex_links(d))
-    found = set(_matchings(by_vertex, [False] * nv, []))
+    links = _traced_vertex_links(d, edge_occurrences(d))
+    if _count_matchings(d, links) > MAX_LISTED_ENHANCEMENTS:
+        raise DomainError(
+            "enhancement listing supported only for at most "
+            f"{MAX_LISTED_ENHANCEMENTS} enhancements")
+    found = set(_matchings(_links_by_vertex(nv, links), [False] * nv, []))
     return tuple(sorted(found, key=sorted))
 
 
-def _matched_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
+def _matched_links(d: TangleDiagram, occ) -> list[tuple[int, int, int]]:
     """The traced links that lie in at least one valid thick set: a search
     from each link, stopped at the first perfect matching it completes,
     whose links are then all known to qualify."""
-    links = _traced_vertex_links(d)
+    links = _traced_vertex_links(d, occ)
     by_vertex = _links_by_vertex(len(d.trivalent), links)
     kept: set[int] = set()
     for label, u, v in links:
@@ -192,9 +249,11 @@ def enhancements_by_vertex_sums(d: TangleDiagram) -> tuple[Enhancement, ...]:
     return tuple(sorted(out, key=sorted))
 
 
-def check_enhancement(d: TangleDiagram, rho: Enhancement) -> None:
-    """Raise DomainError unless rho is a valid thick set for d."""
-    occ = edge_occurrences(d)
+def check_enhancement(d: TangleDiagram, rho: Enhancement, occ=None) -> None:
+    """Raise DomainError unless rho is a valid thick set for d; occ is
+    edge_occurrences(d), built here when not given."""
+    if occ is None:
+        occ = edge_occurrences(d)
     seen_vertices: set[int] = set()
     for label in sorted(rho):
         ends = occ.get(label, [])
@@ -228,8 +287,8 @@ def contract(d: TangleDiagram, rho: Enhancement) -> TangleDiagram:
     The new vertices follow d's own, in label order; all thin structure is
     unchanged and the result carries no trivalent vertices and no thick set.
     """
-    check_enhancement(d, rho)
     occ = edge_occurrences(d)
+    check_enhancement(d, rho, occ)
     return TangleDiagram(
         m=d.m, n=d.n,
         crossings=d.crossings,
@@ -294,16 +353,19 @@ def _twin_node(vertex, offset: int):
     shifted by offset.  Both are smoothed by label pairs, T0 (a,b),(c,d) and
     Tinf (a,d),(b,c), never by the twin's code, which reflect re-anchors."""
     a, b, c, dd = vertex
+    ta, tb, tc, td = a + offset, b + offset, c + offset, dd + offset
     flat = (((a, b), (c, dd)), ((a, dd), (b, c)))
-    shifted = [tuple((x + offset, y + offset) for x, y in arcs) for arcs in flat]
-    return vertex + tuple(x + offset for x in vertex), tuple(
-        (flat[s] + shifted[t], _TWIN_WEIGHTS[s][t])
-        for s in range(2) for t in range(2))
+    twin = (((ta, tb), (tc, td)), ((ta, td), (tb, tc)))
+    (w00, w01), (w10, w11) = _TWIN_WEIGHTS
+    return (a, b, c, dd, ta, tb, tc, td), (
+        (flat[0] + twin[0], w00), (flat[0] + twin[1], w01),
+        (flat[1] + twin[0], w10), (flat[1] + twin[1], w11))
 
 
-def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
+def _state_sum(d: TangleDiagram, occ, links) -> LaurentPoly:
     """Sum of the state sums of a valid d over its thick sets by links,
-    (label, vertex index, vertex index) triples, in one sweep.
+    (label, vertex index, vertex index) triples, in one sweep; occ is
+    edge_occurrences(d).
 
     The sweep contracts the plat closure of d (x) reflect(d), read off d's
     label tuples, absorbing d's 4-valent vertices with their twins, and
@@ -312,17 +374,20 @@ def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
     keeps only the states where every trivalent vertex is taken exactly
     once, so the sweep sums over the perfect matchings by links.
     """
-    offset = max_label(d)  # tensor's shift of the reflected copy
-    occ = edge_occurrences(d)
+    # tensor's shift of the reflected copy: max_label(d), as occ holds
+    # every label but the circles'
+    offset = max(max(occ, default=0), max(d.circles, default=0))
     # a vertex's mark, its key item, pairs an id past every label of the
     # doubled closure with itself
-    groups = [((2 * offset + 1 + u,) * 2, t + tuple(x + offset for x in t))
-              for u, t in enumerate(d.trivalent)]
-    options = [((groups[u], groups[v]),
-                _twin_node(_contracted_vertex(d, occ, label), offset)[1])
+    vertices = [((2 * offset + 1 + u,) * 2,
+                 (a, b, c, a + offset, b + offset, c + offset))
+                for u, (a, b, c) in enumerate(d.trivalent)]
+    options = [(u, v, _twin_node(_contracted_vertex(d, occ, label), offset)[1])
                for label, u, v in links]
-    states = _frontier_states(*_doubled_closure(d), nodes=[
-        _twin_node(v, offset) for v in d.fourvalent], options=options)
+    states = _frontier_states(
+        *_doubled_closure(d, offset),
+        nodes=[_twin_node(v, offset) for v in d.fourvalent],
+        vertices=vertices, options=options)
     return states.get(frozenset(), ZERO)
 
 
@@ -330,11 +395,11 @@ def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
     """Exact state sum for one enhancement: the sweep with rho's edges as
     the only options."""
     _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
-    ensure_valid(d)
-    check_enhancement(d, rho)
     occ = edge_occurrences(d)
-    return _state_sum(d, [(label, occ[label][0][1], occ[label][1][1])
-                          for label in sorted(rho)])
+    ensure_valid(d, occ)
+    check_enhancement(d, rho, occ)
+    return _state_sum(d, occ, [(label, occ[label][0][1], occ[label][1][1])
+                               for label in sorted(rho)])
 
 
 def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
@@ -345,11 +410,12 @@ def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements, in one sweep; zero when none exist."""
     _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
-    ensure_valid(d)
-    links = _matched_links(d)
+    occ = edge_occurrences(d)
+    ensure_valid(d, occ)
+    links = _matched_links(d, occ)
     if d.trivalent and not links:
         return ZERO
-    return _state_sum(d, links)
+    return _state_sum(d, occ, links)
 
 
 def invariant_total(d: TangleDiagram, k: int) -> complex:

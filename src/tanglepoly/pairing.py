@@ -122,13 +122,11 @@ def _caps(bottom, top) -> list[tuple[int, int]]:
     return list(zip(bottom[::2], bottom[1::2])) + list(zip(top[::2], top[1::2]))
 
 
-def _doubled_closure(d: TangleDiagram):
+def _doubled_closure(d: TangleDiagram, offset: int):
     """(crossings, circles, caps) of the plat closure of d (x) reflect(d),
     read off d's label tuples: the reflected copy reverses the ccw order of
     every crossing and the boundary, and its labels are shifted by
-    max_label(d), as tensor shifts them."""
-    offset = max_label(d)
-
+    offset = max_label(d), as tensor shifts them."""
     def twin(t):
         return tuple(x + offset for x in t)
 
@@ -154,7 +152,7 @@ def p_poly(d: TangleDiagram) -> LaurentPoly:
     if d.m % 2 == 0:
         b = _closed_bracket(d.crossings, len(d.circles), _caps(d.bottom, d.top))
         return b * b.bar()
-    return _closed_bracket(*_doubled_closure(d))
+    return _closed_bracket(*_doubled_closure(d, max_label(d)))
 
 
 def p_eval(d: TangleDiagram, k: int) -> complex:

@@ -13,6 +13,11 @@ ends to coefficients, so its cost follows the number of distinct frontier
 matchings rather than 2^c; bracket_oracle() enumerates all 2^c smoothing
 states directly over a union-find.  They share no resolution code and must
 agree exactly.
+
+Every contraction here, and those of pairing and enhanced, runs through
+_frontier_states, whose absorption order is planned in one greedy pass
+over integer owner ids before the sweep (_absorption_order); the order
+sets the frontier's width, and with it the sweep's cost.
 """
 
 from __future__ import annotations
@@ -187,16 +192,23 @@ def _crossing_node(t):
     return t, ((((a, b), (c, dd)), _WEIGHTS[0]), (((a, dd), (b, c)), _WEIGHTS[1]))
 
 
-def _absorption_order(nodes, options):
+_NO_MARKS: frozenset = frozenset()
+# the score of an absorbed entry: below any gain, even after the updates
+# that still reach it, so max never picks it again
+_ABSORBED = -(1 << 29)
+
+
+def _absorption_order(nodes, vertices, options):
     """(smoothings, cover, done) of every node and option, in contraction
     order.
 
     A node (labels, smoothings) owns the ends of its labels.  An option
-    (groups, smoothings) is a node that may be skipped: groups holds its
-    two vertices as (mark, labels), and a vertex owns its labels' ends
-    jointly with its other options, since whichever option covers it lays
-    them.  cover is the frozenset of the option's marks (None for a node),
-    and done holds the marks whose last option this is.
+    (u, v, smoothings) is a node that may be skipped: u and v index its two
+    vertices in vertices, each (mark, labels), and a vertex owns its
+    labels' ends jointly with its other options, since whichever option
+    covers it lays them; every vertex has an option.  cover is the
+    frozenset of the option's marks (None for a node), and done holds the
+    marks whose last option this is.
 
     Greedy: each step absorbs the entry with the best gain, ties by list
     order (nodes, then options).  Touching an owner closes each of its
@@ -206,89 +218,109 @@ def _absorption_order(nodes, options):
     as if all its labels were open, since its key item keeps the states
     where it is covered apart from those where it is not: starting a
     vertex costs that many, finishing one gains them.
+
+    Owners are ints: node i is owner i and entry i, vertex u is owner
+    n + u, and option k is entry n + k, n = len(nodes).  A node's only
+    holder is its own entry, so once it is absorbed nothing updates it.
     """
-    entries = [(smoothings, None, (i,)) for i, (_, smoothings) in enumerate(nodes)]
-    labels_of = {i: labels for i, (labels, _) in enumerate(nodes)}
-    for groups, smoothings in options:
-        marks = tuple(mark for mark, _ in groups)
-        entries.append((smoothings, frozenset(marks), marks))
-        labels_of.update(groups)
-    holders: dict = {owner: [] for owner in labels_of}
-    for j, (_, _, owners) in enumerate(entries):
-        for owner in owners:
+    n = len(nodes)
+    labels_of = [labels for labels, _ in nodes]
+    labels_of += [labels for _, labels in vertices]
+    holders = [[i] for i in range(n)] + [[] for _ in vertices]
+    pairs = [(n + u, n + v) for u, v, _ in options]
+    for j, pair in enumerate(pairs, n):
+        for owner in pair:
             holders[owner].append(j)
-    where: dict[int, list] = {}
-    for owner, labels in labels_of.items():
+    # far_of[owner]: the owner at the other end of each of its labels, None
+    # where a join laid that end (the scores need no label order)
+    far_of: list[list] = [[] for _ in labels_of]
+    unpaired: dict[int, int] = {}
+    for owner, labels in enumerate(labels_of):
         for lab in labels:
-            where.setdefault(lab, []).append(owner)
-
-    def far_end(lab, owner):
-        ends = where[lab]
-        if len(ends) == 1:  # a join laid the other end
-            return None
-        return ends[1] if ends[0] == owner else ends[0]
-
-    far_of = {owner: [far_end(lab, owner) for lab in labels]
-              for owner, labels in labels_of.items()}
-    # options left per vertex
-    left = {mark: len(holders[mark]) for _, cover, _ in entries if cover
-            for mark in cover}
-    touched: set = set()
+            other = unpaired.pop(lab, None)
+            if other is None:
+                unpaired[lab] = owner
+            else:
+                far_of[owner].append(other)
+                far_of[other].append(owner)
+    for owner in unpaired.values():
+        far_of[owner].append(None)
+    left = [len(h) for h in holders]  # options left per vertex
+    touched = [False] * len(labels_of)
 
     def pending(owner) -> int:
         """Weight of a vertex's key item, counted in its options' gains."""
         weight = len(labels_of[owner])
         if left[owner] == 1:  # the next option finishes it
-            return weight if owner in touched else 0
-        return 0 if owner in touched else -weight
+            return weight if touched[owner] else 0
+        return 0 if touched[owner] else -weight
 
+    # a label scores +1 when a join laid its far end, 0 when the entry owns
+    # both its ends and -1 when it opens
     score = []
-    for _, cover, owners in entries:
+    for j in range(n):
+        far = far_of[j]
+        score.append(2 * far.count(None) + far.count(j) - len(far))
+    for pair in pairs:
         gain = 0
-        for owner in owners:
-            for far in far_of[owner]:
-                gain += 1 if far is None else 0 if far in owners else -1
-            if cover:
-                gain += pending(owner)
+        for owner in pair:
+            far = far_of[owner]
+            gain += (2 * far.count(None) + far.count(pair[0])
+                     + far.count(pair[1]) - len(far) + pending(owner))
         score.append(gain)
     order = []
-    remaining = dict.fromkeys(range(len(entries)))
-    while remaining:
-        # max keeps the first of equal scores, and remaining is in list order
-        j = max(remaining, key=score.__getitem__)
-        del remaining[j]
+    for _ in score:
+        # index keeps the first of equal scores
+        j = score.index(max(score))
+        score[j] = _ABSORBED
         order.append(j)
-        _, cover, owners = entries[j]
-        for owner in owners:
-            if cover:
-                before = pending(owner)
-                left[owner] -= 1
-                was_touched = owner in touched
-                touched.add(owner)
-                change = pending(owner) - before
-                for h in holders[owner]:
-                    score[h] += change
-                if was_touched:
-                    continue
-            else:
-                touched.add(owner)
+        if j < n:
+            # a label the node opens turns from -1 into +1 for the entries
+            # at its far end; one it closes only changed the node's score
+            touched[j] = True
+            for far in far_of[j]:
+                if far is not None and far != j and not touched[far]:
+                    for h in holders[far]:
+                        score[h] += 2
+            continue
+        for owner in pairs[j - n]:
+            before = pending(owner)
+            left[owner] -= 1
+            was_touched = touched[owner]
+            touched[owner] = True
+            change = pending(owner) - before
+            mine = holders[owner]
+            for h in mine:
+                score[h] += change
+            if was_touched:
+                continue
             for far in far_of[owner]:
                 if far == owner:
                     continue
-                if far is None or far in touched:  # the label closes
-                    for h in holders[owner]:
+                if far is None or touched[far]:  # the label closes
+                    for h in mine:
                         score[h] -= 1
                 else:  # the label opens
-                    for h in holders[owner]:
+                    for h in mine:
                         score[h] += 1
                     for h in holders[far]:
-                        score[h] += 1 if owner in entries[h][2] else 2
-    last = {}
+                        score[h] += 1 if h >= n and owner in pairs[h - n] else 2
+    last = {}  # each vertex owner's last option
     for j in order:
-        last.update(dict.fromkeys(entries[j][1] or (), j))
-    return [(entries[j][0], entries[j][1],
-             frozenset(mark for mark in entries[j][1] or () if last[mark] == j))
-            for j in order]
+        if j >= n:
+            for owner in pairs[j - n]:
+                last[owner] = j
+    plan = []
+    for j in order:
+        if j < n:
+            plan.append((nodes[j][1], None, _NO_MARKS))
+            continue
+        u, v, smoothings = options[j - n]
+        marks = vertices[u][0], vertices[v][0]
+        plan.append((smoothings, frozenset(marks), frozenset(
+            [mark for mark, owner in zip(marks, pairs[j - n])
+             if last[owner] == j])))
+    return plan
 
 
 def _boundary_arcs(d: TangleDiagram) -> list[Pair]:
@@ -321,16 +353,16 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
 
 
 def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
-                     options=()) -> dict[frozenset, LaurentPoly]:
+                     vertices=(), options=()) -> dict[frozenset, LaurentPoly]:
     """The final state table of the frontier contraction, zeros dropped.
 
     The diagram is given by its parts: its crossings, its number of free
     circles, and joins, arcs (x, y) each connecting an end of edge x to an
     end of edge y (or a boundary end -p to edge y), laid before any node is
     absorbed.  The nodes absorbed are the crossings, the given nodes, each
-    a pair (labels, smoothings), and the given options (see
-    _absorption_order): every smoothing is (arcs, weights), and weights[k]
-    is its weight when its arcs close k loops.
+    a pair (labels, smoothings), and the given options over the given
+    vertices (see _absorption_order): every smoothing is (arcs, weights),
+    and weights[k] is its weight when its arcs close k loops.
 
     An option is either skipped, with weight 1 and no arcs, or taken in
     its smoothings, which needs both its vertices uncovered.  A state key
@@ -350,7 +382,8 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     loops = sum(_join(ends, x, y) for x, y in joins)
     states = {frozenset(ends.items()): delta_power(circles + loops)}
     all_nodes = [_crossing_node(t) for t in crossings] + list(nodes)
-    for smoothings, cover, done in _absorption_order(all_nodes, options):
+    for smoothings, cover, done in _absorption_order(all_nodes, vertices,
+                                                     options):
         nxt: dict[frozenset, LaurentPoly] = {}
         for key, coeff in states.items():
             base = key

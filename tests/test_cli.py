@@ -356,6 +356,64 @@ def test_states_refuses_too_many_vertices(diagram, flags, tmp_path, capsys,
                    "4-valent vertices after contraction, got 8\n")
 
 
+def _legged_path(pairs):
+    """Path of 2 * pairs trivalent vertices, every vertex's spare ends
+    legs to the bottom boundary: its one enhancement takes every other
+    path edge."""
+    n = 2 * pairs
+    edge = range(1, n)
+    leg = range(n, 2 * n + 2)
+    vertices = [(edge[0], leg[0], leg[1])]
+    vertices += [(edge[i], edge[i - 1], leg[i + 1]) for i in range(1, n - 1)]
+    vertices.append((leg[n + 1], edge[n - 2], leg[n]))
+    return TangleDiagram(m=n + 2, n=0, trivalent=tuple(vertices),
+                         bottom=tuple(leg))
+
+
+def _refuse_listing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enhancements listed")
+
+    monkeypatch.setattr(enhanced, "_matchings", refuse)
+
+
+LISTING_REFUSED = ("error: enhancement listing supported only for at most "
+                   "100000 enhancements\n")
+
+
+def test_rho_refuses_too_many_enhancements_before_listing(tmp_path, capsys,
+                                                          monkeypatch):
+    # Fibonacci(1203) enhancements, about 10^251
+    _refuse_listing(monkeypatch)
+    assert enhanced.MAX_LISTED_ENHANCEMENTS == 100000
+    path = tmp_path / "ladder.tng"
+    path.write_text(serialize_tng(ensure_valid(_ladder(1200))))
+    for flags in (["--json"], []):
+        code, out, err = run(capsys, "rho", str(path), *flags)
+        assert (code, out, err) == (3, "", LISTING_REFUSED)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho"], ["states", "--rho", "0"], ["invariant", "--rho", "0", "--k", "1"]],
+    ids=["rho", "states", "invariant"])
+def test_every_enhancement_listing_refuses_above_the_limit(argv, capsys,
+                                                          monkeypatch):
+    _refuse_listing(monkeypatch)
+    monkeypatch.setattr(enhanced, "MAX_LISTED_ENHANCEMENTS", 2)
+    code, out, err = run(capsys, argv[0], fixture_path("theta.tng"), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == LISTING_REFUSED.replace("100000", "2")
+
+
+def test_rho_lists_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):
+    pairs = sys.getrecursionlimit() + 1
+    path = tmp_path / "path.tng"
+    path.write_text(serialize_tng(ensure_valid(_legged_path(pairs))))
+    code, out, err = run(capsys, "rho", str(path))
+    assert (code, err) == (0, "")
+    assert out == "{" + ",".join(map(str, range(1, 2 * pairs, 2))) + "}\n"
+
+
 def test_invariant_json(capsys):
     code, out, _ = run(capsys, "invariant", fixture_path("handcuff.tng"),
                        "--k", "5", "--json")
@@ -435,6 +493,14 @@ def test_p_of_a_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "p", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: line 0: cannot read {path}:")
+
+
+def test_validate_json_of_a_nonplanar_file_is_pinned(capsys):
+    code, out, err = run(capsys, "validate",
+                         str(FIXTURES / "bad" / "bad_nonplanar.tng"), "--json")
+    assert (code, err) == (2, "")
+    assert out == ('{\n  "ok": false,\n  "problems": [\n'
+                   '    "nonplanar or inconsistent rotation system"\n  ]\n}\n')
 
 
 def test_validate_json(capsys):

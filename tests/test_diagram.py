@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
+from tanglepoly import diagram
 from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram, all_labels,
                                 boundary_circular_labels, edge_occurrences,
                                 ensure_valid, is_isomorphic, load_tng,
                                 map_faces, max_label, merge_edges, mirror,
-                                parse_tng, reflect, relabel_occurrence,
-                                relabeled, replace, serialize_tng, tensor,
-                                validate)
+                                parse_tng, planarity_problems, reflect,
+                                relabel_occurrence, relabeled, replace,
+                                serialize_tng, tensor, validate)
 from tanglepoly.errors import InvalidDiagramError, ParseError, TangleError
 from tanglepoly.generate import random_tangle, random_trivalent
 
@@ -135,6 +136,69 @@ def test_nonplanar_fixture_parses_but_fails_validation(fixtures_dir):
     assert NONPLANAR_MESSAGE in report.problems
     with pytest.raises(InvalidDiagramError):
         ensure_valid(d)
+
+
+BAD_FIXTURE_PROBLEMS = {
+    "bad_circle_reuse": (
+        "label 2 is a circle but also occurs at a node or boundary",
+        "label 1 occurs 1 time(s), expected 2",
+        "label 2 occurs 1 time(s), expected 2"),
+    "bad_count": ("label 1 occurs 3 time(s), expected 2",
+                  "label 2 occurs 1 time(s), expected 2"),
+    "bad_nonplanar": (NONPLANAR_MESSAGE,),
+    "bad_odd": ("boundary size m+n = 1 is odd",
+                "label 1 occurs 1 time(s), expected 2"),
+    "bad_thick": ("thick edge 1 is a self-loop at a trivalent vertex",),
+}
+
+
+def test_validation_messages_of_the_bad_fixtures_are_pinned(fixtures_dir,
+                                                           monkeypatch):
+    # parse without the invariant check, so validate sees each bad diagram
+    monkeypatch.setattr(diagram, "ensure_invariants", lambda d: d)
+    seen = {}
+    for path in sorted((fixtures_dir / "bad").glob("*.tng")):
+        try:
+            d = parse_tng(path.read_text())
+        except ParseError as exc:
+            seen[path.stem] = str(exc)
+        else:
+            seen[path.stem] = validate(d).problems
+    assert seen == dict(BAD_FIXTURE_PROBLEMS, bad_syntax=(
+        "line 2: X line needs exactly 4 labels"))
+
+
+def test_validation_messages_of_many_problems_keep_their_order():
+    d = TangleDiagram(m=2, n=2, crossings=((1, 2, 1, 3), (4, 0, 5, 5)),
+                      trivalent=((6, 7, 8), (8, 9, 6)), circles=(3, 10, 10),
+                      bottom=(11,), top=(11, 12),
+                      thick=frozenset({3, 9, 8, 13}))
+    assert validate(d).problems == (
+        "header says m=2 but B lists 1 bottom points",
+        "a circle label is repeated",
+        "label 3 is a circle but also occurs at a node or boundary",
+        "label 0 is not a positive integer",
+        "label 0 occurs 1 time(s), expected 2",
+        "label 2 occurs 1 time(s), expected 2",
+        "label 3 occurs 1 time(s), expected 2",
+        "label 4 occurs 1 time(s), expected 2",
+        "label 7 occurs 1 time(s), expected 2",
+        "label 9 occurs 1 time(s), expected 2",
+        "label 12 occurs 1 time(s), expected 2",
+        "thick edge 3 is a circle",
+        "thick edge 9 does not join two trivalent vertices",
+        "thick edge 13 does not join two trivalent vertices")
+    # the rotation system names the first bad label in dart order
+    assert planarity_problems(d) == ["label 2 occurs 1 time(s), expected 2"]
+    with pytest.raises(InvalidDiagramError,
+                       match=r"^label 2 occurs 1 time\(s\), expected 2$"):
+        map_faces(d)
+    thrice = D(crossings=((2, 2, 2, 1), (1, 3, 4, 4)))
+    assert validate(thrice).problems == (
+        "label 2 occurs 3 time(s), expected 2",
+        "label 3 occurs 1 time(s), expected 2")
+    assert planarity_problems(thrice) == [
+        "label 2 occurs 3 time(s), expected 2"]
 
 
 def test_header_boundary_mismatch_is_invalid():

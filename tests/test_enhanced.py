@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import enhanced, pairing, skein
-from tanglepoly.diagram import (TangleDiagram, ensure_valid, is_isomorphic,
-                                load_tng, max_label, merge_edges, relabeled)
+from tanglepoly.diagram import (TangleDiagram, edge_occurrences, ensure_valid,
+                                is_isomorphic, load_tng, max_label,
+                                merge_edges, relabeled)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -362,6 +363,70 @@ def _count_sweeps(monkeypatch):
     return sweeps
 
 
+def _plan(monkeypatch, compute, d):
+    """The one sweep's absorbed entries, in order: each entry's labels (its
+    first smoothing's arcs, flattened), its cover and its done set, as mark
+    ids (None for a node)."""
+    plans = []
+    original = skein._absorption_order
+
+    def recorded(*args):
+        plans.append(original(*args))
+        return plans[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skein, "_absorption_order", recorded)
+        compute(d)
+    (plan,) = plans
+    return [(tuple(x for arc in smoothings[0][0] for x in arc),
+             None if cover is None else sorted(mark for mark, _ in cover),
+             sorted(mark for mark, _ in done))
+            for smoothings, cover, done in plan]
+
+
+# The greedy order sets the sweep's width, and a change to it can widen
+# the sweep, so it must be deliberate: these plans are frozen.
+PINNED_PLANS = {
+    "ladder": [
+        ((5, 11, 11, 8, 17, 23, 23, 20), [25, 26], []),
+        ((1, 5, 8, 1, 13, 17, 20, 13), [25, 26], []),
+        ((11, 1, 2, 6, 23, 13, 14, 18), [25, 29], [25]),
+        ((1, 11, 9, 2, 13, 23, 21, 14), [26, 30], [26]),
+        ((6, 5, 8, 9, 18, 17, 20, 21), [29, 30], []),
+        ((5, 2, 3, 7, 17, 14, 15, 19), [29, 31], [29]),
+        ((2, 8, 10, 3, 14, 20, 22, 15), [30, 32], [30]),
+        ((7, 6, 9, 10, 19, 18, 21, 22), [31, 32], []),
+        ((4, 12, 6, 3, 16, 24, 18, 15), [27, 31], [31]),
+        ((12, 4, 3, 9, 24, 16, 15, 21), [28, 32], [32]),
+        ((12, 7, 10, 12, 24, 19, 22, 24), [27, 28], []),
+        ((7, 4, 4, 10, 19, 16, 16, 22), [27, 28], [27, 28]),
+    ],
+    "trefoil": [
+        ((2, 4, 3, 1), None, []),
+        ((4, 6, 5, 3), None, []),
+        ((1, 5, 6, 2), None, []),
+    ],
+    "random": [
+        ((11, 6, 13, 13, 25, 20, 27, 27), [33, 34], [33, 34]),
+        ((3, 6, 11, 10, 17, 20, 25, 24), [30, 32], []),
+        ((1, 4, 6, 5, 15, 18, 20, 19), [29, 30], [30]),
+        ((4, 1, 5, 11, 18, 15, 19, 25), [31, 32], [32]),
+        ((4, 3, 10, 4, 18, 17, 24, 18), [29, 31], []),
+        ((3, 1, 1, 10, 17, 15, 15, 24), [29, 31], [29, 31]),
+    ],
+}
+
+
+def test_the_sweep_plans_are_pinned(monkeypatch):
+    graph = random_trivalent(random.Random(5), max_vertices=6)
+    assert len(graph.trivalent) == 6
+    cases = {"ladder": (invariant_total_poly, _ladder(4)),
+             "trefoil": (p_poly, load_tng(fixture_path("trefoil.tng"))),
+             "random": (invariant_total_poly, graph)}
+    for name, (compute, d) in cases.items():
+        assert _plan(monkeypatch, compute, d) == PINNED_PLANS[name], name
+
+
 def test_the_plan_is_built_once_per_graph(monkeypatch):
     d = ensure_valid(_ladder(4))
     rhos = enumerate_enhancements(d)
@@ -388,8 +453,9 @@ def test_a_ten_rung_ladder_is_one_sweep(monkeypatch):
 def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
     # edge 7 must be thick, so edges 4 and 5 never are
     d = ensure_valid(D(trivalent=((2, 4, 3), (2, 3, 5), (4, 7, 5), (6, 6, 7))))
-    assert len(enhanced._traced_vertex_links(d)) == 5
-    assert sorted(link[0] for link in enhanced._matched_links(d)) == [2, 3, 7]
+    occ = edge_occurrences(d)
+    assert len(enhanced._traced_vertex_links(d, occ)) == 5
+    assert sorted(link[0] for link in enhanced._matched_links(d, occ)) == [2, 3, 7]
     rhos = enumerate_enhancements(d)
     assert rhos == (frozenset({2, 7}), frozenset({3, 7}))
     expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
