@@ -414,6 +414,32 @@ PINNED_PLANS = {
         ((4, 3, 10, 4, 18, 17, 24, 18), [29, 31], []),
         ((3, 1, 1, 10, 17, 15, 15, 24), [29, 31], [29, 31]),
     ],
+    # the crossing's label 4 is a self-loop
+    "kink": [
+        ((4, 4, 5, 1), None, []),
+        ((5, 1, 3, 3, 10, 6, 8, 8), [11, 12], [11, 12]),
+        ((9, 6, 10, 9), None, []),
+    ],
+    # an F vertex's twin node shares the sweep with the options
+    "twin": [
+        ((4, 5, 5, 3, 9, 10, 10, 8), None, []),
+        ((1, 1, 3, 4, 6, 6, 8, 9), [11, 12], [11, 12]),
+    ],
+    # the count sweep: options that lay no arcs
+    "count": [
+        ((), [0, 1], []),
+        ((), [0, 1], []),
+        ((), [0, 4], [0]),
+        ((), [1, 5], [1]),
+        ((), [4, 5], []),
+        ((), [4, 6], [4]),
+        ((), [5, 7], [5]),
+        ((), [6, 7], []),
+        ((), [2, 6], [6]),
+        ((), [3, 7], [7]),
+        ((), [2, 3], []),
+        ((), [2, 3], [2, 3]),
+    ],
 }
 
 
@@ -422,7 +448,12 @@ def test_the_sweep_plans_are_pinned(monkeypatch):
     assert len(graph.trivalent) == 6
     cases = {"ladder": (invariant_total_poly, _ladder(4)),
              "trefoil": (p_poly, load_tng(fixture_path("trefoil.tng"))),
-             "random": (invariant_total_poly, graph)}
+             "random": (invariant_total_poly, graph),
+             "kink": (invariant_total_poly, insert_kink(handcuff(), 1)),
+             "twin": (invariant_total_poly,
+                      D(trivalent=((1, 1, 2), (2, 3, 4)),
+                        fourvalent=((4, 5, 5, 3),))),
+             "count": (enumerate_enhancements, _ladder(4))}
     for name, (compute, d) in cases.items():
         assert _plan(monkeypatch, compute, d) == PINNED_PLANS[name], name
 
