@@ -13,8 +13,9 @@ import json
 import sys
 
 from .diagram import TangleDiagram, ensure_valid, load_tng, validate
-from .enhanced import (check_state_listing, contract, enumerate_enhancements,
-                       invariant_rho_poly, invariant_total_poly, state_polys)
+from .enhanced import (check_state_listing, check_state_sum, contract,
+                       enumerate_enhancements, invariant_rho_poly,
+                       invariant_total_poly, state_polys)
 from .errors import DomainError, InvalidDiagramError, ParseError, TangleError
 from .laurent import ROOT_INDICES, LaurentPoly, ensure_root_index
 from .moves import verify_manifest
@@ -161,6 +162,7 @@ def cmd_invariant(args) -> int:
     ks = ROOT_INDICES if args.all_k else (args.k,)
     for k in ks:
         ensure_root_index(k)
+    check_state_sum(d)
     if args.rho is not None or d.thick:
         rho = _pick_rho(d, args.rho)
         poly = invariant_rho_poly(d, rho)
@@ -286,9 +288,6 @@ def main(argv=None) -> int:
     except (ParseError, InvalidDiagramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except TangleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

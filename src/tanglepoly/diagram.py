@@ -35,10 +35,6 @@ from typing import Iterator, NamedTuple
 
 from .errors import InvalidDiagramError, ParseError
 
-Crossing = tuple[int, int, int, int]
-Trivalent = tuple[int, int, int]
-Fourvalent = tuple[int, int, int, int]
-
 NONPLANAR_MESSAGE = "nonplanar or inconsistent rotation system"
 
 
@@ -308,6 +304,8 @@ def ensure_valid(d: TangleDiagram, occ=None) -> TangleDiagram:
 # .tng text format
 
 _HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
+# labels per node line
+_NODE_ARITY = {"X": 4, "V": 3, "F": 4}
 
 
 def _parse_label(tok: str, lineno: int) -> int:
@@ -320,9 +318,7 @@ def _parse_label(tok: str, lineno: int) -> int:
 def parse_tng(text: str) -> TangleDiagram:
     """Parse .tng text; raises ParseError on syntax, InvalidDiagramError on invariants."""
     header: tuple[int, int] | None = None
-    crossings: list[Crossing] = []
-    trivalent: list[Trivalent] = []
-    fourvalent: list[Fourvalent] = []
+    nodes: dict[str, list] = {tag: [] for tag in _NODE_ARITY}
     circles: list[int] = []
     boundary: tuple[list[int], list[int]] | None = None
     thick: set[int] = set()
@@ -340,18 +336,12 @@ def parse_tng(text: str) -> TangleDiagram:
             if not match:
                 raise ParseError(lineno, "header must be 'tangle m=<int> n=<int>'")
             header = (int(match.group(1)), int(match.group(2)))
-        elif tag == "X":
-            if len(tokens) != 5:
-                raise ParseError(lineno, "X line needs exactly 4 labels")
-            crossings.append(tuple(_parse_label(t, lineno) for t in tokens[1:]))  # type: ignore[arg-type]
-        elif tag == "V":
-            if len(tokens) != 4:
-                raise ParseError(lineno, "V line needs exactly 3 labels")
-            trivalent.append(tuple(_parse_label(t, lineno) for t in tokens[1:]))  # type: ignore[arg-type]
-        elif tag == "F":
-            if len(tokens) != 5:
-                raise ParseError(lineno, "F line needs exactly 4 labels")
-            fourvalent.append(tuple(_parse_label(t, lineno) for t in tokens[1:]))  # type: ignore[arg-type]
+        elif tag in _NODE_ARITY:
+            arity = _NODE_ARITY[tag]
+            if len(tokens) != arity + 1:
+                raise ParseError(lineno,
+                                 f"{tag} line needs exactly {arity} labels")
+            nodes[tag].append(tuple(_parse_label(t, lineno) for t in tokens[1:]))
         elif tag == "O":
             if len(tokens) != 2:
                 raise ParseError(lineno, "O line needs exactly 1 label")
@@ -379,8 +369,8 @@ def parse_tng(text: str) -> TangleDiagram:
 
     d = TangleDiagram(
         m=header[0], n=header[1],
-        crossings=tuple(crossings), trivalent=tuple(trivalent),
-        fourvalent=tuple(fourvalent), circles=tuple(circles),
+        crossings=tuple(nodes["X"]), trivalent=tuple(nodes["V"]),
+        fourvalent=tuple(nodes["F"]), circles=tuple(circles),
         bottom=tuple(boundary[0]), top=tuple(boundary[1]),
         thick=frozenset(thick),
     )
@@ -389,12 +379,7 @@ def parse_tng(text: str) -> TangleDiagram:
 
 def serialize_tng(d: TangleDiagram) -> str:
     lines = [f"tangle m={d.m} n={d.n}"]
-    for t in d.crossings:
-        lines.append("X " + " ".join(map(str, t)))
-    for t in d.trivalent:
-        lines.append("V " + " ".join(map(str, t)))
-    for t in d.fourvalent:
-        lines.append("F " + " ".join(map(str, t)))
+    lines += [f"{tag} " + " ".join(map(str, t)) for tag, t in d.node_lines()]
     for lab in d.circles:
         lines.append(f"O {lab}")
     lines.append("B " + " ".join(map(str, d.bottom)) + " | " + " ".join(map(str, d.top)))

@@ -126,45 +126,26 @@ def _links_by_vertex(nv: int, links) -> list[list[tuple[int, int]]]:
 
 def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
     """Yield every perfect matching by links that extends chosen, whose
-    vertices are the matched ones, as a thick set.  Backtracking: the first
-    unmatched vertex is tried with each of its links in turn.  The open
-    levels live on an explicit stack, so the depth is not bounded by the
+    vertices are the matched ones, as a thick set.  Depth-first: the first
+    unmatched vertex is tried with each of its links in turn.  Each
+    partial matching on the stack is its own copy, so nothing is undone,
+    the arguments stay untouched and the depth is not bounded by the
     recursion limit."""
-    levels: list[tuple] = []  # (vertex, iterator over its untried links)
-    partners: list[int] = []  # the vertex each open level is matched to
-
-    def first_unmatched(start: int) -> int:
+    stack = [(matched, chosen, 0)]
+    while stack:
+        # every vertex before start is matched
+        matched, chosen, start = stack.pop()
         try:
-            return matched.index(False, start)
+            u = matched.index(False, start)
         except ValueError:
-            return -1
-
-    u = first_unmatched(0)
-    while True:
-        if u < 0:
             yield frozenset(chosen)
-        else:
-            matched[u] = True
-            levels.append((u, iter(by_vertex[u])))
-        while levels:
-            top, links = levels[-1]
-            if len(partners) == len(levels):  # undo this level's link
-                matched[partners.pop()] = False
-                chosen.pop()
-            for label, v in links:
-                if not matched[v]:
-                    matched[v] = True
-                    partners.append(v)
-                    chosen.append(label)
-                    break
-            else:
-                levels.pop()
-                matched[top] = False
-                continue
-            u = first_unmatched(top)  # every vertex before top is matched
-            break
-        else:
-            return
+            continue
+        # pushed in reverse, so the links are popped in their own order
+        for label, v in reversed(by_vertex[u]):
+            if not matched[v]:
+                grown = matched.copy()
+                grown[u] = grown[v] = True
+                stack.append((grown, chosen + [label], u + 1))
 
 
 #: Largest number of enhancements `rho`, and `--rho` in `states` and
@@ -193,15 +174,19 @@ def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
     """All valid thick sets, sorted; empty thick set if no trivalent vertices.
 
     Refuses with DomainError, before listing any, a diagram with more than
-    MAX_LISTED_ENHANCEMENTS of them."""
+    MAX_LISTED_ENHANCEMENTS of them; when the count finds none, returns ()
+    without a search."""
     nv = len(d.trivalent)
     if nv == 0:
         return (frozenset(),)
     links = _traced_vertex_links(d, edge_occurrences(d))
-    if _count_matchings(d, links) > MAX_LISTED_ENHANCEMENTS:
+    count = _count_matchings(d, links)
+    if count > MAX_LISTED_ENHANCEMENTS:
         raise DomainError(
             "enhancement listing supported only for at most "
             f"{MAX_LISTED_ENHANCEMENTS} enhancements")
+    if not count:
+        return ()
     found = set(_matchings(_links_by_vertex(nv, links), [False] * nv, []))
     return tuple(sorted(found, key=sorted))
 
@@ -348,6 +333,12 @@ def check_state_listing(d: TangleDiagram) -> None:
     _check_vertex_limit(d, MAX_LISTED_STATE_VERTICES, "state listing")
 
 
+def check_state_sum(d: TangleDiagram) -> None:
+    """Refuse, before any enhancement is listed or swept, a diagram above
+    the state sums' MAX_STATE_VERTICES."""
+    _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
+
+
 def _twin_node(vertex, offset: int):
     """Frontier node of a 4-valent vertex and its twin, whose labels are
     shifted by offset.  Both are smoothed by label pairs, T0 (a,b),(c,d) and
@@ -394,7 +385,7 @@ def _state_sum(d: TangleDiagram, occ, links) -> LaurentPoly:
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
     """Exact state sum for one enhancement: the sweep with rho's edges as
     the only options."""
-    _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
+    check_state_sum(d)
     occ = edge_occurrences(d)
     ensure_valid(d, occ)
     check_enhancement(d, rho, occ)
@@ -409,7 +400,7 @@ def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
 
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements, in one sweep; zero when none exist."""
-    _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
+    check_state_sum(d)
     occ = edge_occurrences(d)
     ensure_valid(d, occ)
     links = _matched_links(d, occ)

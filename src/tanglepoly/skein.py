@@ -16,8 +16,10 @@ agree exactly.
 
 Every contraction here, and those of pairing and enhanced, runs through
 _frontier_states, whose absorption order is planned in one greedy pass
-over integer owner ids before the sweep (_absorption_order); the order
-sets the frontier's width, and with it the sweep's cost.
+before the sweep (_absorption_order).  Each node and each optional node
+is an entry held by one or two owners of label ends, and one scoring rule
+and one update path serve them all.  The order sets the frontier's
+width, and with it the sweep's cost.
 """
 
 from __future__ import annotations
@@ -202,13 +204,14 @@ def _absorption_order(nodes, vertices, options):
     """(smoothings, cover, done) of every node and option, in contraction
     order.
 
-    A node (labels, smoothings) owns the ends of its labels.  An option
-    (u, v, smoothings) is a node that may be skipped: u and v index its two
-    vertices in vertices, each (mark, labels), and a vertex owns its
-    labels' ends jointly with its other options, since whichever option
-    covers it lays them; every vertex has an option.  cover is the
-    frozenset of the option's marks (None for a node), and done holds the
-    marks whose last option this is.
+    Every entry is a tuple of owners, each owning the ends of its labels.
+    A node (labels, smoothings) is the entry (i,): it owns its own labels.
+    An option (u, v, smoothings) is a node that may be skipped, the entry
+    (u', v') of its two vertices: u and v index them in vertices, each
+    (mark, labels), and a vertex owns its labels' ends jointly with its
+    other options, since whichever option covers it lays them; every
+    vertex has an option.  cover is the frozenset of the option's marks
+    (None for a node), and done holds the marks whose last option this is.
 
     Greedy: each step absorbs the entry with the best gain, ties by list
     order (nodes, then options).  Touching an owner closes each of its
@@ -216,23 +219,27 @@ def _absorption_order(nodes, vertices, options):
     touched) and opens the others; the gain counts closed labels less
     opened ones.  A vertex between its first and its last option weighs
     as if all its labels were open, since its key item keeps the states
-    where it is covered apart from those where it is not: starting a
-    vertex costs that many, finishing one gains them.
+    where it is covered apart from those where it is not: a vertex with
+    two or more options starts at minus its label count in each option's
+    score, and its remaining options gain that count back when it is first
+    touched, and once more when one option is left.  A node owner has one
+    entry, itself, so it never meets these terms.
 
-    Owners are ints: node i is owner i and entry i, vertex u is owner
-    n + u, and option k is entry n + k, n = len(nodes).  A node's only
-    holder is its own entry, so once it is absorbed nothing updates it.
+    Owners and entries are ints: node i is owner i and entry i, vertex u
+    is owner u' = n + u, and option k is entry n + k, n = len(nodes).
     """
     n = len(nodes)
     labels_of = [labels for labels, _ in nodes]
     labels_of += [labels for _, labels in vertices]
-    holders = [[i] for i in range(n)] + [[] for _ in vertices]
-    pairs = [(n + u, n + v) for u, v, _ in options]
-    for j, pair in enumerate(pairs, n):
-        for owner in pair:
+    entries = [(i,) for i in range(n)]
+    entries += [(n + u, n + v) for u, v, _ in options]
+    holders: list[list[int]] = [[] for _ in labels_of]
+    for j, owners in enumerate(entries):
+        for owner in owners:
             holders[owner].append(j)
     # far_of[owner]: the owner at the other end of each of its labels, None
-    # where a join laid that end (the scores need no label order)
+    # where a join laid that end (the scores need no label order); a label
+    # with both ends at one owner neither opens nor closes, and is left out
     far_of: list[list] = [[] for _ in labels_of]
     unpaired: dict[int, int] = {}
     for owner, labels in enumerate(labels_of):
@@ -240,86 +247,60 @@ def _absorption_order(nodes, vertices, options):
             other = unpaired.pop(lab, None)
             if other is None:
                 unpaired[lab] = owner
-            else:
+            elif other != owner:
                 far_of[owner].append(other)
                 far_of[other].append(owner)
     for owner in unpaired.values():
         far_of[owner].append(None)
-    left = [len(h) for h in holders]  # options left per vertex
+    left = [len(h) for h in holders]  # unabsorbed entries per owner
     touched = [False] * len(labels_of)
-
-    def pending(owner) -> int:
-        """Weight of a vertex's key item, counted in its options' gains."""
-        weight = len(labels_of[owner])
-        if left[owner] == 1:  # the next option finishes it
-            return weight if touched[owner] else 0
-        return 0 if touched[owner] else -weight
-
     # a label scores +1 when a join laid its far end, 0 when the entry owns
     # both its ends and -1 when it opens
     score = []
-    for j in range(n):
-        far = far_of[j]
-        score.append(2 * far.count(None) + far.count(j) - len(far))
-    for pair in pairs:
+    for owners in entries:
         gain = 0
-        for owner in pair:
+        for owner in owners:
             far = far_of[owner]
-            gain += (2 * far.count(None) + far.count(pair[0])
-                     + far.count(pair[1]) - len(far) + pending(owner))
+            gain += 2 * far.count(None) - len(far)
+            for o in owners:
+                gain += far.count(o)
+            if left[owner] > 1:
+                gain -= len(labels_of[owner])
         score.append(gain)
-    order = []
+    plan = []
     for _ in score:
         # index keeps the first of equal scores
         j = score.index(max(score))
         score[j] = _ABSORBED
-        order.append(j)
-        if j < n:
-            # a label the node opens turns from -1 into +1 for the entries
-            # at its far end; one it closes only changed the node's score
-            touched[j] = True
-            for far in far_of[j]:
-                if far is not None and far != j and not touched[far]:
-                    for h in holders[far]:
-                        score[h] += 2
-            continue
-        for owner in pairs[j - n]:
-            before = pending(owner)
+        owners = entries[j]
+        for owner in owners:
             left[owner] -= 1
-            was_touched = touched[owner]
+            first = not touched[owner]
             touched[owner] = True
-            change = pending(owner) - before
-            mine = holders[owner]
-            for h in mine:
-                score[h] += change
-            if was_touched:
-                continue
-            for far in far_of[owner]:
-                if far == owner:
-                    continue
-                if far is None or touched[far]:  # the label closes
-                    for h in mine:
-                        score[h] -= 1
-                else:  # the label opens
-                    for h in mine:
-                        score[h] += 1
-                    for h in holders[far]:
-                        score[h] += 1 if h >= n and owner in pairs[h - n] else 2
-    last = {}  # each vertex owner's last option
-    for j in order:
-        if j >= n:
-            for owner in pairs[j - n]:
-                last[owner] = j
-    plan = []
-    for j in order:
+            opened = 0
+            if first:
+                for far in far_of[owner]:
+                    if far is not None and not touched[far]:  # the label opens
+                        opened += 1
+                        # the entries at its far end now close it: -1 turns
+                        # into +1, or 0 into +1 where an entry owns both ends
+                        for h in holders[far]:
+                            score[h] += 1 if owner in entries[h] else 2
+            if left[owner]:  # else all its entries are absorbed
+                # its own entries: +1 per label opened and -1 per label
+                # closed, and its label count back when first touched and
+                # when one entry is left
+                mine = 2 * opened - len(far_of[owner]) if first else 0
+                mine += len(labels_of[owner]) * (first + (left[owner] == 1))
+                for h in holders[owner]:
+                    score[h] += mine
         if j < n:
             plan.append((nodes[j][1], None, _NO_MARKS))
             continue
         u, v, smoothings = options[j - n]
         marks = vertices[u][0], vertices[v][0]
         plan.append((smoothings, frozenset(marks), frozenset(
-            [mark for mark, owner in zip(marks, pairs[j - n])
-             if last[owner] == j])))
+            [mark for mark, owner in zip(marks, owners) if not left[owner]])))
     return plan
 
 

@@ -320,6 +320,14 @@ def _ladder(rungs):
     return TangleDiagram(m=0, n=0, trivalent=tuple(vertices))
 
 
+def _ladder_and_claws(rungs):
+    """A closed ladder beside two vertices whose legs all end on the
+    boundary: the claws have no links, so there is no enhancement."""
+    legs = tuple(range(3 * rungs + 1, 3 * rungs + 7))
+    return TangleDiagram(m=6, n=0, bottom=legs, trivalent=_ladder(
+        rungs).trivalent + (legs[:3], legs[3:]))
+
+
 @pytest.mark.parametrize("diagram", [_necklace(11), _ladder(11)],
                          ids=["necklace", "ladder"])
 def test_invariant_refuses_too_many_vertices(diagram, tmp_path, capsys,
@@ -329,13 +337,16 @@ def test_invariant_refuses_too_many_vertices(diagram, tmp_path, capsys,
 
     for name in ("enumerate_enhancements", "_matchings", "_frontier_states"):
         monkeypatch.setattr(enhanced, name, refuse)
+    # the command looks the listing up in its own module
+    monkeypatch.setattr(cli, "enumerate_enhancements", refuse)
     assert enhanced.MAX_STATE_VERTICES == 10
     path = tmp_path / "big.tng"
     path.write_text(serialize_tng(ensure_valid(diagram)))
-    code, out, err = run(capsys, "invariant", str(path), "--all-k")
-    assert (code, out) == (3, "")
-    assert err == ("error: state sum supported only for at most 10 4-valent "
-                   "vertices after contraction, got 11\n")
+    for flags in ([], ["--rho", "0"]):
+        code, out, err = run(capsys, "invariant", str(path), "--all-k", *flags)
+        assert (code, out) == (3, "")
+        assert err == ("error: state sum supported only for at most 10 "
+                       "4-valent vertices after contraction, got 11\n")
 
 
 @pytest.mark.parametrize("diagram,flags", [
@@ -403,6 +414,18 @@ def test_every_enhancement_listing_refuses_above_the_limit(argv, capsys,
     code, out, err = run(capsys, argv[0], fixture_path("theta.tng"), *argv[1:])
     assert (code, out) == (3, "")
     assert err == LISTING_REFUSED.replace("100000", "2")
+
+
+def test_rho_without_enhancements_lists_none_unsearched(tmp_path, capsys,
+                                                        monkeypatch):
+    # the backtracking search took 0.54 s at 24 rungs to find nothing,
+    # about 2.7 times more per two rungs
+    _refuse_listing(monkeypatch)
+    path = tmp_path / "claws.tng"
+    path.write_text(serialize_tng(ensure_valid(_ladder_and_claws(24))))
+    code, out, err = run(capsys, "rho", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"count": 0, "enhancements": []}
 
 
 def test_rho_lists_a_path_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -24,7 +24,7 @@ from tanglepoly.laurent import (LaurentPoly, ROOT_INDICES, ZERO, delta_power,
                                 poly_sum)
 from tanglepoly.moves import braid_pattern, insert_kink, splice_22
 from tanglepoly.pairing import p_poly
-from test_cli import _ladder
+from test_cli import _ladder, _ladder_and_claws
 
 
 def D(**kw):
@@ -49,6 +49,15 @@ def test_enhancement_counts_on_fixtures():
         (frozenset(),)
     assert enumerate_enhancements(
         load_tng(fixture_path("all_external.tng"))) == ()
+
+
+def test_no_enhancement_is_searched_for_once_the_count_is_zero(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enhancements searched")
+
+    d = ensure_valid(_ladder_and_claws(24))
+    monkeypatch.setattr(enhanced, "_matchings", refuse)
+    assert enumerate_enhancements(d) == ()
 
 
 def test_subset_oracle_agrees_on_fixtures():
@@ -440,6 +449,16 @@ PINNED_PLANS = {
         ((), [2, 3], []),
         ((), [2, 3], [2, 3]),
     ],
+    # a label opened between two vertices gains +1 for the options over
+    # both and +2 for the other options at its far end
+    "shared": [
+        ((), [0, 2], [0]),
+        ((), [1, 3], [1]),
+        ((), [2, 3], []),
+        ((), [2, 4], [2]),
+        ((), [3, 4], [3]),
+        ((), [4, 5], [4, 5]),
+    ],
 }
 
 
@@ -453,7 +472,10 @@ def test_the_sweep_plans_are_pinned(monkeypatch):
              "twin": (invariant_total_poly,
                       D(trivalent=((1, 1, 2), (2, 3, 4)),
                         fourvalent=((4, 5, 5, 3),))),
-             "count": (enumerate_enhancements, _ladder(4))}
+             "count": (enumerate_enhancements, _ladder(4)),
+             "shared": (enumerate_enhancements, D(trivalent=(
+                 (1, 1, 2), (3, 3, 4), (2, 6, 5), (4, 7, 6), (5, 7, 9),
+                 (9, 10, 10))))}
     for name, (compute, d) in cases.items():
         assert _plan(monkeypatch, compute, d) == PINNED_PLANS[name], name
 
