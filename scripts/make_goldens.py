@@ -20,12 +20,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from tanglepoly import (
     ROOT_INDICES,
+    TOL_ROOT,
     TangleDiagram,
     braid_pattern,
+    comparison_poly,
     enumerate_enhancements,
     ensure_valid,
     ih_rewrite,
-    invariant_rho_poly,
     invariant_total_poly,
     p_poly,
     pairing_matrix,
@@ -124,23 +125,14 @@ BAD = {
 MANIFEST_HEADER = "# pair <name> <fileA> <fileB> <move> <expected: exact|root>\n"
 
 
-def _comparison(a: TangleDiagram, b: TangleDiagram):
-    if a.thick or b.thick:
-        return (invariant_rho_poly(a, frozenset(a.thick)),
-                invariant_rho_poly(b, frozenset(b.thick)))
-    if a.trivalent or a.fourvalent or b.trivalent or b.fourvalent:
-        return invariant_total_poly(a), invariant_total_poly(b)
-    return p_poly(a), p_poly(b)
-
-
 def _check_pair(name, a, b, expected) -> None:
-    pa, pb = _comparison(a, b)
+    pa, pb = comparison_poly(a), comparison_poly(b)
     if expected == "exact":
         if pa != pb:
             raise SystemExit(f"pair {name}: polynomials differ, expected exact")
         return
     for k in ROOT_INDICES:
-        if abs(pa.eval_root(k) - pb.eval_root(k)) > 1e-9:
+        if abs(pa.eval_root(k) - pb.eval_root(k)) > TOL_ROOT:
             raise SystemExit(f"pair {name}: differs at k={k}")
 
 

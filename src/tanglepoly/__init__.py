@@ -28,7 +28,6 @@ from .pairing import (MAX_HALF_BOUNDARY, PairingMatrix, p_eval, p_poly,
                       pairing_matrix, plat_loop_count)
 from .skein import (Basis, CoordinateVector, bracket, bracket_oracle,
                     enumerate_basis, format_matching, vector_bar)
-from .unionfind import UnionFind
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,6 @@ __all__ = [
     "pairing_matrix", "plat_loop_count",
     "Basis", "CoordinateVector", "bracket", "bracket_oracle",
     "enumerate_basis", "format_matching", "vector_bar",
-    "UnionFind",
     "__version__",
 ]
 

@@ -31,6 +31,7 @@ have the Euler characteristic of a sphere.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidDiagramError, ParseError
@@ -74,8 +75,10 @@ class _Record:
 
 
 class TangleDiagram(_Record):
-    __slots__ = _FIELDS = ("m", "n", "crossings", "trivalent", "fourvalent",
-                           "circles", "bottom", "top", "thick")
+    _FIELDS = ("m", "n", "crossings", "trivalent", "fourvalent", "circles",
+               "bottom", "top", "thick")
+    # _occurrences caches edge_occurrences(self), built on first use
+    __slots__ = _FIELDS + ("_occurrences",)
 
     def __init__(self, m: int, n: int, crossings=(), trivalent=(),
                  fourvalent=(), circles=(), bottom=(), top=(),
@@ -87,7 +90,7 @@ class TangleDiagram(_Record):
             m, n, tuple(_min_rotation(tuple(t), (0, 2)) for t in crossings),
             tuple(_min_rotation(tuple(t), (0, 1, 2)) for t in trivalent),
             tuple(_min_rotation(tuple(t), (0, 2)) for t in fourvalent),
-            tuple(circles), tuple(bottom), tuple(top), frozenset(thick))
+            tuple(circles), tuple(bottom), tuple(top), frozenset(thick), None)
 
     def node_lines(self) -> Iterator[tuple[str, tuple[int, ...]]]:
         for t in self.crossings:
@@ -113,17 +116,22 @@ def all_labels(d: TangleDiagram) -> set[int]:
 
 
 def max_label(d: TangleDiagram) -> int:
-    labels = all_labels(d)
-    return max(labels) if labels else 0
+    # the index holds every label but the circles'
+    return max(chain(edge_occurrences(d), d.circles), default=0)
 
 
 def edge_occurrences(d: TangleDiagram) -> dict[int, list[tuple[str, int, int]]]:
     """Map each label to its occurrence slots (kind, node index, slot index).
 
     Kinds are "X", "V", "F" for node slots and "bot"/"top" for boundary
-    entries (slot = position index).  Circle labels do not appear.
+    entries (slot = position index).  Circle labels do not appear.  The
+    index is built on the first call and the same dict is returned after,
+    so callers must not mutate it.
     """
-    occ: dict[int, list[tuple[str, int, int]]] = {}
+    occ = d._occurrences
+    if occ is not None:
+        return occ
+    occ = {}
     for kind, nodes in (("X", d.crossings), ("V", d.trivalent), ("F", d.fourvalent)):
         for i, t in enumerate(nodes):
             for s, lab in enumerate(t):
@@ -131,6 +139,7 @@ def edge_occurrences(d: TangleDiagram) -> dict[int, list[tuple[str, int, int]]]:
     for kind, points in (("bot", d.bottom), ("top", d.top)):
         for p, lab in enumerate(points):
             occ.setdefault(lab, []).append((kind, 0, p))
+    object.__setattr__(d, "_occurrences", occ)
     return occ
 
 
@@ -143,9 +152,8 @@ def boundary_circular_labels(d: TangleDiagram) -> list[int]:
 # structural invariants
 
 
-def invariant_problems(d: TangleDiagram, occ=None) -> list[str]:
-    """Label, boundary and thick-edge problems, in a fixed order; occ is
-    edge_occurrences(d), built here when not given."""
+def invariant_problems(d: TangleDiagram) -> list[str]:
+    """Label, boundary and thick-edge problems, in a fixed order."""
     problems: list[str] = []
     if (d.m + d.n) % 2:
         problems.append(f"boundary size m+n = {d.m + d.n} is odd")
@@ -154,8 +162,7 @@ def invariant_problems(d: TangleDiagram, occ=None) -> list[str]:
     if len(d.top) != d.n:
         problems.append(f"header says n={d.n} but B lists {len(d.top)} top points")
 
-    if occ is None:
-        occ = edge_occurrences(d)
+    occ = edge_occurrences(d)
     circle_set = set(d.circles)
     if len(circle_set) != len(d.circles):
         problems.append("a circle label is repeated")
@@ -187,6 +194,28 @@ def ensure_invariants(d: TangleDiagram) -> TangleDiagram:
     if problems:
         raise InvalidDiagramError("; ".join(problems))
     return d
+
+
+# ---------------------------------------------------------------------------
+# union-find over a dict that maps each non-root item to its parent
+
+
+def _root(parent: dict, x):
+    """The root of x's class, halving the path to it."""
+    while x in parent:
+        up = parent[x]
+        parent[x] = x = parent.get(up, up)
+    return x
+
+
+def _union(parent: dict, x, y) -> bool:
+    """Merge the classes of x and y, keeping x's root; False if they were
+    one class already."""
+    x, y = _root(parent, x), _root(parent, y)
+    if x == y:
+        return False
+    parent[y] = x
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +288,13 @@ def planarity_problems(d: TangleDiagram) -> list[str]:
     except InvalidDiagramError as exc:
         return [str(exc)]
     _, n_faces = _faces(sigma, twin)
-    # owners are numbered in dart order; components by union-find over
-    # owners, each root found by path halving
+    # owners are numbered in dart order
     n_vertices = owner[-1] + 1 if owner else 0
-    root = list(range(n_vertices))
+    parent: dict[int, int] = {}
     n_components = n_vertices
     for dart, other in enumerate(twin):
-        if dart < other:
-            a, b = owner[dart], owner[other]
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            while root[b] != b:
-                root[b] = b = root[root[b]]
-            if a != b:
-                root[b] = a
-                n_components -= 1
+        if dart < other and _union(parent, owner[dart], owner[other]):
+            n_components -= 1
     if n_vertices - len(sigma) // 2 + n_faces != 2 * n_components:
         return [NONPLANAR_MESSAGE]
     return []
@@ -284,17 +305,16 @@ class ValidationReport(NamedTuple):
     problems: tuple[str, ...]
 
 
-def validate(d: TangleDiagram, occ=None) -> ValidationReport:
-    """Full structural and planarity check; never raises on bad diagrams.
-    occ is edge_occurrences(d), built here when not given."""
-    problems = invariant_problems(d, occ)
+def validate(d: TangleDiagram) -> ValidationReport:
+    """Full structural and planarity check; never raises on bad diagrams."""
+    problems = invariant_problems(d)
     if not problems:
         problems = planarity_problems(d)
     return ValidationReport(not problems, tuple(problems))
 
 
-def ensure_valid(d: TangleDiagram, occ=None) -> TangleDiagram:
-    report = validate(d, occ)
+def ensure_valid(d: TangleDiagram) -> TangleDiagram:
+    report = validate(d)
     if not report.ok:
         raise InvalidDiagramError("; ".join(report.problems))
     return d
@@ -467,25 +487,16 @@ def merge_edges(d: TangleDiagram, joins) -> TangleDiagram:
     the whole diagram; a join whose two sides have already become the same
     edge adds a fresh circle component instead.
     """
-    sub: dict[int, int] = {}
-
-    def canon(x: int) -> int:
-        while x in sub:
-            x = sub[x]
-        return x
-
+    parent: dict[int, int] = {}
     circles = list(d.circles)
     # join lists may name edges that occur nowhere else (a cup capped on
     # both ends), so fresh labels must clear those too
     fresh = max((max_label(d),) + tuple(x for j in joins for x in j))
     for x, y in joins:
-        x, y = canon(x), canon(y)
-        if x == y:
+        if not _union(parent, x, y):
             fresh += 1
             circles.append(fresh)
-        else:
-            sub[y] = x
-    return _renamed(d, canon, tuple(circles))
+    return _renamed(d, lambda x: _root(parent, x), tuple(circles))
 
 
 def mirror(d: TangleDiagram) -> TangleDiagram:

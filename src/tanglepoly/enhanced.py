@@ -38,15 +38,17 @@ sweep, with options that lay no arcs, has counted them within
 MAX_LISTED_ENHANCEMENTS.
 
 Each sweep is planned in one pass over the diagram: a call builds
-edge_occurrences(d) once, and that one index serves validation, the link
-tracing, the contracted vertices and the shift of the reflected copy.
+edge_occurrences(d) once per diagram, and that one index serves
+validation, the link tracing, the contracted vertices and the shift of the
+reflected copy.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .diagram import TangleDiagram, edge_occurrences, ensure_valid, merge_edges
+from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
+                      max_label, merge_edges)
 from .errors import DomainError, InvalidDiagramError
 from .laurent import DELTA, ZERO, LaurentPoly, delta_power, ensure_root_index
 from .pairing import _doubled_closure, p_poly
@@ -79,17 +81,18 @@ MAX_STATE_VERTICES = 10
 MAX_LISTED_STATE_VERTICES = 7
 
 
-def _traced_vertex_links(d: TangleDiagram, occ) -> list[tuple[int, int, int]]:
+def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
     """Direct vertex-to-vertex edges: (label, vertex index, vertex index).
 
     Starting from every trivalent-vertex slot, follows the strand through
     crossings (a crossing is entered at one slot and left two slots later),
-    reading each label's other end off occ = edge_occurrences(d).  Strands
+    reading each label's other end off edge_occurrences(d).  Strands
     reaching the boundary, a 4-valent vertex, or their own vertex are thin
     by force and dropped.  A strand that joins two distinct trivalent
     vertices but passes through a crossing cannot be drawn thick in this
     encoding, so it is rejected rather than silently thinned.
     """
+    occ = edge_occurrences(d)
     links: list[tuple[int, int, int]] = []
     for vi, t in enumerate(d.trivalent):
         for slot, start_label in enumerate(t):
@@ -173,13 +176,14 @@ def _count_matchings(d: TangleDiagram, links) -> int:
 def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
     """All valid thick sets, sorted; empty thick set if no trivalent vertices.
 
-    Refuses with DomainError, before listing any, a diagram with more than
-    MAX_LISTED_ENHANCEMENTS of them; when the count finds none, returns ()
-    without a search."""
+    An invalid d raises InvalidDiagramError.  Refuses with DomainError,
+    before listing any, a diagram with more than MAX_LISTED_ENHANCEMENTS of
+    them; when the count finds none, returns () without a search."""
+    ensure_valid(d)
     nv = len(d.trivalent)
     if nv == 0:
         return (frozenset(),)
-    links = _traced_vertex_links(d, edge_occurrences(d))
+    links = _traced_vertex_links(d)
     count = _count_matchings(d, links)
     if count > MAX_LISTED_ENHANCEMENTS:
         raise DomainError(
@@ -191,11 +195,11 @@ def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
     return tuple(sorted(found, key=sorted))
 
 
-def _matched_links(d: TangleDiagram, occ) -> list[tuple[int, int, int]]:
+def _matched_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
     """The traced links that lie in at least one valid thick set: a search
     from each link, stopped at the first perfect matching it completes,
     whose links are then all known to qualify."""
-    links = _traced_vertex_links(d, occ)
+    links = _traced_vertex_links(d)
     by_vertex = _links_by_vertex(len(d.trivalent), links)
     kept: set[int] = set()
     for label, u, v in links:
@@ -234,11 +238,9 @@ def enhancements_by_vertex_sums(d: TangleDiagram) -> tuple[Enhancement, ...]:
     return tuple(sorted(out, key=sorted))
 
 
-def check_enhancement(d: TangleDiagram, rho: Enhancement, occ=None) -> None:
-    """Raise DomainError unless rho is a valid thick set for d; occ is
-    edge_occurrences(d), built here when not given."""
-    if occ is None:
-        occ = edge_occurrences(d)
+def check_enhancement(d: TangleDiagram, rho: Enhancement) -> None:
+    """Raise DomainError unless rho is a valid thick set for d."""
+    occ = edge_occurrences(d)
     seen_vertices: set[int] = set()
     for label in sorted(rho):
         ends = occ.get(label, [])
@@ -258,10 +260,10 @@ def check_enhancement(d: TangleDiagram, rho: Enhancement, occ=None) -> None:
             "invalid enhancement: a vertex carries no thick edge")
 
 
-def _contracted_vertex(d: TangleDiagram, occ, label: int):
+def _contracted_vertex(d: TangleDiagram, label: int):
     """The 4-valent vertex (a,b,c,d) a thick edge contracts to, from its
-    endpoint rotations (label,a,b) and (label,c,d); occ = edge_occurrences(d)."""
-    (_, ui, s), (_, vi, t) = occ[label]
+    endpoint rotations (label,a,b) and (label,c,d)."""
+    (_, ui, s), (_, vi, t) = edge_occurrences(d)[label]
     u, v = d.trivalent[ui], d.trivalent[vi]
     return u[s - 2], u[s - 1], v[t - 2], v[t - 1]
 
@@ -271,14 +273,15 @@ def contract(d: TangleDiagram, rho: Enhancement) -> TangleDiagram:
 
     The new vertices follow d's own, in label order; all thin structure is
     unchanged and the result carries no trivalent vertices and no thick set.
+    An invalid d raises InvalidDiagramError.
     """
-    occ = edge_occurrences(d)
-    check_enhancement(d, rho, occ)
+    ensure_valid(d)
+    check_enhancement(d, rho)
     return TangleDiagram(
         m=d.m, n=d.n,
         crossings=d.crossings,
         fourvalent=d.fourvalent + tuple(
-            _contracted_vertex(d, occ, label) for label in sorted(rho)),
+            _contracted_vertex(d, label) for label in sorted(rho)),
         circles=d.circles,
         bottom=d.bottom, top=d.top,
     )
@@ -353,10 +356,9 @@ def _twin_node(vertex, offset: int):
         (flat[1] + twin[0], w10), (flat[1] + twin[1], w11))
 
 
-def _state_sum(d: TangleDiagram, occ, links) -> LaurentPoly:
+def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
     """Sum of the state sums of a valid d over its thick sets by links,
-    (label, vertex index, vertex index) triples, in one sweep; occ is
-    edge_occurrences(d).
+    (label, vertex index, vertex index) triples, in one sweep.
 
     The sweep contracts the plat closure of d (x) reflect(d), read off d's
     label tuples, absorbing d's 4-valent vertices with their twins, and
@@ -365,18 +367,17 @@ def _state_sum(d: TangleDiagram, occ, links) -> LaurentPoly:
     keeps only the states where every trivalent vertex is taken exactly
     once, so the sweep sums over the perfect matchings by links.
     """
-    # tensor's shift of the reflected copy: max_label(d), as occ holds
-    # every label but the circles'
-    offset = max(max(occ, default=0), max(d.circles, default=0))
+    # tensor's shift of the reflected copy
+    offset = max_label(d)
     # a vertex's mark, its key item, pairs an id past every label of the
     # doubled closure with itself
     vertices = [((2 * offset + 1 + u,) * 2,
                  (a, b, c, a + offset, b + offset, c + offset))
                 for u, (a, b, c) in enumerate(d.trivalent)]
-    options = [(u, v, _twin_node(_contracted_vertex(d, occ, label), offset)[1])
+    options = [(u, v, _twin_node(_contracted_vertex(d, label), offset)[1])
                for label, u, v in links]
     states = _frontier_states(
-        *_doubled_closure(d, offset),
+        *_doubled_closure(d),
         nodes=[_twin_node(v, offset) for v in d.fourvalent],
         vertices=vertices, options=options)
     return states.get(frozenset(), ZERO)
@@ -386,11 +387,11 @@ def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
     """Exact state sum for one enhancement: the sweep with rho's edges as
     the only options."""
     check_state_sum(d)
+    ensure_valid(d)
+    check_enhancement(d, rho)
     occ = edge_occurrences(d)
-    ensure_valid(d, occ)
-    check_enhancement(d, rho, occ)
-    return _state_sum(d, occ, [(label, occ[label][0][1], occ[label][1][1])
-                               for label in sorted(rho)])
+    return _state_sum(d, [(label, occ[label][0][1], occ[label][1][1])
+                          for label in sorted(rho)])
 
 
 def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
@@ -401,12 +402,11 @@ def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements, in one sweep; zero when none exist."""
     check_state_sum(d)
-    occ = edge_occurrences(d)
-    ensure_valid(d, occ)
-    links = _matched_links(d, occ)
+    ensure_valid(d)
+    links = _matched_links(d)
     if d.trivalent and not links:
         return ZERO
-    return _state_sum(d, occ, links)
+    return _state_sum(d, links)
 
 
 def invariant_total(d: TangleDiagram, k: int) -> complex:

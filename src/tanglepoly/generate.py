@@ -16,6 +16,8 @@ from .errors import DomainError, InvalidDiagramError
 from .moves import SpliceSite, braid_pattern, splice_22
 
 MAX_ACTIVE = 5
+# random face and edge picks random_splice_site tries before giving up
+SPLICE_ATTEMPTS = 20
 
 
 class _MorseBuilder:
@@ -137,8 +139,8 @@ def random_trivalent(rng: random.Random, max_vertices: int = 8) -> TangleDiagram
     return b.finish()
 
 
-def random_splice_site(rng: random.Random, d: TangleDiagram,
-                       attempts: int = 20) -> SpliceSite | None:
+def random_splice_site(rng: random.Random,
+                       d: TangleDiagram) -> SpliceSite | None:
     """A splice site in d for which the identity-pattern splice is planar,
     or None when no face offers one."""
     candidates = []
@@ -152,7 +154,7 @@ def random_splice_site(rng: random.Random, d: TangleDiagram,
     # end choice; a single crossing actually occupies the band and filters
     # side-incompatible end pairs.
     probe = braid_pattern(1)
-    for _ in range(attempts):
+    for _ in range(SPLICE_ATTEMPTS):
         edges = rng.choice(candidates)
         a, bb = rng.sample(edges, 2)
         for end_a, end_b in ((0, 0), (0, 1), (1, 0), (1, 1)):

@@ -136,9 +136,8 @@ def ih_rewrite(d: TangleDiagram, edge: int) -> TangleDiagram:
     """
     if edge not in d.thick:
         raise DomainError(f"edge {edge} is not thick")
-    occ = edge_occurrences(d)
-    (_, ui, _), (_, vi, _) = occ[edge]
-    a, b, c, dd = _contracted_vertex(d, occ, edge)
+    (_, ui, _), (_, vi, _) = edge_occurrences(d)[edge]
+    a, b, c, dd = _contracted_vertex(d, edge)
     new_tri = list(d.trivalent)
     new_tri[ui] = (edge, b, c)
     new_tri[vi] = (edge, dd, a)

@@ -28,14 +28,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagram import TangleDiagram, ensure_valid, max_label
+from .diagram import TangleDiagram, _union, ensure_valid, max_label
 from .errors import DomainError
 from .laurent import LaurentPoly, ZERO, delta_power, ensure_root_index
 # bench/tracing.py patches pairing.bracket by attribute
 from .skein import bracket  # noqa: F401
 from .skein import (Basis, CoordinateVector, Matching, _check_strand_diagram,
                     _frontier_states, enumerate_basis)
-from .unionfind import UnionFind
 
 #: Largest (m+n)/2 pairing_matrix accepts: the matrix is square in the
 #: Catalan-sized basis.  p_poly and the state sums build no matrix.
@@ -64,12 +63,12 @@ def plat_loop_count(m: int, n: int, e_i: Matching, e_j: Matching) -> int:
         if {p for pair in mt for p in pair} != full:
             raise DomainError(
                 f"matching {mt} does not cover the ({m},{n}) boundary")
-    uf = UnionFind()
+    parent: dict[int, int] = {}
     loops = 0
 
     def join(u: int, v: int) -> None:
         nonlocal loops
-        if not uf.union(u, v):
+        if not _union(parent, u, v):
             loops += 1
 
     for copy, mt in ((0, e_i), (1, e_j)):
@@ -122,11 +121,13 @@ def _caps(bottom, top) -> list[tuple[int, int]]:
     return list(zip(bottom[::2], bottom[1::2])) + list(zip(top[::2], top[1::2]))
 
 
-def _doubled_closure(d: TangleDiagram, offset: int):
+def _doubled_closure(d: TangleDiagram):
     """(crossings, circles, caps) of the plat closure of d (x) reflect(d),
     read off d's label tuples: the reflected copy reverses the ccw order of
     every crossing and the boundary, and its labels are shifted by
-    offset = max_label(d), as tensor shifts them."""
+    max_label(d), as tensor shifts them."""
+    offset = max_label(d)
+
     def twin(t):
         return tuple(x + offset for x in t)
 
@@ -152,7 +153,7 @@ def p_poly(d: TangleDiagram) -> LaurentPoly:
     if d.m % 2 == 0:
         b = _closed_bracket(d.crossings, len(d.circles), _caps(d.bottom, d.top))
         return b * b.bar()
-    return _closed_bracket(*_doubled_closure(d, max_label(d)))
+    return _closed_bracket(*_doubled_closure(d))
 
 
 def p_eval(d: TangleDiagram, k: int) -> complex:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagram import TangleDiagram, _Record, ensure_valid
+from .diagram import TangleDiagram, _Record, _root, _union, ensure_valid
 # bench/tracing.py patches skein.merge_edges by attribute
 from .diagram import merge_edges  # noqa: F401
 from .errors import DomainError, InvalidDiagramError
 from .laurent import LaurentPoly, Q, ZERO, delta_power
-from .unionfind import UnionFind
 
 Pair = tuple[int, int]
 Matching = tuple[Pair, ...]
@@ -412,7 +411,7 @@ def bracket_oracle(d: TangleDiagram) -> CoordinateVector:
     acc: dict[Matching, LaurentPoly] = {}
     c = len(d.crossings)
     for mask in range(1 << c):
-        uf = UnionFind()
+        parent: dict[int, int] = {}
         circles = len(d.circles)
         exponent = 0
         for i, (a, b, cc, dd) in enumerate(d.crossings):
@@ -424,11 +423,11 @@ def bracket_oracle(d: TangleDiagram) -> CoordinateVector:
                 exponent += 1
             for x, y in joins:
                 # a redundant union closes exactly one loop
-                if not uf.union(x, y):
+                if not _union(parent, x, y):
                     circles += 1
         by_root: dict[int, list[int]] = {}
         for pos, lab in boundary:
-            by_root.setdefault(uf.find(lab), []).append(pos)
+            by_root.setdefault(_root(parent, lab), []).append(pos)
         pairs = []
         for group in by_root.values():
             if len(group) != 2:

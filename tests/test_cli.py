@@ -626,10 +626,12 @@ def test_cli_cold_start_imports_no_dataclasses_or_generators():
 
 
 def test_module_entry_point():
+    src = FIXTURES.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "tanglepoly", "p",
          fixture_path("sigma_cubed.tng"), "--k", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert proc.stdout == "P(D)_1 = 3.000000000 + 0.000000000i\n"
 

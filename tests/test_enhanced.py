@@ -10,7 +10,8 @@ from conftest import FIXTURES, fixture_path
 from tanglepoly import enhanced, pairing, skein
 from tanglepoly.diagram import (TangleDiagram, edge_occurrences, ensure_valid,
                                 is_isomorphic, load_tng, max_label,
-                                merge_edges, relabeled)
+                                merge_edges, parse_tng, read_text, relabeled,
+                                replace)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -125,6 +126,15 @@ def test_contract_handcuff_keeps_both_loops():
 def test_contract_checks_the_enhancement():
     with pytest.raises(DomainError):
         contract(theta(), frozenset({1, 2}))
+
+
+def test_enumeration_and_contraction_validate_first():
+    # labels 1 and 4 occur once each
+    d = D(trivalent=((1, 2, 3), (3, 2, 4)))
+    with pytest.raises(InvalidDiagramError, match="label 1 occurs 1"):
+        enumerate_enhancements(d)
+    with pytest.raises(InvalidDiagramError, match="label 1 occurs 1"):
+        contract(d, frozenset({2}))
 
 
 def test_contract_leaves_strand_diagrams_alone():
@@ -506,9 +516,8 @@ def test_a_ten_rung_ladder_is_one_sweep(monkeypatch):
 def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
     # edge 7 must be thick, so edges 4 and 5 never are
     d = ensure_valid(D(trivalent=((2, 4, 3), (2, 3, 5), (4, 7, 5), (6, 6, 7))))
-    occ = edge_occurrences(d)
-    assert len(enhanced._traced_vertex_links(d, occ)) == 5
-    assert sorted(link[0] for link in enhanced._matched_links(d, occ)) == [2, 3, 7]
+    assert len(enhanced._traced_vertex_links(d)) == 5
+    assert sorted(link[0] for link in enhanced._matched_links(d)) == [2, 3, 7]
     rhos = enumerate_enhancements(d)
     assert rhos == (frozenset({2, 7}), frozenset({3, 7}))
     expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
@@ -566,6 +575,23 @@ def test_state_sums_still_reject_a_nonplanar_graph():
         invariant_rho_poly(d, frozenset({1}))
     with pytest.raises(InvalidDiagramError):
         invariant_total_poly(d)
+
+
+@pytest.mark.parametrize("path", sorted(map(str, FIXTURES.glob("*.tng"))))
+def test_a_diagram_builds_its_label_index_once(path):
+    d = parse_tng(read_text(path))
+    occ = d._occurrences  # built by the parse's label checks
+    assert occ is not None
+    ensure_valid(d)
+    invariant_total_poly(d)
+    if not (d.trivalent or d.fourvalent):
+        p_poly(d)
+    assert edge_occurrences(d) is occ
+    # the index is no field: a copy compares equal and has its own
+    same = replace(d)
+    assert same == d and hash(same) == hash(d) and repr(same) == repr(d)
+    assert edge_occurrences(same) == occ
+    assert edge_occurrences(same) is not occ
 
 
 def test_total_invariant_validates_before_enumerating():

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import pairing, skein
-from tanglepoly.diagram import (TangleDiagram, load_tng, max_label, mirror,
-                               replace)
+from tanglepoly.diagram import (TangleDiagram, _min_rotation, load_tng,
+                               max_label, mirror, reflect, replace, tensor)
 from tanglepoly.errors import DomainError
-from tanglepoly.generate import random_tangle
+from tanglepoly.generate import random_tangle, random_trivalent
 from tanglepoly.laurent import ROOT_INDICES, delta_power
 from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_eval, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
@@ -177,6 +177,24 @@ def test_closure_matches_the_matrix_on_seeded_tangles():
 def test_closure_matches_the_matrix_on_drawn_tangles(seed, crossings):
     d = random_tangle(random.Random(seed), max_crossings=crossings)
     assert p_poly(d) == _p_via_matrix(d)
+
+
+def test_doubled_closure_is_the_plat_closure_of_d_beside_its_reflection():
+    # tensor and reflect build D (x) reflect(D) as a diagram: the oracle of
+    # the closure _doubled_closure reads off D's label tuples
+    paths = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
+    diagrams = [load_tng(str(path)) for path in paths]
+    for seed in range(50):
+        diagrams.append(random_tangle(random.Random(seed), max_crossings=8))
+        diagrams.append(random_trivalent(random.Random(seed)))
+    assert len(diagrams) >= 135
+    for d in diagrams:
+        crossings, circles, caps = pairing._doubled_closure(d)
+        t = tensor(d, reflect(d))
+        assert sorted(_min_rotation(c, (0, 2)) for c in crossings) == \
+            sorted(_min_rotation(c, (0, 2)) for c in t.crossings), d
+        assert circles == len(t.circles), d
+        assert caps == pairing._caps(t.bottom, t.top), d
 
 
 @pytest.mark.parametrize("width", range(1, 6))
