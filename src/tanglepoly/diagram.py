@@ -73,12 +73,17 @@ class _Record:
                            for name, value in zip(self._FIELDS, self._key()))
         return f"{self.__class__.__qualname__}({fields})"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, so cached slots start empty
+        return self.__class__, self._key()
+
 
 class TangleDiagram(_Record):
     _FIELDS = ("m", "n", "crossings", "trivalent", "fourvalent", "circles",
                "bottom", "top", "thick")
-    # _occurrences caches edge_occurrences(self), built on first use
-    __slots__ = _FIELDS + ("_occurrences",)
+    # _occurrences caches edge_occurrences(self) and _report validate(self),
+    # each built on first use
+    __slots__ = _FIELDS + ("_occurrences", "_report")
 
     def __init__(self, m: int, n: int, crossings=(), trivalent=(),
                  fourvalent=(), circles=(), bottom=(), top=(),
@@ -90,7 +95,8 @@ class TangleDiagram(_Record):
             m, n, tuple(_min_rotation(tuple(t), (0, 2)) for t in crossings),
             tuple(_min_rotation(tuple(t), (0, 1, 2)) for t in trivalent),
             tuple(_min_rotation(tuple(t), (0, 2)) for t in fourvalent),
-            tuple(circles), tuple(bottom), tuple(top), frozenset(thick), None)
+            tuple(circles), tuple(bottom), tuple(top), frozenset(thick), None,
+            None)
 
     def node_lines(self) -> Iterator[tuple[str, tuple[int, ...]]]:
         for t in self.crossings:
@@ -306,11 +312,19 @@ class ValidationReport(NamedTuple):
 
 
 def validate(d: TangleDiagram) -> ValidationReport:
-    """Full structural and planarity check; never raises on bad diagrams."""
+    """Full structural and planarity check; never raises on bad diagrams.
+
+    The check runs on the first call; later calls return the same report.
+    """
+    report = d._report
+    if report is not None:
+        return report
     problems = invariant_problems(d)
     if not problems:
         problems = planarity_problems(d)
-    return ValidationReport(not problems, tuple(problems))
+    report = ValidationReport(not problems, tuple(problems))
+    object.__setattr__(d, "_report", report)
+    return report
 
 
 def ensure_valid(d: TangleDiagram) -> TangleDiagram:

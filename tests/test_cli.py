@@ -535,6 +535,27 @@ def test_validate_json(capsys):
     assert obj["problems"]
 
 
+# planarity checks per command: one per input diagram value, so the
+# command's own validation repeats none of _load's; `states` also checks
+# its four state diagrams, and `verify` the 22 files of the manifest
+@pytest.mark.parametrize("argv, checks", [
+    (("p", "trefoil.tng"), 1),
+    (("bracket", "trefoil.tng"), 1),
+    (("invariant", "--all-k", "theta.tng"), 1),
+    (("invariant", "--rho", "2", "--all-k", "theta.tng"), 1),
+    (("rho", "theta.tng"), 1),
+    (("states", "--rho", "2", "theta.tng"), 5),
+    (("validate", "theta.tng"), 1),
+    (("verify", "moves.manifest"), 22),
+])
+def test_each_input_is_checked_for_planarity_once(argv, checks, capsys,
+                                                  planarity_calls):
+    code, _, _ = run(capsys, *argv[:-1], fixture_path(argv[-1]))
+    assert code == 0
+    assert len(planarity_calls) == checks
+    assert len(set(map(id, planarity_calls))) == checks
+
+
 def test_missing_file_is_a_parse_error(capsys):
     code, _, err = run(capsys, "p", "/nonexistent/nothing.tng")
     assert code == 2

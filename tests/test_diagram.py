@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import diagram
-from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram, all_labels,
+from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram,
+                                ValidationReport, all_labels,
                                 boundary_circular_labels, edge_occurrences,
-                                ensure_valid, is_isomorphic, load_tng,
+                                ensure_valid, invariant_problems,
+                                is_isomorphic, load_tng,
                                 map_faces, max_label, merge_edges, mirror,
                                 parse_tng, planarity_problems, reflect,
                                 relabel_occurrence, relabeled, replace,
@@ -320,6 +322,43 @@ def test_validate_agrees_with_a_per_component_euler_count():
         assert validate(d).ok == ok, serialize_tng(d)
         verdicts.append(ok)
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
+
+
+@pytest.mark.parametrize("d", [
+    D(trivalent=((1, 2, 3), (1, 2, 3))),      # theta on a torus
+    D(trivalent=((1, 1, 2), (3, 3, 4))),      # labels 2 and 4 occur once
+], ids=["nonplanar", "label-count"])
+def test_an_invalid_diagram_raises_the_same_text_every_call(d):
+    with pytest.raises(InvalidDiagramError) as first:
+        ensure_valid(d)
+    with pytest.raises(InvalidDiagramError) as second:
+        ensure_valid(d)
+    assert str(first.value) == str(second.value) != ""
+    assert str(first.value) == "; ".join(validate(d).problems)
+
+
+def test_a_diagram_is_checked_once_and_its_replacement_afresh(planarity_calls):
+    d = load_tng(fixture_path("theta.tng"))
+    report = validate(d)
+    assert ensure_valid(d) is d and validate(d) is report
+    assert planarity_calls == [d]
+    same = replace(d)
+    assert validate(same) == report
+    assert len(planarity_calls) == 2 and planarity_calls[1] is same
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6), st.booleans(), st.booleans())
+def test_the_stored_report_equals_a_fresh_one(seed, graph, perturb):
+    rng = random.Random(seed)
+    d = (random_trivalent if graph else random_tangle)(rng)
+    if perturb:
+        d = _perturbed(rng, d)
+    stored = validate(d)
+    problems = invariant_problems(d) or planarity_problems(d)
+    assert stored == ValidationReport(not problems, tuple(problems))
+    assert validate(d) is stored
+    assert validate(replace(d)) == stored
 
 
 def test_relabeled_and_is_isomorphic():

@@ -5,9 +5,13 @@ compared, hashed and rebuilt by their fields; these tests pin that
 behaviour independently of how the classes are written.
 """
 
+import copy
+import pickle
+
 import pytest
 
-from tanglepoly.diagram import TangleDiagram, ValidationReport, replace
+from tanglepoly.diagram import (TangleDiagram, ValidationReport,
+                                edge_occurrences, replace, validate)
 from tanglepoly.laurent import ONE, Q, ZERO
 from tanglepoly.moves import MovePair, PairResult, SpliceSite
 from tanglepoly.pairing import PairingMatrix, pairing_matrix
@@ -55,6 +59,48 @@ def test_diagram_repr_lists_every_field():
     assert repr(TangleDiagram(0, 0)) == (
         "TangleDiagram(m=0, n=0, crossings=(), trivalent=(), fourvalent=(), "
         "circles=(), bottom=(), top=(), thick=frozenset())")
+
+
+def test_the_cached_index_and_report_are_no_fields():
+    d = TangleDiagram(**SAMPLE)
+    fresh = TangleDiagram(**SAMPLE)
+    text, key = repr(d), hash(d)
+    edge_occurrences(d)
+    validate(d)
+    assert d._occurrences is not None and d._report is not None
+    assert d == fresh and fresh == d
+    assert hash(d) == key == hash(fresh)
+    assert repr(d) == text == repr(fresh)
+    assert replace(d)._report is None
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_diagrams_copy_and_pickle_without_their_caches(how):
+    d = TangleDiagram(**SAMPLE)
+    report = validate(d)
+    twin = COPIES[how](d)
+    assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)
+    assert twin._occurrences is None and twin._report is None
+    assert validate(twin) == report
+    assert d._report is report
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_bases_and_vectors_copy_and_pickle(how):
+    basis = enumerate_basis(2, 2)
+    twin = COPIES[how](basis)
+    assert twin == basis and hash(twin) == hash(basis)
+    assert twin.index_of(basis.elements[1]) == 1
+    u = CoordinateVector(basis, (ONE, Q))
+    v = COPIES[how](u)
+    assert v == u and hash(v) == hash(u) and v.as_dict() == u.as_dict()
 
 
 def test_bases_and_vectors_compare_by_value():
