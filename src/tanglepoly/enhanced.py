@@ -24,14 +24,14 @@ W[s][t] = [[3, q^2 + q^-2], [q^2 + q^-2, 3]] on the joint flat smoothings
 contraction of that closure which absorbs each vertex with its twin in the
 four joint smoothings.  The enhancements differ only in their thick edges,
 so the total is one contraction of the graph's own doubled closure, read
-off its label tuples: every direct edge that lies in some perfect
-matching is an option, skipped (weight 1, no arcs) or taken (absorbing
-the twin node of the 4-valent vertex its contraction makes), and the
-frontier key records which vertices are covered, so only the states that
-take one edge at every vertex survive.  Its cost follows the frontier
-width, not the enhancement count.  The per-enhancement invariant is the
-same sweep with the enhancement's edges as the only options.  contract,
-expand_states and state_polys keep the literal 4^n expansion for the
+off its label tuples: every direct edge that forced-edge peeling keeps
+is an option, skipped (weight 1, no arcs) or taken (absorbing the twin
+node of the 4-valent vertex its contraction makes), and the frontier key
+records which vertices are covered, so only the states that take one edge
+at every vertex survive.  Its cost follows the frontier width, not the
+enhancement count.  The per-enhancement invariant is the same sweep with
+the enhancement's edges as the only options.  contract, expand_states
+and state_polys keep the literal 4^n expansion for the
 `states` listing and as the oracle of these identities;
 enumerate_enhancements lists the enhancements for `rho`, once the same
 sweep, with options that lay no arcs, has counted them within
@@ -127,6 +127,31 @@ def _links_by_vertex(nv: int, links) -> list[list[tuple[int, int]]]:
     return by_vertex
 
 
+def _peeled_links(d: TangleDiagram) -> list[tuple[int, int, int]] | None:
+    """The traced links in traced order, less those forced-edge peeling
+    shows to lie in no perfect matching; None if a vertex is left without
+    links.  A vertex with one link takes it, so its partner's other links
+    die and may force more; a kept link in no matching is a harmless option."""
+    links = _traced_vertex_links(d)
+    by_vertex = _links_by_vertex(len(d.trivalent), links)
+    dead: set[int] = set()
+
+    def live(u):
+        return [link for link in by_vertex[u] if link[0] not in dead]
+
+    forced = [u for u, at in enumerate(by_vertex) if len(at) < 2]
+    while forced:
+        for label, v in live(forced.pop()):  # its one link, if any
+            for other, w in live(v):
+                if other != label:
+                    dead.add(other)
+                    if len(live(w)) < 2:
+                        forced.append(w)
+    if all(map(live, range(len(by_vertex)))):
+        return [link for link in links if link[0] not in dead]
+    return None
+
+
 def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
     """Yield every perfect matching by links that extends chosen, whose
     vertices are the matched ones, as a thick set.  Depth-first: the first
@@ -161,10 +186,9 @@ MAX_LISTED_ENHANCEMENTS = 100000
 
 
 def _count_matchings(d: TangleDiagram, links) -> int:
-    """Number of perfect matchings of d's trivalent vertices by links: the
-    frontier sweep with every link an option whose take lays no arcs."""
-    if len({w for _, u, v in links for w in (u, v)}) < len(d.trivalent):
-        return 0  # a vertex without links
+    """Number of perfect matchings of d's trivalent vertices by links, as
+    _peeled_links gives them (every vertex has one): the frontier sweep
+    with every link an option whose take lays no arcs."""
     # no arcs are laid, so any distinct marks do
     vertices = [((u, u), t) for u, t in enumerate(d.trivalent)]
     take = (((), (1,)),)  # one smoothing: no arcs, weight 1
@@ -180,34 +204,17 @@ def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
     before listing any, a diagram with more than MAX_LISTED_ENHANCEMENTS of
     them; when the count finds none, returns () without a search."""
     ensure_valid(d)
-    nv = len(d.trivalent)
-    if nv == 0:
-        return (frozenset(),)
-    links = _traced_vertex_links(d)
-    count = _count_matchings(d, links)
+    links = _peeled_links(d)
+    count = 0 if links is None else _count_matchings(d, links)
     if count > MAX_LISTED_ENHANCEMENTS:
         raise DomainError(
             "enhancement listing supported only for at most "
             f"{MAX_LISTED_ENHANCEMENTS} enhancements")
     if not count:
         return ()
+    nv = len(d.trivalent)
     found = set(_matchings(_links_by_vertex(nv, links), [False] * nv, []))
     return tuple(sorted(found, key=sorted))
-
-
-def _matched_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
-    """The traced links that lie in at least one valid thick set: a search
-    from each link, stopped at the first perfect matching it completes,
-    whose links are then all known to qualify."""
-    links = _traced_vertex_links(d)
-    by_vertex = _links_by_vertex(len(d.trivalent), links)
-    kept: set[int] = set()
-    for label, u, v in links:
-        if label not in kept:
-            matched = [False] * len(by_vertex)
-            matched[u] = matched[v] = True
-            kept.update(next(_matchings(by_vertex, matched, [label]), ()))
-    return [link for link in links if link[0] in kept]
 
 
 def enhancements_by_vertex_sums(d: TangleDiagram) -> tuple[Enhancement, ...]:
@@ -403,10 +410,8 @@ def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements, in one sweep; zero when none exist."""
     check_state_sum(d)
     ensure_valid(d)
-    links = _matched_links(d)
-    if d.trivalent and not links:
-        return ZERO
-    return _state_sum(d, links)
+    links = _peeled_links(d)
+    return ZERO if links is None else _state_sum(d, links)
 
 
 def invariant_total(d: TangleDiagram, k: int) -> complex:

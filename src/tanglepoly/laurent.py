@@ -9,6 +9,10 @@ the residues coprime to 24, so q ranges over the primitive 24th roots of
 unity: the common zeros of q - q^-3 + q^-7 and of its image under the bar
 involution q -> q^-1.  Powers of such a q depend on the exponent only mod 24,
 which a fixed table exploits to keep evaluation error at machine epsilon.
+The eight roots share the minimal polynomial q^8 - q^4 + 1, so a
+polynomial's eight values are fixed by its residue modulo it, 8 integers,
+and two polynomials agree at one admissible root exactly when their
+residues are equal.
 """
 
 from __future__ import annotations
@@ -167,6 +171,21 @@ class LaurentPoly:
         ensure_root_index(k)
         return sum((c * _ROOT24[(k * e) % 24] for e, c in self._terms.items()),
                    complex(0))
+
+    def residue(self) -> tuple[int, ...]:
+        """Coefficients of 1, q, ..., q^7 in the remainder modulo
+        q^8 - q^4 + 1: exponents fold mod 24, then q^12 = -1 and
+        q^8 = q^4 - 1."""
+        out = [0] * 8
+        for e, c in self._terms.items():
+            r = e % 24
+            if r >= 12:
+                r, c = r - 12, -c
+            if r >= 8:
+                out[r - 8] -= c
+                r -= 4
+            out[r] += c
+        return tuple(out)
 
     def __str__(self) -> str:
         if not self._terms:

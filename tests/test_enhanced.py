@@ -1,6 +1,7 @@
 import glob
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from tanglepoly import enhanced, pairing, skein
 from tanglepoly.diagram import (TangleDiagram, edge_occurrences, ensure_valid,
                                 is_isomorphic, load_tng, max_label,
                                 merge_edges, parse_tng, read_text, relabeled,
-                                replace)
+                                replace, tensor)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -472,6 +473,11 @@ PINNED_PLANS = {
 }
 
 
+# loops at vertices 0 and 1 leave each of them one link
+SHARED = D(trivalent=((1, 1, 2), (3, 3, 4), (2, 6, 5), (4, 7, 6), (5, 7, 9),
+                      (9, 10, 10)))
+
+
 def test_the_sweep_plans_are_pinned(monkeypatch):
     graph = random_trivalent(random.Random(5), max_vertices=6)
     assert len(graph.trivalent) == 6
@@ -483,11 +489,21 @@ def test_the_sweep_plans_are_pinned(monkeypatch):
                       D(trivalent=((1, 1, 2), (2, 3, 4)),
                         fourvalent=((4, 5, 5, 3),))),
              "count": (enumerate_enhancements, _ladder(4)),
-             "shared": (enumerate_enhancements, D(trivalent=(
-                 (1, 1, 2), (3, 3, 4), (2, 6, 5), (4, 7, 6), (5, 7, 9),
-                 (9, 10, 10))))}
+             # every traced link: peeling would force this graph's matching
+             "shared": (lambda d: enhanced._count_matchings(
+                 d, enhanced._traced_vertex_links(d)), SHARED)}
     for name, (compute, d) in cases.items():
         assert _plan(monkeypatch, compute, d) == PINNED_PLANS[name], name
+
+
+def test_peeling_takes_the_forced_edges_only():
+    # the loops force edges 2 and 4, which kill 5, 6 and 7 and force 9
+    assert [link[0] for link in enhanced._peeled_links(SHARED)] == [2, 4, 9]
+    assert enumerate_enhancements(SHARED) == (frozenset({2, 4, 9}),)
+    # nothing forced: a ladder's links all stay
+    ladder = _ladder(4)
+    assert enhanced._peeled_links(ladder) == \
+        enhanced._traced_vertex_links(ladder)
 
 
 def test_the_plan_is_built_once_per_graph(monkeypatch):
@@ -517,7 +533,7 @@ def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
     # edge 7 must be thick, so edges 4 and 5 never are
     d = ensure_valid(D(trivalent=((2, 4, 3), (2, 3, 5), (4, 7, 5), (6, 6, 7))))
     assert len(enhanced._traced_vertex_links(d)) == 5
-    assert sorted(link[0] for link in enhanced._matched_links(d)) == [2, 3, 7]
+    assert [link[0] for link in enhanced._peeled_links(d)] == [2, 3, 7]
     rhos = enumerate_enhancements(d)
     assert rhos == (frozenset({2, 7}), frozenset({3, 7}))
     expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
@@ -554,6 +570,37 @@ def test_the_total_sweep_sums_the_restricted_sweeps_on_fixtures():
             invariant_rho_poly(d, rho) for rho in rhos), path
         checked += len(rhos)
     assert checked >= 30
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10 ** 6))
+def test_the_total_sweep_sums_the_restricted_sweeps_on_random_graphs(seed):
+    # two random graphs side by side: up to 16 trivalent vertices
+    rng = random.Random(seed)
+    d = tensor(random_trivalent(rng), random_trivalent(rng))
+    rhos = enumerate_enhancements(d)
+    # the listing and the total both read the peeled links, so the oracle
+    # searches every traced link, unpeeled
+    nv = len(d.trivalent)
+    by_vertex = enhanced._links_by_vertex(nv, enhanced._traced_vertex_links(d))
+    assert set(rhos) == set(enhanced._matchings(by_vertex, [False] * nv, []))
+    assert invariant_total_poly(d) == poly_sum(
+        invariant_rho_poly(d, rho) for rho in rhos)
+
+
+def test_a_link_in_no_perfect_matching_is_peeled_not_searched(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enhancements searched")
+
+    # the ladder's links all lie in perfect matchings of the ladder alone,
+    # but the claws make every link one that lies in none
+    monkeypatch.setattr(enhanced, "_matchings", refuse)
+    assert invariant_total_poly(ensure_valid(_ladder_and_claws(9))) == ZERO
+    # linear in the links: a search per link grows about x3.2 per two rungs
+    d = ensure_valid(_ladder_and_claws(24))
+    start = time.perf_counter()
+    assert enhanced._peeled_links(d) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_state_sum_never_calls_the_state_oracle(monkeypatch):

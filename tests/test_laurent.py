@@ -117,6 +117,24 @@ def test_pow_matches_repeated_multiplication(p, n):
     assert p ** n == expected
 
 
+PHI24 = LaurentPoly({8: 1, 4: -1, 0: 1})
+
+
+@given(polys, polys)
+def test_residue_is_the_remainder_mod_phi24(p, q):
+    residue = p.residue()
+    assert len(residue) == 8
+    assert (p + PHI24 * q).residue() == residue
+    assert (PHI24 * q).residue() == (0,) * 8
+    assert LaurentPoly(dict(enumerate(residue))).residue() == residue
+
+
+@given(polys, st.sampled_from(ROOT_INDICES))
+def test_residue_has_the_values_at_the_roots(p, k):
+    remainder = LaurentPoly(dict(enumerate(p.residue())))
+    assert abs(remainder.eval_root(k) - p.eval_root(k)) < 1e-9
+
+
 def test_negative_pow_rejected():
     with pytest.raises(ValueError):
         Q ** -1

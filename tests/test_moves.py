@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly.diagram import (TangleDiagram, all_labels, is_isomorphic,
-                                load_tng, map_faces, mirror)
+                                load_tng, map_faces, mirror, serialize_tng)
 from tanglepoly.enhanced import contract, invariant_rho_poly
 from tanglepoly.errors import (DomainError, InvalidDiagramError, ParseError,
                                TangleError)
-from tanglepoly.generate import random_splice_site, random_tangle
+from tanglepoly.generate import (_MorseBuilder, random_splice_site,
+                                 random_tangle)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES
 from tanglepoly.moves import (MovePair, SpliceSite, braid_pattern,
                               comparison_poly, ih_rewrite, insert_kink,
@@ -287,7 +288,45 @@ def test_verify_pair_reports_root_failures(tmp_path):
                     str(FIXTURES / "circle.tng"), "M3", "root")
     result = verify_pair(pair, str(tmp_path))
     assert not result.ok
-    assert "k=" in result.detail
+    # reported at the first root checked
+    assert result.detail.startswith("k=1: ")
+    assert verify_pair(pair, str(tmp_path), 5).detail.startswith("k=5: ")
+
+
+def _divisible_by_phi24(p):
+    """Integer long division by the monic q^8 - q^4 + 1: no remainder."""
+    low = min(p.terms)
+    coeffs = [0] * (max(p.terms) - low + 1)
+    for e, c in p.terms.items():
+        coeffs[e - low] = c
+    for i in range(len(coeffs) - 1, 7, -1):
+        c, coeffs[i] = coeffs[i], 0
+        coeffs[i - 4] += c
+        coeffs[i - 8] -= c
+    return not any(coeffs[:8])
+
+
+def test_root_pairs_of_large_diagrams_compare_exactly(tmp_path):
+    # a triple twist spliced into a 100-crossing braid on 10 strands: the
+    # coefficients of P reach about 6.6 * 10^9, and the float values of
+    # the two sides differ by up to 1.3 * 10^-6 at the roots
+    rng = random.Random(1)
+    b = _MorseBuilder(10)
+    for _ in range(100):
+        b.cross(rng.randrange(9), rng.choice((1, -1)))
+    d = b.finish()
+    site = random_splice_site(random.Random(1), d)
+    sides = {"a": splice_22(d, site, braid_pattern(1, 1, 1)),
+             "b": splice_22(d, site, braid_pattern())}
+    for name, side in sides.items():
+        (tmp_path / f"{name}.tng").write_text(serialize_tng(side))
+    pair = MovePair("big", "a.tng", "b.tng", "+3", "root")
+    assert verify_pair(pair, str(tmp_path)).ok
+    for k in ROOT_INDICES:
+        assert verify_pair(pair, str(tmp_path), k).ok
+    pa, pb = (p_poly(side) for side in sides.values())
+    assert pa != pb and pa.residue() == pb.residue()
+    assert _divisible_by_phi24(pa - pb)
 
 
 def test_verify_pair_reports_exact_failures():
