@@ -14,17 +14,16 @@ from .diagram import (TangleDiagram, ValidationReport, all_labels,
                       reflect, relabeled, serialize_tng, tensor, validate)
 from .enhanced import (Enhancement, STATE_PATTERNS, check_enhancement,
                        contract, enhancements_by_vertex_sums,
-                       enumerate_enhancements, expand_states, invariant_rho,
-                       invariant_rho_poly, invariant_total,
-                       invariant_total_poly, state_polys)
+                       enumerate_enhancements, expand_states,
+                       invariant_rho_poly, invariant_total_poly, state_polys)
 from .errors import (DomainError, InvalidDiagramError, ParseError,
                      TangleError)
 from .laurent import (DELTA, ONE, Q, ROOT_INDICES, ZERO, LaurentPoly,
                       delta_power, ensure_root_index, root_value)
-from .moves import (MovePair, PairResult, SpliceSite, TOL_ROOT, braid_pattern,
+from .moves import (MovePair, PairResult, SpliceSite, braid_pattern,
                     comparison_poly, ih_rewrite, insert_kink, parse_manifest,
                     splice_22, verify_manifest, verify_pair)
-from .pairing import (MAX_HALF_BOUNDARY, PairingMatrix, p_eval, p_poly,
+from .pairing import (MAX_HALF_BOUNDARY, PairingMatrix, p_poly,
                       pairing_matrix, plat_loop_count)
 from .skein import (Basis, CoordinateVector, bracket, bracket_oracle,
                     enumerate_basis, format_matching, vector_bar)
@@ -38,17 +37,16 @@ __all__ = [
     "serialize_tng", "tensor", "validate",
     "Enhancement", "STATE_PATTERNS", "check_enhancement", "contract",
     "enhancements_by_vertex_sums", "enumerate_enhancements", "expand_states",
-    "invariant_rho", "invariant_rho_poly", "invariant_total",
-    "invariant_total_poly", "state_polys",
+    "invariant_rho_poly", "invariant_total_poly", "state_polys",
     "DomainError", "InvalidDiagramError", "ParseError", "TangleError",
     "random_splice_site", "random_tangle", "random_trivalent",
     "DELTA", "ONE", "Q", "ROOT_INDICES", "ZERO", "LaurentPoly",
     "delta_power", "ensure_root_index", "root_value",
-    "MovePair", "PairResult", "SpliceSite", "TOL_ROOT", "braid_pattern",
+    "MovePair", "PairResult", "SpliceSite", "braid_pattern",
     "comparison_poly", "ih_rewrite", "insert_kink", "parse_manifest",
     "splice_22", "verify_manifest", "verify_pair",
-    "MAX_HALF_BOUNDARY", "PairingMatrix", "p_eval", "p_poly",
-    "pairing_matrix", "plat_loop_count",
+    "MAX_HALF_BOUNDARY", "PairingMatrix", "p_poly", "pairing_matrix",
+    "plat_loop_count",
     "Basis", "CoordinateVector", "bracket", "bracket_oracle",
     "enumerate_basis", "format_matching", "vector_bar",
     "__version__",

@@ -30,18 +30,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def complex_text(z: complex) -> str:
-    re, im = round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0
+#: Fractional digits of printed root values.
+DIGITS = 9
+
+
+def _fixed(n: int) -> str:
+    whole, frac = divmod(abs(n), 10 ** DIGITS)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{DIGITS}d}"
+
+
+def complex_text(value: tuple[int, int]) -> str:
+    """Text of a root value given as LaurentPoly.rounded_root(k, DIGITS)."""
+    re, im = value
     sign = "+" if im >= 0 else "-"
-    return f"{re:.9f} {sign} {abs(im):.9f}i"
+    return f"{_fixed(re)} {sign} {_fixed(abs(im))}i"
 
 
 def poly_json(p: LaurentPoly) -> dict:
     return {"terms": [[e, c] for e, c in p.items_desc()], "text": str(p)}
 
 
-def complex_json(z: complex) -> dict:
-    return {"re": round(z.real, 9) + 0.0, "im": round(z.imag, 9) + 0.0}
+def complex_json(value: tuple[int, int]) -> dict:
+    """Both parts as the doubles nearest to their rounded decimals."""
+    re, im = value
+    return {"re": re / 10 ** DIGITS, "im": im / 10 ** DIGITS}
 
 
 def _emit(args, text_lines, obj) -> None:
@@ -103,7 +115,7 @@ def cmd_p(args) -> int:
     if args.k is None:
         _emit(args, [f"P(D) = {p}"], {"p": poly_json(p)})
     else:
-        z = p.eval_root(args.k)
+        z = p.rounded_root(args.k, DIGITS)
         _emit(args, [f"P(D)_{args.k} = {complex_text(z)}"],
               {"k": args.k, "value": complex_json(z)})
     return 0
@@ -168,7 +180,7 @@ def cmd_invariant(args) -> int:
         poly = invariant_rho_poly(d, rho)
     else:
         poly = invariant_total_poly(d)
-    values = [(k, poly.eval_root(k)) for k in ks]
+    values = [(k, poly.rounded_root(k, DIGITS)) for k in ks]
     lines = [f"I_{k}(G) = {complex_text(z)}" for k, z in values]
     _emit(args, lines, {
         "values": [{"k": k, "value": complex_json(z)} for k, z in values],

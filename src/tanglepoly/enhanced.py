@@ -10,9 +10,9 @@ Contracting each thick edge merges its two endpoints into one 4-valent
 vertex; every 4-valent vertex then expands into the four local patterns
 T-, T+, T0, Tinf, and each resulting strand diagram contributes its pairing
 polynomial.  Summing the 4^n states gives the per-enhancement invariant;
-summing that over all enhancements gives the total.  Both are exposed
-symbolically (exact polynomials) and numerically (values at the eight
-admissible roots).
+summing that over all enhancements gives the total.  Both are exact
+polynomials; their values at the eight admissible roots are read off the
+polynomial (LaurentPoly.eval_root, LaurentPoly.rounded_root).
 
 The sums are not taken state by state, nor enhancement by enhancement.
 P(D) is the bracket of the plat closure of D (x) reflect(D), and the
@@ -50,7 +50,7 @@ from itertools import product
 from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
                       max_label, merge_edges)
 from .errors import DomainError, InvalidDiagramError
-from .laurent import DELTA, ZERO, LaurentPoly, delta_power, ensure_root_index
+from .laurent import DELTA, ZERO, LaurentPoly, delta_power
 from .pairing import _doubled_closure, p_poly
 from .skein import _frontier_states
 
@@ -401,19 +401,9 @@ def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
                           for label in sorted(rho)])
 
 
-def invariant_rho(d: TangleDiagram, rho: Enhancement, k: int) -> complex:
-    ensure_root_index(k)
-    return invariant_rho_poly(d, rho).eval_root(k)
-
-
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements, in one sweep; zero when none exist."""
     check_state_sum(d)
     ensure_valid(d)
     links = _peeled_links(d)
     return ZERO if links is None else _state_sum(d, links)
-
-
-def invariant_total(d: TangleDiagram, k: int) -> complex:
-    ensure_root_index(k)
-    return invariant_total_poly(d).eval_root(k)

@@ -7,12 +7,13 @@ are identical.  Coefficients are Python ints and never overflow.
 Evaluation points are q = exp(k*pi*i/12) for k in ROOT_INDICES.  These k are
 the residues coprime to 24, so q ranges over the primitive 24th roots of
 unity: the common zeros of q - q^-3 + q^-7 and of its image under the bar
-involution q -> q^-1.  Powers of such a q depend on the exponent only mod 24,
-which a fixed table exploits to keep evaluation error at machine epsilon.
-The eight roots share the minimal polynomial q^8 - q^4 + 1, so a
-polynomial's eight values are fixed by its residue modulo it, 8 integers,
-and two polynomials agree at one admissible root exactly when their
-residues are equal.
+involution q -> q^-1.  The eight roots share the minimal polynomial
+q^8 - q^4 + 1, so a polynomial's eight values are fixed by its residue
+modulo it, 8 integers, and two polynomials agree at one admissible root
+exactly when their residues are equal.  Every root value is read from the
+residue: eval_root sums its at most 8 terms in floats, and rounded_root
+rounds exactly, because cos(j*pi/12) and sin(j*pi/12) lie in
+Q(sqrt 2, sqrt 3).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DomainError
 
@@ -28,6 +29,43 @@ from .errors import DomainError
 ROOT_INDICES: tuple[int, ...] = (1, 5, 7, 11, 13, 17, 19, 23)
 
 _ROOT24 = tuple(cmath.exp(1j * math.pi * j / 12) for j in range(24))
+
+#: 4 cos(j*pi/12) for j = 0..6 as integer coefficients of 1, sqrt 2, sqrt 3
+#: and sqrt 6.
+_COS4 = ((4, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, 2, 0, 0),
+         (2, 0, 0, 0), (0, -1, 0, 1), (0, 0, 0, 0))
+
+
+def _cos4(j: int) -> tuple[int, ...]:
+    """4 cos(j*pi/12) over 1, sqrt 2, sqrt 3, sqrt 6: cos is even with
+    period 24, and cos(pi - x) = -cos(x)."""
+    j = min(j % 24, -j % 24)
+    return _COS4[j] if j <= 6 else tuple(-x for x in _COS4[12 - j])
+
+
+def _round_quarter(v, digits: int) -> int:
+    """round(10^digits * (a + b sqrt 2 + c sqrt 3 + d sqrt 6) / 4) for
+    v = (a, b, c, d), exactly; a half rounds up.
+
+    isqrt floors each root term at `guard` extra digits, so the sum is
+    within 3 units of the exact one.  The guard doubles while that bracket
+    straddles a rounding boundary, which an irrational value leaves for
+    good at some guard.  A rational value (b = c = d = 0) has no error.
+    """
+    a, b, c, d = v
+    err = 3 if b or c or d else 0
+    guard = 4
+    while True:
+        scale = 10 ** (digits + guard)
+        t = a * scale
+        for s, x in ((2, b), (3, c), (6, d)):
+            root = math.isqrt(s * (x * scale) ** 2)
+            t += root if x >= 0 else -root
+        unit = 4 * 10 ** guard
+        lo, hi = ((t + off + unit // 2) // unit for off in (-err, err))
+        if lo == hi:
+            return lo
+        guard *= 2
 
 
 def ensure_root_index(k: int) -> int:
@@ -45,7 +83,7 @@ def root_value(k: int) -> complex:
 class LaurentPoly:
     """Immutable integer Laurent polynomial in the variable q."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_residue")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         data = {}
@@ -54,7 +92,7 @@ class LaurentPoly:
                 if c:
                     data[int(e)] = int(c)
         self._terms = data
-        self._hash: int | None = None
+        self._residue: tuple[int, ...] | None = None
 
     @classmethod
     def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
@@ -80,12 +118,10 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            # a constant equals its int, so it must hash like it too
-            terms = self._terms
-            self._hash = (hash(terms.get(0, 0)) if terms.keys() <= {0}
-                          else hash(frozenset(terms.items())))
-        return self._hash
+        # a constant equals its int, so it must hash like it too
+        terms = self._terms
+        return (hash(terms.get(0, 0)) if terms.keys() <= {0}
+                else hash(frozenset(terms.items())))
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -154,12 +190,6 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def shifted(self, exp: int) -> "LaurentPoly":
-        """Multiplication by the monomial q^exp."""
-        res = LaurentPoly()
-        res._terms = {e + exp: c for e, c in self._terms.items()}
-        return res
-
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^-1 (negate every exponent)."""
         res = LaurentPoly()
@@ -167,25 +197,43 @@ class LaurentPoly:
         return res
 
     def eval_root(self, k: int) -> complex:
-        """Value at q = exp(k*pi*i/12) for an admissible root index k."""
+        """Value at q = exp(k*pi*i/12) for an admissible root index k,
+        summed in floats over the residue: at most 8 terms."""
         ensure_root_index(k)
-        return sum((c * _ROOT24[(k * e) % 24] for e, c in self._terms.items()),
-                   complex(0))
+        return sum((c * _ROOT24[k * r % 24]
+                    for r, c in enumerate(self.residue()) if c), complex(0))
+
+    def rounded_root(self, k: int, digits: int) -> tuple[int, int]:
+        """10^digits times the value at root index k, real and imaginary
+        parts each rounded exactly to the nearest integer.  From the
+        residue, 4 Re and 4 Im are a + b sqrt 2 + c sqrt 3 + d sqrt 6
+        with integers a to d."""
+        ensure_root_index(k)
+        re, im = [0] * 4, [0] * 4
+        for r, c in enumerate(self.residue()):
+            if c:
+                # sin(x) = cos(pi/2 - x)
+                for i, (x, y) in enumerate(zip(_cos4(k * r), _cos4(6 - k * r))):
+                    re[i] += c * x
+                    im[i] += c * y
+        return _round_quarter(re, digits), _round_quarter(im, digits)
 
     def residue(self) -> tuple[int, ...]:
         """Coefficients of 1, q, ..., q^7 in the remainder modulo
         q^8 - q^4 + 1: exponents fold mod 24, then q^12 = -1 and
-        q^8 = q^4 - 1."""
-        out = [0] * 8
-        for e, c in self._terms.items():
-            r = e % 24
-            if r >= 12:
-                r, c = r - 12, -c
-            if r >= 8:
-                out[r - 8] -= c
-                r -= 4
-            out[r] += c
-        return tuple(out)
+        q^8 = q^4 - 1.  Computed once per polynomial."""
+        if self._residue is None:
+            out = [0] * 8
+            for e, c in self._terms.items():
+                r = e % 24
+                if r >= 12:
+                    r, c = r - 12, -c
+                if r >= 8:
+                    out[r - 8] -= c
+                    r -= 4
+                out[r] += c
+            self._residue = tuple(out)
+        return self._residue
 
     def __str__(self) -> str:
         if not self._terms:
@@ -221,10 +269,3 @@ def delta_power(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("loop count cannot be negative")
     return DELTA ** n
-
-
-def poly_sum(values: Iterable[LaurentPoly]) -> LaurentPoly:
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total

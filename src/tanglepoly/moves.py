@@ -30,10 +30,6 @@ from .errors import DomainError, ParseError
 from .laurent import ROOT_INDICES, LaurentPoly, ensure_root_index
 from .pairing import p_poly
 
-#: Float tolerance of root-value comparisons outside verify, which compares
-#: residues exactly.
-TOL_ROOT = 1e-9
-
 
 def braid_pattern(*signs: int) -> TangleDiagram:
     """(2,2) braid with one crossing per sign; no signs gives the identity."""

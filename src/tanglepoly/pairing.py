@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .diagram import TangleDiagram, _union, ensure_valid, max_label
 from .errors import DomainError
-from .laurent import LaurentPoly, ZERO, delta_power, ensure_root_index
+from .laurent import LaurentPoly, ZERO, delta_power
 # bench/tracing.py patches pairing.bracket by attribute
 from .skein import bracket  # noqa: F401
 from .skein import (Basis, CoordinateVector, Matching, _check_strand_diagram,
@@ -154,8 +154,3 @@ def p_poly(d: TangleDiagram) -> LaurentPoly:
         b = _closed_bracket(d.crossings, len(d.circles), _caps(d.bottom, d.top))
         return b * b.bar()
     return _closed_bracket(*_doubled_closure(d))
-
-
-def p_eval(d: TangleDiagram, k: int) -> complex:
-    ensure_root_index(k)
-    return p_poly(d).eval_root(k)

@@ -13,7 +13,7 @@ from tanglepoly.errors import DomainError
 from tanglepoly.enhanced import (enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
                                  contract, invariant_rho_poly,
-                                 invariant_total, invariant_total_poly)
+                                 invariant_total_poly)
 from tanglepoly.generate import (random_splice_site, random_tangle,
                                  random_trivalent)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
@@ -228,13 +228,14 @@ FROZEN_THETA_VALUES = {k: 54.0 for k in ROOT_INDICES}
 
 def test_criterion_12_end_to_end_goldens():
     circle = load_tng(fixture_path("circle.tng"))
-    ok = abs(invariant_total(circle, 1) - 3.0) < TOL_ROOT
+    ok = abs(invariant_total_poly(circle).eval_root(1) - 3.0) < TOL_ROOT
 
     theta = load_tng(fixture_path("theta.tng"))
     cross_check = _total_invariant_via_oracle(theta)
     ok = ok and cross_check == invariant_total_poly(theta)
     ok = ok and cross_check == FROZEN_THETA_POLY
     for k, frozen in FROZEN_THETA_VALUES.items():
-        ok = ok and abs(invariant_total(theta, k) - frozen) < TOL_ROOT
+        ok = ok and abs(invariant_total_poly(theta).eval_root(k)
+                        - frozen) < TOL_ROOT
     _report(12, "circle evaluates to 3.0 and the theta goldens survive the "
                 "independent oracle route", ok)

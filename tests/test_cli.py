@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, decimal_root_text, fixture_path
 from tanglepoly import cli, enhanced, pairing, skein
 from tanglepoly.cli import complex_text, main
-from tanglepoly.diagram import TangleDiagram, ensure_valid, serialize_tng
+from tanglepoly.diagram import (TangleDiagram, ensure_valid, load_tng,
+                                max_label, replace, serialize_tng)
 from tanglepoly.laurent import ROOT_INDICES, delta_power
 from tanglepoly.moves import braid_pattern
 
@@ -28,10 +30,14 @@ def run(capsys, *argv):
 
 
 def test_complex_text_format():
-    assert complex_text(3 + 0j) == "3.000000000 + 0.000000000i"
-    assert complex_text(-1.5 - 2.25j) == "-1.500000000 - 2.250000000i"
-    # rounding squashes tiny parts to +0.0, never -0.0
-    assert complex_text(1e-13 - 1e-13j) == "0.000000000 + 0.000000000i"
+    # parts come as integers in units of 10^-9, as rounded_root gives them
+    assert complex_text((3 * 10**9, 0)) == "3.000000000 + 0.000000000i"
+    assert complex_text((-1_500_000_000, -2_250_000_000)) \
+        == "-1.500000000 - 2.250000000i"
+    # a part that rounds to zero prints unsigned, never as -0
+    assert complex_text((0, 0)) == "0.000000000 + 0.000000000i"
+    assert complex_text((-7, 3 * 10**18)) \
+        == "-0.000000007 + 3000000000.000000000i"
 
 
 def test_basis_listing(capsys):
@@ -152,7 +158,7 @@ def test_invariant_at_a_wide_boundary_builds_no_basis(tmp_path, capsys,
     d = ensure_valid(_wide_fourvalent())
     states = enhanced.state_polys(d)
     assert len(states) == 4
-    expected = sum(p for _, p in states).eval_root(1)
+    expected = sum(p for _, p in states).rounded_root(1, cli.DIGITS)
     for owner, name in ((pairing, "enumerate_basis"), (skein, "enumerate_basis"),
                         (pairing, "pairing_matrix"), (pairing, "pair")):
         monkeypatch.setattr(owner, name, _refuse)
@@ -167,6 +173,30 @@ def test_p_at_a_root(capsys):
                        "--k", "1")
     assert code == 0
     assert out == "P(D)_1 = 3.000000000 + 0.000000000i\n"
+
+
+def _with_circles(name, count):
+    """A fixture with `count` extra free loops, each a factor -q^2 - q^-2."""
+    d = load_tng(fixture_path(name))
+    start = max_label(d) + 1
+    return replace(d, circles=d.circles + tuple(range(start, start + count)))
+
+
+@pytest.mark.parametrize("name, circles, k, text", [
+    # the float sum printed 2761448.439675651 + 0.000000007i, and the
+    # float sum over the residue 2761448.439675635 - 0.000000001i
+    ("three_strand.tng", 12, 7, "2761448.439675635 + 0.000000000i"),
+    # 3^34 > 2^53: the float sum over the residue printed ...568
+    ("sigma.tng", 33, 1, "16677181699666569.000000000 + 0.000000000i"),
+])
+def test_p_at_a_root_prints_exactly_rounded_digits(name, circles, k, text,
+                                                  tmp_path, capsys):
+    d = _with_circles(name, circles)
+    assert decimal_root_text(pairing.p_poly(d), k) == text
+    path = tmp_path / "loops.tng"
+    path.write_text(serialize_tng(d))
+    code, out, _ = run(capsys, "p", str(path), "--k", str(k))
+    assert (code, out) == (0, f"P(D)_{k} = {text}\n")
 
 
 def test_p_json(capsys):
@@ -275,6 +305,42 @@ def test_invariant_all_roots(capsys):
     assert len(lines) == 8
     for k, line in zip(ROOT_INDICES, lines):
         assert line == f"I_{k}(G) = 54.000000000 + 0.000000000i"
+
+
+def test_invariant_of_a_six_rung_ladder_prints_no_float_noise(tmp_path,
+                                                             capsys):
+    # the float sum printed + 0.000000001i at k = 5, 11, 17 and 23
+    d = ensure_valid(_ladder(6))
+    text = "2903040.000000000 + 0.000000000i"
+    poly = enhanced.invariant_total_poly(d)
+    assert all(decimal_root_text(poly, k) == text for k in ROOT_INDICES)
+    path = tmp_path / "ladder.tng"
+    path.write_text(serialize_tng(d))
+    code, out, _ = run(capsys, "invariant", str(path), "--all-k")
+    assert code == 0
+    assert out == "".join(f"I_{k}(G) = {text}\n" for k in ROOT_INDICES)
+
+
+def test_root_texts_of_every_fixture_are_pinned(capsys):
+    # frozen from the float route before the residue route replaced it:
+    # `invariant --all-k` on every fixture and pair file, and `p --k K`
+    # for every K on the strand files
+    pinned = (pathlib.Path(__file__).parent / "data" / "root_texts.txt"
+              ).read_text()
+    files = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
+    assert len(files) == 35
+    got = []
+    for path in files:
+        name = path.relative_to(FIXTURES).as_posix()
+        d = load_tng(str(path))
+        argvs = [["invariant", name, "--all-k"]]
+        if not (d.trivalent or d.fourvalent):
+            argvs += [["p", name, "--k", str(k)] for k in ROOT_INDICES]
+        for argv in argvs:
+            code, out, _ = run(capsys, argv[0], str(path), *argv[2:])
+            assert code == 0
+            got.append("$ tanglepoly " + " ".join(argv) + "\n" + out)
+    assert "".join(got) == pinned
 
 
 def test_invariant_with_rho_index(capsys):

@@ -16,14 +16,12 @@ from tanglepoly.diagram import (TangleDiagram, edge_occurrences, ensure_valid,
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
-                                 invariant_rho, invariant_rho_poly,
-                                 invariant_total, invariant_total_poly,
+                                 invariant_rho_poly, invariant_total_poly,
                                  state_polys)
 from tanglepoly.errors import DomainError, InvalidDiagramError
 from tanglepoly.generate import (MAX_ACTIVE, _MorseBuilder, random_splice_site,
                                  random_trivalent)
-from tanglepoly.laurent import (LaurentPoly, ROOT_INDICES, ZERO, delta_power,
-                                poly_sum)
+from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
 from tanglepoly.moves import braid_pattern, insert_kink, splice_22
 from tanglepoly.pairing import p_poly
 from test_cli import _ladder, _ladder_and_claws
@@ -213,16 +211,16 @@ def test_invariant_total_root_values():
     for name, expected in GOLDEN_ROOT_VALUES.items():
         d = load_tng(fixture_path(f"{name}.tng"))
         for k in ROOT_INDICES:
-            z = invariant_total(d, k)
+            z = invariant_total_poly(d).eval_root(k)
             assert abs(z - expected) < 1e-9, (name, k)
 
 
 def test_invariant_functions_validate_the_root_index():
     d = load_tng(fixture_path("circle.tng"))
     with pytest.raises(DomainError):
-        invariant_total(d, 3)
+        invariant_total_poly(d).eval_root(3)
     with pytest.raises(DomainError):
-        invariant_rho(d, frozenset(), 4)
+        invariant_rho_poly(d, frozenset()).eval_root(4)
 
 
 def test_invariant_of_pure_strand_diagram_is_its_pairing():
@@ -243,7 +241,7 @@ def test_fourvalent_diagrams_have_the_empty_enhancement():
 
 
 def _oracle_rho_poly(d, rho):
-    return poly_sum(poly for _, poly in state_polys(contract(d, rho)))
+    return sum((poly for _, poly in state_polys(contract(d, rho))), ZERO)
 
 
 def _assert_matches_oracle(d, name):
@@ -510,7 +508,7 @@ def test_the_plan_is_built_once_per_graph(monkeypatch):
     d = ensure_valid(_ladder(4))
     rhos = enumerate_enhancements(d)
     assert len(rhos) == 13
-    expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
+    expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
     sweeps = _count_sweeps(monkeypatch)
     assert invariant_total_poly(d) == expected
     # one sweep, every direct edge of the ladder an option
@@ -523,7 +521,7 @@ def test_a_ten_rung_ladder_is_one_sweep(monkeypatch):
     assert len(rhos) == 233
     # 4^10 states per enhancement are out of the oracle's reach: the
     # restricted sweeps, checked against it on the fixtures, stand in
-    expected = poly_sum(invariant_rho_poly(d, rho) for rho in rhos)
+    expected = sum((invariant_rho_poly(d, rho) for rho in rhos), ZERO)
     sweeps = _count_sweeps(monkeypatch)
     assert invariant_total_poly(d) == expected
     assert sweeps == [3 * 10]
@@ -536,7 +534,7 @@ def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
     assert [link[0] for link in enhanced._peeled_links(d)] == [2, 3, 7]
     rhos = enumerate_enhancements(d)
     assert rhos == (frozenset({2, 7}), frozenset({3, 7}))
-    expected = poly_sum(_oracle_rho_poly(d, rho) for rho in rhos)
+    expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
     sweeps = _count_sweeps(monkeypatch)
     assert invariant_total_poly(d) == expected
     assert sweeps == [3]
@@ -566,8 +564,8 @@ def test_the_total_sweep_sums_the_restricted_sweeps_on_fixtures():
             with pytest.raises(DomainError):
                 invariant_total_poly(d)
             continue
-        assert invariant_total_poly(d) == poly_sum(
-            invariant_rho_poly(d, rho) for rho in rhos), path
+        assert invariant_total_poly(d) == sum(
+            (invariant_rho_poly(d, rho) for rho in rhos), ZERO), path
         checked += len(rhos)
     assert checked >= 30
 
@@ -584,8 +582,8 @@ def test_the_total_sweep_sums_the_restricted_sweeps_on_random_graphs(seed):
     nv = len(d.trivalent)
     by_vertex = enhanced._links_by_vertex(nv, enhanced._traced_vertex_links(d))
     assert set(rhos) == set(enhanced._matchings(by_vertex, [False] * nv, []))
-    assert invariant_total_poly(d) == poly_sum(
-        invariant_rho_poly(d, rho) for rho in rhos)
+    assert invariant_total_poly(d) == sum(
+        (invariant_rho_poly(d, rho) for rho in rhos), ZERO)
 
 
 def test_a_link_in_no_perfect_matching_is_peeled_not_searched(monkeypatch):
@@ -737,8 +735,8 @@ def _check_graph_tangle(seed):
         # past it although no contraction keeps it
         variants.append(relabeled(d, {min(rhos[0]): max_label(d) + 1}))
     for g in variants:
-        expected = poly_sum(_oracle_rho_poly(g, rho)
-                            for rho in enumerate_enhancements(g))
+        expected = sum((_oracle_rho_poly(g, rho)
+                        for rho in enumerate_enhancements(g)), ZERO)
         assert invariant_total_poly(g) == expected, seed
     return d, len(rhos)
 

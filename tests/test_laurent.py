@@ -1,18 +1,26 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import decimal_root_text
+from tanglepoly.cli import complex_text
 from tanglepoly.errors import DomainError
 from tanglepoly.laurent import (DELTA, ONE, Q, ROOT_INDICES, ZERO, LaurentPoly,
-                                delta_power, ensure_root_index, poly_sum,
+                                _round_quarter, delta_power, ensure_root_index,
                                 root_value)
 
 polys = st.builds(
     LaurentPoly,
     st.dictionaries(st.integers(-30, 30), st.integers(-9, 9), max_size=8))
+# coefficients past 2^53, as P and I(G) reach on large diagrams
+big_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-200, 200), st.integers(-10**20, 10**20),
+                    max_size=12))
 
 
 def test_root_indices_are_units_mod_24():
@@ -60,8 +68,9 @@ def test_items_desc_orders_by_falling_exponent():
 def test_monomial_and_shifted():
     assert LaurentPoly.monomial(3, 2) == LaurentPoly({2: 3})
     assert LaurentPoly.monomial(1) == ONE
-    assert Q.shifted(-1) == ONE
-    assert DELTA.shifted(2) == LaurentPoly({4: -1, 0: -1})
+    # a product with a monomial shifts every exponent
+    assert Q * LaurentPoly.monomial(1, -1) == ONE
+    assert DELTA * LaurentPoly.monomial(1, 2) == LaurentPoly({4: -1, 0: -1})
 
 
 @given(polys, polys)
@@ -135,6 +144,69 @@ def test_residue_has_the_values_at_the_roots(p, k):
     assert abs(remainder.eval_root(k) - p.eval_root(k)) < 1e-9
 
 
+@given(polys, polys, st.integers(-40, 40))
+def test_eval_root_reads_only_the_residue(f, g, j):
+    # f and f + g q^j (q^8 - q^4 + 1) have one residue, so the same floats
+    h = f + g * LaurentPoly.monomial(1, j) * PHI24
+    for k in ROOT_INDICES:
+        assert h.eval_root(k) == f.eval_root(k)
+
+
+@given(big_polys, st.sampled_from(ROOT_INDICES))
+def test_eval_root_is_close_to_a_per_term_sum(p, k):
+    naive = sum(c * cmath.exp(1j * math.pi * k * e / 12)
+                for e, c in p.terms.items())
+    scale = 1 + sum(abs(c) for c in p.terms.values())
+    assert abs(p.eval_root(k) - naive) <= 1e-9 * scale
+
+
+@given(big_polys, st.sampled_from(ROOT_INDICES))
+def test_rounded_root_matches_a_decimal_evaluation(p, k):
+    assert complex_text(p.rounded_root(k, 9)) == decimal_root_text(p, k)
+
+
+def _pell(steps):
+    """The convergent p/q of sqrt 2 after `steps` steps from 1/1."""
+    p, q = 1, 1
+    for _ in range(steps):
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def test_an_imaginary_part_just_below_zero_prints_unsigned():
+    # Im at k = 1 of 2b q^3 - a q^6 is b sqrt 2 - a = -1 / (b sqrt 2 + a),
+    # about -1.1e-10
+    a, b = _pell(25)
+    p = LaurentPoly({3: 2 * b, 6: -a})
+    assert a * a - 2 * b * b == 1 and a > 2 * 10**9
+    assert p.rounded_root(1, 9)[1] == 0
+    assert complex_text(p.rounded_root(1, 9)).endswith(" + 0.000000000i")
+    assert complex_text(p.rounded_root(1, 9)) == decimal_root_text(p, 1)
+
+
+@pytest.mark.parametrize("steps", [10, 21, 22, 40, 41])
+def test_rounding_widens_its_guard_next_to_a_boundary(steps):
+    # (2 + b sqrt 2 - a) / 4 lies within 1 / (8 b) of the half 1/2, on the
+    # side the convergent's parity picks: inside the first guard's bracket
+    # of 3 / (4 * 10^4)
+    a, b = _pell(steps)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        exact = (2 - a + b * Decimal(2).sqrt()) / 4
+        assert abs(exact - Decimal("0.5")) < Decimal(3) / (4 * 10**4)
+        expected = int(exact > Decimal("0.5"))
+    assert _round_quarter((2 - a, b, 0, 0), 0) == expected
+    assert _round_quarter((a - 2, -b, 0, 0), 0) == -expected
+
+
+def test_rational_values_round_exactly():
+    assert _round_quarter((1, 0, 0, 0), 9) == 250_000_000
+    assert _round_quarter((-3 * 4**40, 0, 0, 0), 2) == -3 * 4**39 * 100
+    # a half rounds up
+    assert _round_quarter((2, 0, 0, 0), 0) == 1
+    assert _round_quarter((-2, 0, 0, 0), 0) == 0
+
+
 def test_negative_pow_rejected():
     with pytest.raises(ValueError):
         Q ** -1
@@ -157,7 +229,8 @@ def test_eval_root_is_a_homomorphism(p, q, k):
 
 @given(polys, st.sampled_from(ROOT_INDICES))
 def test_exponents_only_matter_mod_24_at_roots(p, k):
-    assert abs(p.shifted(24).eval_root(k) - p.eval_root(k)) < 1e-12
+    assert abs((p * LaurentPoly.monomial(1, 24)).eval_root(k)
+               - p.eval_root(k)) < 1e-12
 
 
 @given(polys, st.sampled_from(ROOT_INDICES))
@@ -183,11 +256,6 @@ def test_delta_power_is_cached_exact_power():
     assert delta_power(0) == ONE
     assert delta_power(1) == DELTA
     assert delta_power(4) == DELTA * DELTA * DELTA * DELTA
-
-
-def test_poly_sum():
-    assert poly_sum([]) == ZERO
-    assert poly_sum([ONE, Q, Q]) == LaurentPoly({0: 1, 1: 2})
 
 
 @given(polys, polys)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, decimal_root_text, fixture_path
+from tanglepoly.cli import main
 from tanglepoly.diagram import (TangleDiagram, all_labels, is_isomorphic,
                                 load_tng, map_faces, mirror, serialize_tng)
 from tanglepoly.enhanced import contract, invariant_rho_poly
@@ -306,10 +307,9 @@ def _divisible_by_phi24(p):
     return not any(coeffs[:8])
 
 
-def test_root_pairs_of_large_diagrams_compare_exactly(tmp_path):
-    # a triple twist spliced into a 100-crossing braid on 10 strands: the
-    # coefficients of P reach about 6.6 * 10^9, and the float values of
-    # the two sides differ by up to 1.3 * 10^-6 at the roots
+def _triple_twist_pair(tmp_path):
+    """A triple twist spliced into a 100-crossing braid on 10 strands, and
+    the identity spliced at the same site, written to a.tng and b.tng."""
     rng = random.Random(1)
     b = _MorseBuilder(10)
     for _ in range(100):
@@ -320,6 +320,13 @@ def test_root_pairs_of_large_diagrams_compare_exactly(tmp_path):
              "b": splice_22(d, site, braid_pattern())}
     for name, side in sides.items():
         (tmp_path / f"{name}.tng").write_text(serialize_tng(side))
+    return sides
+
+
+def test_root_pairs_of_large_diagrams_compare_exactly(tmp_path):
+    # the coefficients of P reach about 6.6 * 10^9, and the float values
+    # of the two sides differ by up to 1.3 * 10^-6 at the roots
+    sides = _triple_twist_pair(tmp_path)
     pair = MovePair("big", "a.tng", "b.tng", "+3", "root")
     assert verify_pair(pair, str(tmp_path)).ok
     for k in ROOT_INDICES:
@@ -327,6 +334,17 @@ def test_root_pairs_of_large_diagrams_compare_exactly(tmp_path):
     pa, pb = (p_poly(side) for side in sides.values())
     assert pa != pb and pa.residue() == pb.residue()
     assert _divisible_by_phi24(pa - pb)
+
+
+def test_root_values_of_large_diagrams_print_exactly(tmp_path, capsys):
+    # the float sums printed 9.000000381 + 0.000001230i and
+    # 9.000000335 - 0.000000041i
+    sides = _triple_twist_pair(tmp_path)
+    for name, side in sides.items():
+        assert decimal_root_text(p_poly(side), 1) == "9.000000000 + 0.000000000i"
+        assert main(["p", str(tmp_path / f"{name}.tng"), "--k", "1"]) == 0
+        assert capsys.readouterr().out \
+            == "P(D)_1 = 9.000000000 + 0.000000000i\n"
 
 
 def test_verify_pair_reports_exact_failures():

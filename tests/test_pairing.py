@@ -11,7 +11,7 @@ from tanglepoly.diagram import (TangleDiagram, _min_rotation, load_tng,
 from tanglepoly.errors import DomainError
 from tanglepoly.generate import random_tangle, random_trivalent
 from tanglepoly.laurent import ROOT_INDICES, delta_power
-from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_eval, p_poly, pair,
+from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
 from tanglepoly.skein import bracket, enumerate_basis, vector_bar
 
@@ -106,9 +106,9 @@ def test_trefoil_and_unlink_differ_as_polynomials_not_at_roots():
 
 def test_p_eval_validates_the_root_index():
     d = load_tng(fixture_path("circle.tng"))
-    assert abs(p_eval(d, 1) - 3.0) < 1e-12
+    assert abs(p_poly(d).eval_root(1) - 3.0) < 1e-12
     with pytest.raises(DomainError):
-        p_eval(d, 2)
+        p_poly(d).eval_root(2)
 
 
 def test_p_poly_rejects_graph_diagrams():
