@@ -23,6 +23,7 @@ from tanglepoly import (
     TangleDiagram,
     braid_pattern,
     comparison_poly,
+    complex_text,
     enumerate_enhancements,
     ensure_valid,
     ih_rewrite,
@@ -182,7 +183,7 @@ def main() -> int:
     for name in ("circle", "theta", "handcuff", "all_external"):
         poly = invariant_total_poly(fx[name])
         print(f"  I({name}) = {poly}")
-        values = ", ".join(f"k={k}: {poly.eval_root(k):.9g}"
+        values = ", ".join(f"k={k}: {complex_text(poly.rounded_root(k))}"
                            for k in ROOT_INDICES[:2])
         print(f"    at roots: {values}, ... (all eight printed by --all-k)")
     print()

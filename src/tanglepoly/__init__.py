@@ -18,8 +18,8 @@ from .enhanced import (Enhancement, STATE_PATTERNS, check_enhancement,
                        invariant_rho_poly, invariant_total_poly, state_polys)
 from .errors import (DomainError, InvalidDiagramError, ParseError,
                      TangleError)
-from .laurent import (DELTA, ONE, Q, ROOT_INDICES, ZERO, LaurentPoly,
-                      delta_power, ensure_root_index, root_value)
+from .laurent import (DELTA, DIGITS, ONE, Q, ROOT_INDICES, ZERO, LaurentPoly,
+                      complex_text, delta_power, ensure_root_index)
 from .moves import (MovePair, PairResult, SpliceSite, braid_pattern,
                     comparison_poly, ih_rewrite, insert_kink, parse_manifest,
                     splice_22, verify_manifest, verify_pair)
@@ -40,8 +40,8 @@ __all__ = [
     "invariant_rho_poly", "invariant_total_poly", "state_polys",
     "DomainError", "InvalidDiagramError", "ParseError", "TangleError",
     "random_splice_site", "random_tangle", "random_trivalent",
-    "DELTA", "ONE", "Q", "ROOT_INDICES", "ZERO", "LaurentPoly",
-    "delta_power", "ensure_root_index", "root_value",
+    "DELTA", "DIGITS", "ONE", "Q", "ROOT_INDICES", "ZERO", "LaurentPoly",
+    "complex_text", "delta_power", "ensure_root_index",
     "MovePair", "PairResult", "SpliceSite", "braid_pattern",
     "comparison_poly", "ih_rewrite", "insert_kink", "parse_manifest",
     "splice_22", "verify_manifest", "verify_pair",

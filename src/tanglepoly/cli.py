@@ -17,7 +17,8 @@ from .enhanced import (check_state_listing, check_state_sum, contract,
                        enumerate_enhancements, invariant_rho_poly,
                        invariant_total_poly, state_polys)
 from .errors import DomainError, InvalidDiagramError, ParseError, TangleError
-from .laurent import ROOT_INDICES, LaurentPoly, ensure_root_index
+from .laurent import (DIGITS, ROOT_INDICES, LaurentPoly, complex_text,
+                      ensure_root_index)
 from .moves import verify_manifest
 from .pairing import p_poly, pairing_matrix
 from .skein import bracket, enumerate_basis, format_matching
@@ -30,22 +31,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-#: Fractional digits of printed root values.
-DIGITS = 9
-
-
-def _fixed(n: int) -> str:
-    whole, frac = divmod(abs(n), 10 ** DIGITS)
-    return f"{'-' if n < 0 else ''}{whole}.{frac:0{DIGITS}d}"
-
-
-def complex_text(value: tuple[int, int]) -> str:
-    """Text of a root value given as LaurentPoly.rounded_root(k, DIGITS)."""
-    re, im = value
-    sign = "+" if im >= 0 else "-"
-    return f"{_fixed(re)} {sign} {_fixed(abs(im))}i"
-
-
 def poly_json(p: LaurentPoly) -> dict:
     return {"terms": [[e, c] for e, c in p.items_desc()], "text": str(p)}
 
@@ -53,12 +38,17 @@ def poly_json(p: LaurentPoly) -> dict:
 def complex_json(value: tuple[int, int]) -> dict:
     """Both parts as the doubles nearest to their rounded decimals."""
     re, im = value
-    return {"re": re / 10 ** DIGITS, "im": im / 10 ** DIGITS}
+    try:
+        return {"re": re / 10 ** DIGITS, "im": im / 10 ** DIGITS}
+    except OverflowError:
+        raise DomainError(
+            "root value past the double range of --json") from None
 
 
 def _emit(args, text_lines, obj) -> None:
+    # the JSON object, and with it every double, is built only under --json
     if args.json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(json.dumps(obj(), indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -77,7 +67,7 @@ def _matching_json(mt) -> list:
 def cmd_basis(args) -> int:
     basis = enumerate_basis(args.m, args.n)
     lines = [format_matching(mt) for mt in basis.elements]
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "m": args.m, "n": args.n, "count": len(basis),
         "elements": [_matching_json(mt) for mt in basis.elements],
     })
@@ -89,7 +79,7 @@ def cmd_bracket(args) -> int:
     vec = bracket(d)
     lines = [f"{format_matching(mt)}: {coeff}"
              for mt, coeff in zip(vec.basis.elements, vec.coords)]
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "m": d.m, "n": d.n,
         "coords": [{"element": _matching_json(mt), "poly": poly_json(c)}
                    for mt, c in zip(vec.basis.elements, vec.coords)],
@@ -100,7 +90,7 @@ def cmd_bracket(args) -> int:
 def cmd_pairing(args) -> int:
     A = pairing_matrix(args.m, args.n)
     lines = [" | ".join(str(entry) for entry in row) for row in A.entries]
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "m": args.m, "n": args.n, "size": len(A.entries),
         "entries": [[poly_json(entry) for entry in row] for row in A.entries],
     })
@@ -113,11 +103,11 @@ def cmd_p(args) -> int:
         ensure_root_index(args.k)
     p = p_poly(d)
     if args.k is None:
-        _emit(args, [f"P(D) = {p}"], {"p": poly_json(p)})
+        _emit(args, [f"P(D) = {p}"], lambda: {"p": poly_json(p)})
     else:
-        z = p.rounded_root(args.k, DIGITS)
+        z = p.rounded_root(args.k)
         _emit(args, [f"P(D)_{args.k} = {complex_text(z)}"],
-              {"k": args.k, "value": complex_json(z)})
+              lambda: {"k": args.k, "value": complex_json(z)})
     return 0
 
 
@@ -126,7 +116,7 @@ def cmd_rho(args) -> int:
     enhancements = enumerate_enhancements(d)
     lines = ["{" + ",".join(str(x) for x in sorted(rho)) + "}"
              for rho in enhancements]
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "count": len(enhancements),
         "enhancements": [sorted(rho) for rho in enhancements],
     })
@@ -161,7 +151,7 @@ def cmd_states(args) -> int:
     entries = state_polys(contract(d, rho))
     lines = [f"state {i} [{','.join(patterns)}]: {p}"
              for i, (patterns, p) in enumerate(entries)]
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "rho": sorted(rho),
         "states": [{"assignment": list(patterns), "poly": poly_json(p)}
                    for patterns, p in entries],
@@ -180,9 +170,9 @@ def cmd_invariant(args) -> int:
         poly = invariant_rho_poly(d, rho)
     else:
         poly = invariant_total_poly(d)
-    values = [(k, poly.rounded_root(k, DIGITS)) for k in ks]
+    values = [(k, poly.rounded_root(k)) for k in ks]
     lines = [f"I_{k}(G) = {complex_text(z)}" for k, z in values]
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "values": [{"k": k, "value": complex_json(z)} for k, z in values],
     })
     return 0
@@ -196,7 +186,7 @@ def cmd_verify(args) -> int:
     for r in results:
         status = "ok" if r.ok else f"FAIL ({r.detail})"
         lines.append(f"pair {r.name} ({r.move}, {r.expected}): {status}")
-    _emit(args, lines, {
+    _emit(args, lines, lambda: {
         "ok": all(r.ok for r in results),
         "results": [{"name": r.name, "move": r.move, "expected": r.expected,
                      "ok": r.ok, "detail": r.detail} for r in results],
@@ -206,17 +196,12 @@ def cmd_verify(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        d = load_tng(args.file)
+        problems = list(validate(load_tng(args.file)).problems)
     except (ParseError, InvalidDiagramError) as exc:
-        _emit(args, [f"problem: {exc}"], {"ok": False, "problems": [str(exc)]})
-        return 2
-    report = validate(d)
-    if report.ok:
-        _emit(args, ["ok"], {"ok": True, "problems": []})
-        return 0
-    _emit(args, [f"problem: {p}" for p in report.problems],
-          {"ok": False, "problems": list(report.problems)})
-    return 2
+        problems = [str(exc)]
+    _emit(args, [f"problem: {p}" for p in problems] or ["ok"],
+          lambda: {"ok": not problems, "problems": problems})
+    return 2 if problems else 0
 
 
 def build_parser() -> _Parser:

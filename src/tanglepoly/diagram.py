@@ -342,11 +342,21 @@ _HEADER_RE = re.compile(r"^tangle\s+m=(\d+)\s+n=(\d+)$")
 _NODE_ARITY = {"X": 4, "V": 3, "F": 4}
 
 
+def _int(tok: str, lineno: int, what: str) -> int:
+    # int() refuses more digits than sys.get_int_max_str_digits()
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(lineno, f"{what} {tok[:12]}... is too long: "
+                                 f"{len(tok)} digits") from None
+
+
 def _parse_label(tok: str, lineno: int) -> int:
     # str.isdigit also accepts digits such as '²' that int() rejects
-    if not (tok.isascii() and tok.isdigit()) or int(tok) <= 0:
+    label = _int(tok, lineno, "label") if tok.isascii() and tok.isdigit() else 0
+    if label <= 0:
         raise ParseError(lineno, f"expected a positive integer label, got {tok!r}")
-    return int(tok)
+    return label
 
 
 def parse_tng(text: str) -> TangleDiagram:
@@ -369,7 +379,7 @@ def parse_tng(text: str) -> TangleDiagram:
             match = _HEADER_RE.match(line)
             if not match:
                 raise ParseError(lineno, "header must be 'tangle m=<int> n=<int>'")
-            header = (int(match.group(1)), int(match.group(2)))
+            header = tuple(_int(x, lineno, "header count") for x in match.groups())
         elif tag in _NODE_ARITY:
             arity = _NODE_ARITY[tag]
             if len(tokens) != arity + 1:

@@ -12,7 +12,7 @@ T-, T+, T0, Tinf, and each resulting strand diagram contributes its pairing
 polynomial.  Summing the 4^n states gives the per-enhancement invariant;
 summing that over all enhancements gives the total.  Both are exact
 polynomials; their values at the eight admissible roots are read off the
-polynomial (LaurentPoly.eval_root, LaurentPoly.rounded_root).
+polynomial (LaurentPoly.rounded_root).
 
 The sums are not taken state by state, nor enhancement by enhancement.
 P(D) is the bracket of the plat closure of D (x) reflect(D), and the

@@ -11,9 +11,9 @@ involution q -> q^-1.  The eight roots share the minimal polynomial
 q^8 - q^4 + 1, so a polynomial's eight values are fixed by its residue
 modulo it, 8 integers, and two polynomials agree at one admissible root
 exactly when their residues are equal.  Every root value is read from the
-residue: eval_root sums its at most 8 terms in floats, and rounded_root
-rounds exactly, because cos(j*pi/12) and sin(j*pi/12) lie in
-Q(sqrt 2, sqrt 3).
+residue: rounded_root rounds it exactly, as cos(j*pi/12) and sin(j*pi/12)
+lie in Q(sqrt 2, sqrt 3), complex_text is its one text, and eval_root sums
+its at most 8 terms in floats.
 """
 
 from __future__ import annotations
@@ -41,6 +41,22 @@ def _cos4(j: int) -> tuple[int, ...]:
     period 24, and cos(pi - x) = -cos(x)."""
     j = min(j % 24, -j % 24)
     return _COS4[j] if j <= 6 else tuple(-x for x in _COS4[12 - j])
+
+
+#: Fractional digits of a root value as rounded_root and complex_text give it.
+DIGITS = 9
+
+
+def _fixed(n: int) -> str:
+    whole, frac = divmod(abs(n), 10 ** DIGITS)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{DIGITS}d}"
+
+
+def complex_text(value: tuple[int, int]) -> str:
+    """Text of a root value given as LaurentPoly.rounded_root(k)."""
+    re, im = value
+    sign = "+" if im >= 0 else "-"
+    return f"{_fixed(re)} {sign} {_fixed(abs(im))}i"
 
 
 def _round_quarter(v, digits: int) -> int:
@@ -72,12 +88,6 @@ def ensure_root_index(k: int) -> int:
     if k not in ROOT_INDICES:
         raise DomainError("root index not in admissible set")
     return k
-
-
-def root_value(k: int) -> complex:
-    """The evaluation point q = exp(k*pi*i/12) for an admissible k."""
-    ensure_root_index(k)
-    return _ROOT24[k % 24]
 
 
 class LaurentPoly:
@@ -203,8 +213,8 @@ class LaurentPoly:
         return sum((c * _ROOT24[k * r % 24]
                     for r, c in enumerate(self.residue()) if c), complex(0))
 
-    def rounded_root(self, k: int, digits: int) -> tuple[int, int]:
-        """10^digits times the value at root index k, real and imaginary
+    def rounded_root(self, k: int) -> tuple[int, int]:
+        """10^DIGITS times the value at root index k, real and imaginary
         parts each rounded exactly to the nearest integer.  From the
         residue, 4 Re and 4 Im are a + b sqrt 2 + c sqrt 3 + d sqrt 6
         with integers a to d."""
@@ -216,7 +226,7 @@ class LaurentPoly:
                 for i, (x, y) in enumerate(zip(_cos4(k * r), _cos4(6 - k * r))):
                     re[i] += c * x
                     im[i] += c * y
-        return _round_quarter(re, digits), _round_quarter(im, digits)
+        return _round_quarter(re, DIGITS), _round_quarter(im, DIGITS)
 
     def residue(self) -> tuple[int, ...]:
         """Coefficients of 1, q, ..., q^7 in the remainder modulo

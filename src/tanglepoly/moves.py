@@ -11,9 +11,10 @@ manifest, one per line:
 where expected is "exact" (the comparison polynomial must match term for
 term) or "root" (the values at the admissible roots must agree, which holds
 exactly when the polynomials have equal residues modulo q^8 - q^4 + 1, so
-no tolerance is needed).  The comparison polynomial is the pairing
-polynomial for strand diagrams, the per-enhancement invariant when the
-files declare thick sets, and the total invariant for other graph diagrams.
+no tolerance is needed; a failure shows both exact texts at one root).  The
+comparison polynomial is the pairing polynomial for strand diagrams, the
+per-enhancement invariant when the files declare thick sets, and the total
+invariant for other graph diagrams.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .diagram import (TangleDiagram, all_labels, edge_occurrences, ensure_valid,
 from .enhanced import (_contracted_vertex, invariant_rho_poly,
                        invariant_total_poly)
 from .errors import DomainError, ParseError
-from .laurent import ROOT_INDICES, LaurentPoly, ensure_root_index
+from .laurent import (ROOT_INDICES, LaurentPoly, complex_text,
+                      ensure_root_index)
 from .pairing import p_poly
 
 
@@ -206,9 +208,9 @@ def verify_pair(pair: MovePair, base_dir: str, k: int | None = None) -> PairResu
     kk = ROOT_INDICES[0] if k is None else ensure_root_index(k)
     if pa.residue() == pb.residue():
         return PairResult(pair.name, pair.move, pair.expected, True)
-    va, vb = pa.eval_root(kk), pb.eval_root(kk)
+    va, vb = (complex_text(p.rounded_root(kk)) for p in (pa, pb))
     return PairResult(pair.name, pair.move, pair.expected, False,
-                      f"k={kk}: {va:.12g} != {vb:.12g}")
+                      f"k={kk}: {va} != {vb}")
 
 
 def verify_manifest(path: str, k: int | None = None) -> tuple[PairResult, ...]:

@@ -66,22 +66,10 @@ def format_matching(matching: Matching) -> str:
 
 
 class Basis(_Record):
-    _FIELDS = ("m", "n", "elements")
-    __slots__ = _FIELDS + ("_index",)
-
-    def __init__(self, m: int, n: int, elements: tuple[Matching, ...]):
-        super().__init__(m, n, elements,
-                         {mt: i for i, mt in enumerate(elements)})
+    __slots__ = _FIELDS = ("m", "n", "elements")
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of(self, matching: Matching) -> int:
-        try:
-            return self._index[matching]
-        except KeyError:
-            raise DomainError(f"matching {format_matching(matching)} not in "
-                              f"the ({self.m},{self.n}) basis") from None
 
 
 def _noncrossing_matchings(points: tuple[int, ...]) -> list[Matching]:
@@ -121,9 +109,6 @@ class CoordinateVector(_Record):
         if len(coords) != len(basis.elements):
             raise ValueError("coordinate count does not match basis size")
         super().__init__(basis, coords)
-
-    def __getitem__(self, i: int) -> LaurentPoly:
-        return self.coords[i]
 
     def as_dict(self) -> dict[Matching, LaurentPoly]:
         return {mt: c for mt, c in zip(self.basis.elements, self.coords) if c}

@@ -19,10 +19,12 @@ def fixture_path(name: str) -> str:
 
 def decimal_root_text(p, k: int) -> str:
     """The CLI text of p at q = exp(k*pi*i/12), from a sum over all of p's
-    terms in Decimal at 60 digits: the powers of q come from cos and sin
-    of 15 degrees, (sqrt 6 +- sqrt 2) / 4, by repeated multiplication."""
+    terms in Decimal at 60 digits past the integer part: the powers of q
+    come from cos and sin of 15 degrees, (sqrt 6 +- sqrt 2) / 4, by
+    repeated multiplication."""
+    bound = sum(abs(c) for c in p.terms.values())
     with localcontext() as ctx:
-        ctx.prec = 60
+        ctx.prec = 60 + len(str(bound))
         r2, r6 = Decimal(2).sqrt(), Decimal(6).sqrt()
         c1, s1 = (r6 + r2) / 4, (r6 - r2) / 4
         powers = [(Decimal(1), Decimal(0))]

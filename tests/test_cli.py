@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, decimal_root_text, fixture_path
 from tanglepoly import cli, enhanced, pairing, skein
-from tanglepoly.cli import complex_text, main
+from tanglepoly.cli import main
 from tanglepoly.diagram import (TangleDiagram, ensure_valid, load_tng,
                                 max_label, replace, serialize_tng)
-from tanglepoly.laurent import ROOT_INDICES, delta_power
+from tanglepoly.laurent import (ROOT_INDICES, LaurentPoly, complex_text,
+                                delta_power)
 from tanglepoly.moves import braid_pattern
 
 DELTA2 = "q^4 + 2 + q^-4"
@@ -158,7 +159,7 @@ def test_invariant_at_a_wide_boundary_builds_no_basis(tmp_path, capsys,
     d = ensure_valid(_wide_fourvalent())
     states = enhanced.state_polys(d)
     assert len(states) == 4
-    expected = sum(p for _, p in states).rounded_root(1, cli.DIGITS)
+    expected = sum(p for _, p in states).rounded_root(1)
     for owner, name in ((pairing, "enumerate_basis"), (skein, "enumerate_basis"),
                         (pairing, "pairing_matrix"), (pairing, "pair")):
         monkeypatch.setattr(owner, name, _refuse)
@@ -188,6 +189,9 @@ def _with_circles(name, count):
     ("three_strand.tng", 12, 7, "2761448.439675635 + 0.000000000i"),
     # 3^34 > 2^53: the float sum over the residue printed ...568
     ("sigma.tng", 33, 1, "16677181699666569.000000000 + 0.000000000i"),
+    # 3^700 > 2^1024: the float route raised OverflowError
+    pytest.param("circle.tng", 699, 1, f"{3**700}.000000000 + 0.000000000i",
+                 id="circle.tng-699-1-3^700"),
 ])
 def test_p_at_a_root_prints_exactly_rounded_digits(name, circles, k, text,
                                                   tmp_path, capsys):
@@ -197,6 +201,45 @@ def test_p_at_a_root_prints_exactly_rounded_digits(name, circles, k, text,
     path.write_text(serialize_tng(d))
     code, out, _ = run(capsys, "p", str(path), "--k", str(k))
     assert (code, out) == (0, f"P(D)_{k} = {text}\n")
+
+
+# past 2^1024 in both parts at every root, and irrational at k = 1
+HUGE = LaurentPoly({0: 3**700, 3: 2**1100})
+
+
+@pytest.mark.parametrize("argv, name, line, ks", [
+    (["p", fixture_path("circle.tng"), "--k", "1"], "p_poly", "P(D)_{} = {}",
+     (1,)),
+    (["invariant", fixture_path("theta.tng"), "--all-k"],
+     "invariant_total_poly", "I_{}(G) = {}", ROOT_INDICES),
+], ids=["p", "invariant"])
+def test_root_values_past_the_double_range_print_exactly(argv, name, line, ks,
+                                                         capsys, monkeypatch):
+    monkeypatch.setattr(cli, name, lambda d: HUGE)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [line.format(k, decimal_root_text(HUGE, k))
+                                for k in ks]
+    # JSON numbers are doubles: refused, with nothing on stdout
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "tangle m=0 n=0\nO " + "9" * 5000 + "\nB |\n",
+    "tangle m=" + "1" * 5000 + " n=0\nB |\n",
+], ids=["label", "header"])
+def test_oversized_integers_are_parse_errors(text, tmp_path, capsys):
+    path = tmp_path / "huge.tng"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (2, "")
+    assert out.startswith("problem: line ") and out.count("\n") == 1
+    assert len(out) < 100
+    code, out, err = run(capsys, "p", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line ") and err.count("\n") == 1
 
 
 def test_p_json(capsys):

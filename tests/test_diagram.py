@@ -461,11 +461,12 @@ def test_random_trivalent_graphs_validate(seed):
 
 
 # words of the .tng grammar, near misses included, so drawn text reaches
-# the checks after the first line as well as the tokenizer
+# the checks after the first line as well as the tokenizer; the last digit
+# run is longer than int() reads
 _TNG_WORDS = st.sampled_from((
     "tangle", "m=0", "n=0", "m=1", "n=2", "m=99999999999", "X", "V", "F",
     "O", "B", "T", "|", "#", "1", "2", "3", "4", "0", "-1", "\u00b2", "x",
-    "\n", "\n", "\n"))
+    "\n", "\n", "\n", "9" * 5000))
 
 
 @settings(max_examples=300)

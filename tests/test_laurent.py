@@ -7,11 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import decimal_root_text
-from tanglepoly.cli import complex_text
 from tanglepoly.errors import DomainError
 from tanglepoly.laurent import (DELTA, ONE, Q, ROOT_INDICES, ZERO, LaurentPoly,
-                                _round_quarter, delta_power, ensure_root_index,
-                                root_value)
+                                _round_quarter, complex_text, delta_power,
+                                ensure_root_index)
 
 polys = st.builds(
     LaurentPoly,
@@ -25,11 +24,6 @@ big_polys = st.builds(
 
 def test_root_indices_are_units_mod_24():
     assert ROOT_INDICES == tuple(k for k in range(24) if math.gcd(k, 24) == 1)
-
-
-def test_root_value_matches_exponential():
-    for k in ROOT_INDICES:
-        assert abs(root_value(k) - cmath.exp(1j * math.pi * k / 12)) < 1e-12
 
 
 def test_ensure_root_index_rejects_other_integers():
@@ -162,7 +156,7 @@ def test_eval_root_is_close_to_a_per_term_sum(p, k):
 
 @given(big_polys, st.sampled_from(ROOT_INDICES))
 def test_rounded_root_matches_a_decimal_evaluation(p, k):
-    assert complex_text(p.rounded_root(k, 9)) == decimal_root_text(p, k)
+    assert complex_text(p.rounded_root(k)) == decimal_root_text(p, k)
 
 
 def _pell(steps):
@@ -179,9 +173,9 @@ def test_an_imaginary_part_just_below_zero_prints_unsigned():
     a, b = _pell(25)
     p = LaurentPoly({3: 2 * b, 6: -a})
     assert a * a - 2 * b * b == 1 and a > 2 * 10**9
-    assert p.rounded_root(1, 9)[1] == 0
-    assert complex_text(p.rounded_root(1, 9)).endswith(" + 0.000000000i")
-    assert complex_text(p.rounded_root(1, 9)) == decimal_root_text(p, 1)
+    assert p.rounded_root(1)[1] == 0
+    assert complex_text(p.rounded_root(1)).endswith(" + 0.000000000i")
+    assert complex_text(p.rounded_root(1)) == decimal_root_text(p, 1)
 
 
 @pytest.mark.parametrize("steps", [10, 21, 22, 40, 41])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, decimal_root_text, fixture_path
+from tanglepoly import moves
 from tanglepoly.cli import main
 from tanglepoly.diagram import (TangleDiagram, all_labels, is_isomorphic,
                                 load_tng, map_faces, mirror, serialize_tng)
@@ -292,6 +293,20 @@ def test_verify_pair_reports_root_failures(tmp_path):
     # reported at the first root checked
     assert result.detail.startswith("k=1: ")
     assert verify_pair(pair, str(tmp_path), 5).detail.startswith("k=5: ")
+
+
+def test_verify_shows_root_failures_past_the_double_range_exactly(
+        tmp_path, capsys, monkeypatch):
+    values = {1: LaurentPoly({0: 3**700}), 2: LaurentPoly({0: 3**700, 3: 1})}
+    monkeypatch.setattr(moves, "p_poly", lambda d: values[len(d.circles)])
+    manifest = tmp_path / "huge.manifest"
+    manifest.write_text(f"pair huge {FIXTURES / 'circle.tng'} "
+                        f"{FIXTURES / 'two_circles.tng'} M3 root\n")
+    assert main(["verify", str(manifest)]) == 3
+    a, b = (decimal_root_text(values[n], 1) for n in (1, 2))
+    assert a != b
+    assert capsys.readouterr().out \
+        == f"pair huge (M3, root): FAIL (k=1: {a} != {b})\n"
 
 
 def _divisible_by_phi24(p):

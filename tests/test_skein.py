@@ -45,9 +45,6 @@ def test_basis_22_order_and_formatting():
     basis = enumerate_basis(2, 2)
     assert [format_matching(mt) for mt in basis.elements] == \
         ["(1,2)(3,4)", "(1,4)(2,3)"]
-    assert basis.index_of(((1, 4), (2, 3))) == 1
-    with pytest.raises(DomainError):
-        basis.index_of(((1, 3), (2, 4)))
 
 
 def test_basis_elements_are_sorted_noncrossing_matchings():
