@@ -192,8 +192,8 @@ def _count_matchings(d: TangleDiagram, links) -> int:
     # no arcs are laid, so any distinct marks do
     vertices = [((u, u), t) for u, t in enumerate(d.trivalent)]
     take = (((), (1,)),)  # one smoothing: no arcs, weight 1
-    states = _frontier_states((), vertices=vertices,
-                              options=[(u, v, take) for _, u, v in links])
+    states, _ = _frontier_states((), vertices=vertices,
+                                 options=[(u, v, take) for _, u, v in links])
     return states.get(frozenset(), ZERO).terms.get(0, 0)
 
 
@@ -383,11 +383,11 @@ def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
                 for u, (a, b, c) in enumerate(d.trivalent)]
     options = [(u, v, _twin_node(_contracted_vertex(d, label), offset)[1])
                for label, u, v in links]
-    states = _frontier_states(
+    states, loops = _frontier_states(
         *_doubled_closure(d),
         nodes=[_twin_node(v, offset) for v in d.fourvalent],
         vertices=vertices, options=options)
-    return states.get(frozenset(), ZERO)
+    return delta_power(loops) * states.get(frozenset(), ZERO)
 
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:

@@ -14,12 +14,19 @@ exactly when their residues are equal.  Every root value is read from the
 residue: rounded_root rounds it exactly, as cos(j*pi/12) and sin(j*pi/12)
 lie in Q(sqrt 2, sqrt 3), complex_text is its one text, and eval_root sums
 its at most 8 terms in floats.
+
+A free loop is the scalar DELTA = -q^2 - q^-2, so L loops are the one
+factor delta_power(L), built in closed form from binomial coefficients:
+n+1 terms for delta^n, with no product of polynomials.  Every integer
+this module prints goes through _int_text, which turns Python's limit on
+printed digits into a DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
 from typing import Mapping
 
@@ -47,9 +54,21 @@ def _cos4(j: int) -> tuple[int, ...]:
 DIGITS = 9
 
 
+def _int_text(n: int) -> str:
+    """str(n) for every integer laurent prints.  Python refuses to print
+    more than sys.get_int_max_str_digits() digits; that is a DomainError."""
+    try:
+        return str(n)
+    except ValueError:
+        raise DomainError(
+            "cannot print an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits (Python's limit, "
+            "raised by PYTHONINTMAXSTRDIGITS)") from None
+
+
 def _fixed(n: int) -> str:
     whole, frac = divmod(abs(n), 10 ** DIGITS)
-    return f"{'-' if n < 0 else ''}{whole}.{frac:0{DIGITS}d}"
+    return f"{'-' if n < 0 else ''}{_int_text(whole)}.{frac:0{DIGITS}d}"
 
 
 def complex_text(value: tuple[int, int]) -> str:
@@ -188,18 +207,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^-1 (negate every exponent)."""
         res = LaurentPoly()
@@ -251,10 +258,10 @@ class LaurentPoly:
         parts: list[str] = []
         for e, c in self.items_desc():
             if e == 0:
-                body = str(abs(c))
+                body = _int_text(abs(c))
             else:
                 power = "q" if e == 1 else f"q^{e}"
-                body = power if abs(c) == 1 else f"{abs(c)}{power}"
+                body = power if abs(c) == 1 else _int_text(abs(c)) + power
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -275,7 +282,14 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 
 @lru_cache(maxsize=None)
 def delta_power(n: int) -> LaurentPoly:
-    """Cached n-th power of the loop value DELTA."""
+    """Cached delta^n = (-1)^n sum_j C(n, j) q^(2n-4j), stepping
+    C(n, j+1) = C(n, j) (n-j) / (j+1): one small product and one exact
+    division per term, where math.comb per term would be quadratic."""
     if n < 0:
         raise ValueError("loop count cannot be negative")
-    return DELTA ** n
+    terms = {}
+    c = -1 if n % 2 else 1
+    for j in range(n + 1):
+        terms[2 * n - 4 * j] = c
+        c = c * (n - j) // (j + 1)
+    return LaurentPoly(terms)

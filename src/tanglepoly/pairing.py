@@ -21,6 +21,12 @@ joins the two copies, the closure falls apart into the plat closure of D
 and its reflection, and P(D) = b * bar(b) with b the bracket of D's own
 plat closure.  pairing_matrix, plat_loop_count and pair keep the matrix
 route for the `pairing` subcommand and as the oracle of this identity.
+
+Free circles, and the loops the caps close before any crossing is
+resolved, are one scalar delta^L that the sweep leaves out of its table
+(skein._frontier_states).  p_poly applies it once: bar fixes delta, so in
+the even case P(D) = delta^(2L) * b0 * bar(b0) for the table's value b0,
+and no product carries a loop factor.
 """
 
 from __future__ import annotations
@@ -137,20 +143,21 @@ def _doubled_closure(d: TangleDiagram):
         d.bottom + twin(d.bottom[::-1]), d.top + twin(d.top[::-1]))
 
 
-def _closed_bracket(crossings, circles: int, caps) -> LaurentPoly:
-    """Bracket of a closed diagram given by its crossings, circles and caps."""
-    return _frontier_states(crossings, circles, caps).get(frozenset(), ZERO)
-
-
 def p_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact pairing polynomial of a strand diagram, from one closure.
 
-    Even m and n: b * bar(b) with b the bracket of the plat closure of d.
-    Odd m and n: the bracket of the plat closure of d (x) reflect(d).
+    Even m and n: b * bar(b) with b the bracket of the plat closure of d,
+    taken as delta^(2L) * b0 * bar(b0) with b0 the sweep's value and L its
+    loops laid before the sweep.  Odd m and n: the bracket of the plat
+    closure of d (x) reflect(d), delta^L times the sweep's value.
     """
     _check_strand_diagram(d)
     ensure_valid(d)
-    if d.m % 2 == 0:
-        b = _closed_bracket(d.crossings, len(d.circles), _caps(d.bottom, d.top))
-        return b * b.bar()
-    return _closed_bracket(*_doubled_closure(d))
+    even = d.m % 2 == 0
+    states, loops = _frontier_states(*(
+        (d.crossings, len(d.circles), _caps(d.bottom, d.top)) if even
+        else _doubled_closure(d)))
+    b = states.get(frozenset(), ZERO)
+    if even:
+        return delta_power(2 * loops) * (b * b.bar())
+    return delta_power(loops) * b

@@ -30,7 +30,7 @@ from .diagram import TangleDiagram, _Record, _root, _union, ensure_valid
 # bench/tracing.py patches skein.merge_edges by attribute
 from .diagram import merge_edges  # noqa: F401
 from .errors import DomainError, InvalidDiagramError
-from .laurent import LaurentPoly, Q, ZERO, delta_power
+from .laurent import ONE, LaurentPoly, Q, ZERO, delta_power
 
 Pair = tuple[int, int]
 Matching = tuple[Pair, ...]
@@ -311,15 +311,17 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     _check_strand_diagram(d)
     ensure_valid(d)
     basis = enumerate_basis(d.m, d.n)
-    states = _frontier_states(d.crossings, len(d.circles), _boundary_arcs(d))
-    acc = {tuple(sorted((-u, -v) for u, v in key if u > v)): coeff
-           for key, coeff in states.items()}
+    states, loops = _frontier_states(d.crossings, len(d.circles),
+                                     _boundary_arcs(d))
+    acc = {tuple(sorted((-u, -v) for u, v in key if u > v)):
+           delta_power(loops) * coeff for key, coeff in states.items()}
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
 def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
-                     vertices=(), options=()) -> dict[frozenset, LaurentPoly]:
-    """The final state table of the frontier contraction, zeros dropped.
+                     vertices=(), options=()) -> tuple[dict, int]:
+    """(states, laid): the final state table of the frontier contraction,
+    zeros dropped, and the number of loops laid before it.
 
     The diagram is given by its parts: its crossings, its number of free
     circles, and joins, arcs (x, y) each connecting an end of edge x to an
@@ -342,10 +344,14 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     frozenset().  The weights of one state's smoothings are summed per
     landing key first, so a state pays one multiplication per distinct key
     it reaches, not per smoothing.
+
+    Those loops, the free circles and the loops the joins close, are a
+    factor delta^laid of every entry: the table starts at 1 without it,
+    and each caller applies it once to what it reads off the table.
     """
     ends: dict[int, int] = {}
-    loops = sum(_join(ends, x, y) for x, y in joins)
-    states = {frozenset(ends.items()): delta_power(circles + loops)}
+    laid = circles + sum(_join(ends, x, y) for x, y in joins)
+    states = {frozenset(ends.items()): ONE}
     all_nodes = [_crossing_node(t) for t in crossings] + list(nodes)
     for smoothings, cover, done in _absorption_order(all_nodes, vertices,
                                                      options):
@@ -376,7 +382,7 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
                       if coeff and done <= key}
         else:
             states = {key: coeff for key, coeff in nxt.items() if coeff}
-    return states
+    return states, laid
 
 
 def bracket_oracle(d: TangleDiagram) -> CoordinateVector:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, decimal_root_text, fixture_path
-from tanglepoly import cli, enhanced, pairing, skein
+from tanglepoly import cli, enhanced, moves, pairing, skein
 from tanglepoly.cli import main
 from tanglepoly.diagram import (TangleDiagram, ensure_valid, load_tng,
                                 max_label, replace, serialize_tng)
@@ -192,6 +193,9 @@ def _with_circles(name, count):
     # 3^700 > 2^1024: the float route raised OverflowError
     pytest.param("circle.tng", 699, 1, f"{3**700}.000000000 + 0.000000000i",
                  id="circle.tng-699-1-3^700"),
+    # delta^4000 in closed form, where repeated squaring took about 20 s
+    pytest.param("circle.tng", 1999, 1, f"{3**2000}.000000000 + 0.000000000i",
+                 id="circle.tng-1999-1-3^2000"),
 ])
 def test_p_at_a_root_prints_exactly_rounded_digits(name, circles, k, text,
                                                   tmp_path, capsys):
@@ -224,6 +228,42 @@ def test_root_values_past_the_double_range_print_exactly(argv, name, line, ks,
     code, out, err = run(capsys, *argv, "--json")
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Python's limit on the digits of a printed integer; 0 means none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _constants(digits):
+    """A stand-in computation: a new constant of `digits` digits per call."""
+    count = itertools.count()
+    return lambda d: LaurentPoly({0: 10 ** (digits - 1) + next(count)})
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="integers print at any length")
+@pytest.mark.parametrize("expected", [None, "exact", "root"],
+                         ids=["p", "verify-exact", "verify-root"])
+def test_integers_past_the_printing_limit_are_domain_errors(
+        expected, tmp_path, capsys, monkeypatch):
+    if expected is None:
+        argv, owner, name = ["p", fixture_path("circle.tng")], cli, "p_poly"
+    else:
+        manifest = tmp_path / "big.manifest"
+        manifest.write_text(f"pair big {FIXTURES / 'circle.tng'} "
+                            f"{FIXTURES / 'two_circles.tng'} M3 {expected}\n")
+        argv, owner, name = ["verify", str(manifest)], moves, "comparison_poly"
+    for flags in ([], ["--json"]):
+        monkeypatch.setattr(owner, name, _constants(INT_DIGITS + 100))
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (3, "")
+        assert err == ("error: cannot print an integer of more than "
+                       f"{INT_DIGITS} digits (Python's limit, raised by "
+                       "PYTHONINTMAXSTRDIGITS)\n")
+        # just under the limit it prints; verify's pair fails, with exit 3
+        monkeypatch.setattr(owner, name, _constants(INT_DIGITS))
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, err) == (0 if expected is None else 3, "")
+        assert str(10 ** (INT_DIGITS - 1)) in out
 
 
 @pytest.mark.parametrize("text", [

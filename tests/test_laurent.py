@@ -112,14 +112,6 @@ def test_bar_is_a_ring_map(p, q):
     assert (p + q).bar() == p.bar() + q.bar()
 
 
-@given(polys, st.integers(0, 5))
-def test_pow_matches_repeated_multiplication(p, n):
-    expected = ONE
-    for _ in range(n):
-        expected = expected * p
-    assert p ** n == expected
-
-
 PHI24 = LaurentPoly({8: 1, 4: -1, 0: 1})
 
 
@@ -201,13 +193,6 @@ def test_rational_values_round_exactly():
     assert _round_quarter((-2, 0, 0, 0), 0) == 0
 
 
-def test_negative_pow_rejected():
-    with pytest.raises(ValueError):
-        Q ** -1
-    with pytest.raises(ValueError):
-        delta_power(-1)
-
-
 @given(polys, st.sampled_from(ROOT_INDICES))
 def test_eval_root_matches_naive_evaluation(p, k):
     q = cmath.exp(1j * math.pi * k / 12)
@@ -247,9 +232,13 @@ def test_delta_squares_to_three_at_roots():
 
 
 def test_delta_power_is_cached_exact_power():
-    assert delta_power(0) == ONE
-    assert delta_power(1) == DELTA
-    assert delta_power(4) == DELTA * DELTA * DELTA * DELTA
+    expected = ONE
+    for n in range(41):
+        assert delta_power(n) == expected, n
+        assert delta_power(n) is delta_power(n)
+        expected = expected * DELTA
+    with pytest.raises(ValueError):
+        delta_power(-1)
 
 
 @given(polys, polys)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,9 +9,10 @@ from conftest import FIXTURES, fixture_path
 from tanglepoly import pairing, skein
 from tanglepoly.diagram import (TangleDiagram, _min_rotation, load_tng,
                                max_label, mirror, reflect, replace, tensor)
+from tanglepoly.enhanced import invariant_total_poly
 from tanglepoly.errors import DomainError
 from tanglepoly.generate import random_tangle, random_trivalent
-from tanglepoly.laurent import ROOT_INDICES, delta_power
+from tanglepoly.laurent import ROOT_INDICES, LaurentPoly, delta_power
 from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
 from tanglepoly.skein import bracket, enumerate_basis, vector_bar
@@ -121,6 +123,49 @@ def test_extra_circle_multiplies_by_delta_squared():
         d = load_tng(fixture_path(f"{name}.tng"))
         with_circle = replace(d, circles=d.circles + (max_label(d) + 1,))
         assert p_poly(with_circle) == p_poly(d) * delta_power(2), name
+
+
+def _with_circles(d, count):
+    start = max_label(d) + 1
+    return replace(d, circles=d.circles + tuple(range(start, start + count)))
+
+
+def test_free_loops_are_one_delta_power_applied_once(monkeypatch):
+    def delta_to(n):
+        return LaurentPoly({2 * n - 4 * j: (-1) ** n * math.comb(n, j)
+                            for j in range(n + 1)})
+
+    def fixture(name):
+        return load_tng(fixture_path(f"{name}.tng"))
+
+    cups = TangleDiagram(m=600, n=0, bottom=tuple(
+        label for label in range(1, 301) for _ in range(2)))
+    bracket_22 = bracket(fixture("identity_22")).coords
+    cases = [
+        # even boundary, odd boundary, loops closed by the caps, graph
+        (p_poly, _with_circles(fixture("trefoil"), 300),
+         delta_to(600) * p_poly(fixture("trefoil"))),
+        (p_poly, _with_circles(fixture("three_strand"), 300),
+         delta_to(600) * p_poly(fixture("three_strand"))),
+        (p_poly, cups, delta_to(600)),
+        (invariant_total_poly, _with_circles(fixture("theta"), 300),
+         delta_to(600) * invariant_total_poly(fixture("theta"))),
+        (lambda d: bracket(d).coords,
+         _with_circles(fixture("identity_22"), 300),
+         tuple(delta_to(300) * c for c in bracket_22)),
+    ]
+    original = LaurentPoly.__mul__
+
+    def guarded(p, other):
+        # a loop count carried through the sweep, squared or raised by
+        # squaring shows up as a product of two long polynomials
+        if isinstance(other, LaurentPoly):
+            assert min(len(p.terms), len(other.terms)) <= 64
+        return original(p, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", guarded)
+    for compute, d, expected in cases:
+        assert compute(d) == expected
 
 
 def test_p_poly_is_mirror_invariant_on_fixtures():
