@@ -51,7 +51,7 @@ from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
                       max_label, merge_edges)
 from .errors import DomainError, InvalidDiagramError
 from .laurent import DELTA, ZERO, LaurentPoly, delta_power
-from .pairing import _doubled_closure, p_poly
+from .pairing import _caps, p_poly
 from .skein import _frontier_states
 
 Enhancement = frozenset[int]
@@ -363,6 +363,21 @@ def _twin_node(vertex, offset: int):
         (flat[1] + twin[0], w10), (flat[1] + twin[1], w11))
 
 
+def _doubled_closure(d: TangleDiagram, offset: int):
+    """(crossings, circles, caps) of the plat closure of d (x) reflect(d):
+    the reflected copy reverses the ccw order of every crossing and the
+    boundary, and its labels are shifted by offset, max_label(d), as tensor
+    shifts them."""
+
+    def twin(t):
+        return tuple(x + offset for x in t)
+
+    crossings = d.crossings + tuple(twin((a, dd, c, b))
+                                    for a, b, c, dd in d.crossings)
+    return crossings, 2 * len(d.circles), _caps(
+        d.bottom + twin(d.bottom[::-1]), d.top + twin(d.top[::-1]))
+
+
 def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
     """Sum of the state sums of a valid d over its thick sets by links,
     (label, vertex index, vertex index) triples, in one sweep.
@@ -384,7 +399,7 @@ def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
     options = [(u, v, _twin_node(_contracted_vertex(d, label), offset)[1])
                for label, u, v in links]
     states, loops = _frontier_states(
-        *_doubled_closure(d),
+        *_doubled_closure(d, offset),
         nodes=[_twin_node(v, offset) for v in d.fourvalent],
         vertices=vertices, options=options)
     return delta_power(loops) * states.get(frozenset(), ZERO)

@@ -17,9 +17,9 @@ its at most 8 terms in floats.
 
 A free loop is the scalar DELTA = -q^2 - q^-2, so L loops are the one
 factor delta_power(L), built in closed form from binomial coefficients:
-n+1 terms for delta^n, with no product of polynomials.  Every integer
-this module prints goes through _int_text, which turns Python's limit on
-printed digits into a DomainError.
+n+1 terms for delta^n, with no product of polynomials.  Past Python's
+limit on printed digits a text is a DomainError, refused by bit length
+before any integer is converted, and by _int_text's str() near it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ def _cos4(j: int) -> tuple[int, ...]:
 DIGITS = 9
 
 
+_TOO_LONG = ("cannot print an integer of more than {} digits (Python's "
+             "limit, raised by PYTHONINTMAXSTRDIGITS)")
+
+
 def _int_text(n: int) -> str:
     """str(n) for every integer laurent prints.  Python refuses to print
     more than sys.get_int_max_str_digits() digits; that is a DomainError."""
@@ -61,9 +65,16 @@ def _int_text(n: int) -> str:
         return str(n)
     except ValueError:
         raise DomainError(
-            "cannot print an integer of more than "
-            f"{sys.get_int_max_str_digits()} digits (Python's limit, "
-            "raised by PYTHONINTMAXSTRDIGITS)") from None
+            _TOO_LONG.format(sys.get_int_max_str_digits())) from None
+
+
+def _check_printable(largest: int) -> None:
+    """Refuse a text whose largest integer, of b bits and so at least
+    2^(b-1), surely has more digits than Python prints; near the limit
+    _int_text decides.  A limit of 0, or none before 3.10.7, means none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and largest.bit_length() > limit * math.log2(10) + 1:
+        raise DomainError(_TOO_LONG.format(limit))
 
 
 def _fixed(n: int) -> str:
@@ -74,6 +85,7 @@ def _fixed(n: int) -> str:
 def complex_text(value: tuple[int, int]) -> str:
     """Text of a root value given as LaurentPoly.rounded_root(k)."""
     re, im = value
+    _check_printable(max(abs(re), abs(im)) // 10 ** DIGITS)
     sign = "+" if im >= 0 else "-"
     return f"{_fixed(re)} {sign} {_fixed(abs(im))}i"
 
@@ -255,6 +267,7 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        _check_printable(max(map(abs, self._terms.values())))
         parts: list[str] = []
         for e, c in self.items_desc():
             if e == 0:
@@ -280,11 +293,11 @@ Q = LaurentPoly({1: 1})
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def delta_power(n: int) -> LaurentPoly:
-    """Cached delta^n = (-1)^n sum_j C(n, j) q^(2n-4j), stepping
-    C(n, j+1) = C(n, j) (n-j) / (j+1): one small product and one exact
-    division per term, where math.comb per term would be quadratic."""
+    """delta^n = (-1)^n sum_j C(n, j) q^(2n-4j), the 64 latest cached,
+    stepping C(n, j+1) = C(n, j) (n-j) / (j+1): one small product and one
+    exact division per term, where math.comb per term would be quadratic."""
     if n < 0:
         raise ValueError("loop count cannot be negative")
     terms = {}

@@ -16,16 +16,19 @@ into bar(v(D)) read on reflected matchings, so by bilinearity
 
     P(D) = < plat closure of D (x) reflect(D) >,
 
-the bracket of one closed diagram.  When m and n are even, no closing arc
-joins the two copies, the closure falls apart into the plat closure of D
-and its reflection, and P(D) = b * bar(b) with b the bracket of D's own
-plat closure.  pairing_matrix, plat_loop_count and pair keep the matrix
-route for the `pairing` subcommand and as the oracle of this identity.
+the bracket of one closed diagram, which falls apart.  For even m and n
+no cap joins the two copies, and P(D) = b * bar(b) with b the bracket of
+D's own plat closure.  For odd m and n one cap pair joins D's last points
+to their mirror images; cut there, each copy is a (1,1)-tangle whose flat
+basis is the one arc, and the two arcs close one more loop, so
+P(D) = delta * b * bar(b).  pairing_matrix, plat_loop_count and pair keep
+the matrix route for the `pairing` subcommand and as the oracle of this
+identity.
 
 Free circles, and the loops the caps close before any crossing is
 resolved, are one scalar delta^L that the sweep leaves out of its table
-(skein._frontier_states).  p_poly applies it once: bar fixes delta, so in
-the even case P(D) = delta^(2L) * b0 * bar(b0) for the table's value b0,
+(skein._frontier_states).  p_poly applies it once: bar fixes delta, so
+P(D) = delta^(2L + m mod 2) * b0 * bar(b0) for the table's one value b0,
 and no product carries a loop factor.
 """
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagram import TangleDiagram, _union, ensure_valid, max_label
+from .diagram import TangleDiagram, _union, ensure_valid
 from .errors import DomainError
 from .laurent import LaurentPoly, ZERO, delta_power
 # bench/tracing.py patches pairing.bracket by attribute
@@ -122,42 +125,19 @@ def pair(u: CoordinateVector, w: CoordinateVector) -> LaurentPoly:
 
 
 def _caps(bottom, top) -> list[tuple[int, int]]:
-    """The plat closure's caps as joins: bottom points 1-2, 3-4, ... and
-    top points 1-2, 3-4, ... (left to right)."""
+    """The plat closure's caps as joins: points 1-2, 3-4, ... on each side,
+    left to right; an odd side's last point is left open."""
     return list(zip(bottom[::2], bottom[1::2])) + list(zip(top[::2], top[1::2]))
 
 
-def _doubled_closure(d: TangleDiagram):
-    """(crossings, circles, caps) of the plat closure of d (x) reflect(d),
-    read off d's label tuples: the reflected copy reverses the ccw order of
-    every crossing and the boundary, and its labels are shifted by
-    max_label(d), as tensor shifts them."""
-    offset = max_label(d)
-
-    def twin(t):
-        return tuple(x + offset for x in t)
-
-    crossings = d.crossings + tuple(twin((a, dd, c, b))
-                                    for a, b, c, dd in d.crossings)
-    return crossings, 2 * len(d.circles), _caps(
-        d.bottom + twin(d.bottom[::-1]), d.top + twin(d.top[::-1]))
-
-
 def p_poly(d: TangleDiagram) -> LaurentPoly:
-    """Exact pairing polynomial of a strand diagram, from one closure.
-
-    Even m and n: b * bar(b) with b the bracket of the plat closure of d,
-    taken as delta^(2L) * b0 * bar(b0) with b0 the sweep's value and L its
-    loops laid before the sweep.  Odd m and n: the bracket of the plat
-    closure of d (x) reflect(d), delta^L times the sweep's value.
-    """
+    """Exact P(d) = delta^(2L + m mod 2) * b0 * bar(b0), from one sweep of
+    d's plat closure with an odd side's last point left open: there one
+    cap pair joins the copies of d (x) reflect(d) and closes one more
+    loop.  b0 is the sweep's one value, L the loops laid before it."""
     _check_strand_diagram(d)
     ensure_valid(d)
-    even = d.m % 2 == 0
-    states, loops = _frontier_states(*(
-        (d.crossings, len(d.circles), _caps(d.bottom, d.top)) if even
-        else _doubled_closure(d)))
-    b = states.get(frozenset(), ZERO)
-    if even:
-        return delta_power(2 * loops) * (b * b.bar())
-    return delta_power(loops) * b
+    states, loops = _frontier_states(d.crossings, len(d.circles),
+                                     _caps(d.bottom, d.top))
+    b0 = next(iter(states.values()), ZERO)
+    return delta_power(2 * loops + d.m % 2) * (b0 * b0.bar())

@@ -340,10 +340,10 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     and its mark leaves the key.  So the options sum over the perfect
     matchings of their vertices by options.
 
-    A closed diagram, its caps laid as joins, leaves at most the one key
-    frozenset().  The weights of one state's smoothings are summed per
-    landing key first, so a state pays one multiplication per distinct key
-    it reaches, not per smoothing.
+    A closure, its caps laid as joins, leaves at most one key, which is
+    not frozenset() when p_poly leaves an odd side's last point open.  The
+    weights of one state's smoothings are summed per landing key first, so
+    a state pays one multiplication per distinct key it reaches.
 
     Those loops, the free circles and the loops the joins close, are a
     factor delta^laid of every entry: the table starts at 1 without it,

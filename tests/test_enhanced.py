@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import enhanced, pairing, skein
-from tanglepoly.diagram import (TangleDiagram, edge_occurrences, ensure_valid,
-                                is_isomorphic, load_tng, max_label,
-                                merge_edges, parse_tng, read_text, relabeled,
-                                replace, tensor)
+from tanglepoly.diagram import (TangleDiagram, _min_rotation,
+                                edge_occurrences, ensure_valid, is_isomorphic,
+                                load_tng, max_label, merge_edges, parse_tng,
+                                read_text, reflect, relabeled, replace, tensor)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -20,7 +20,7 @@ from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  state_polys)
 from tanglepoly.errors import DomainError, InvalidDiagramError
 from tanglepoly.generate import (MAX_ACTIVE, _MorseBuilder, random_splice_site,
-                                 random_trivalent)
+                                 random_tangle, random_trivalent)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
 from tanglepoly.moves import braid_pattern, insert_kink, splice_22
 from tanglepoly.pairing import p_poly
@@ -342,6 +342,24 @@ def test_coupled_sweep_matches_the_state_oracle_at_a_wide_boundary():
     d = _braid_graph(3, 8, 8, 12, 4)
     assert (d.m, len(d.crossings), len(d.fourvalent)) == (8, 8, 4)
     _assert_matches_oracle(d, "wide")
+
+
+def test_doubled_closure_is_the_plat_closure_of_d_beside_its_reflection():
+    # tensor and reflect build D (x) reflect(D) as a diagram: the oracle of
+    # the closure _doubled_closure reads off D's label tuples
+    paths = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
+    diagrams = [load_tng(str(path)) for path in paths]
+    for seed in range(50):
+        diagrams.append(random_tangle(random.Random(seed), max_crossings=8))
+        diagrams.append(random_trivalent(random.Random(seed)))
+    assert len(diagrams) >= 135
+    for d in diagrams:
+        crossings, circles, caps = enhanced._doubled_closure(d, max_label(d))
+        t = tensor(d, reflect(d))
+        assert sorted(_min_rotation(c, (0, 2)) for c in crossings) == \
+            sorted(_min_rotation(c, (0, 2)) for c in t.crossings), d
+        assert circles == len(t.circles), d
+        assert caps == pairing._caps(t.bottom, t.top), d
 
 
 def test_state_sum_builds_no_basis_and_no_matrix(monkeypatch):

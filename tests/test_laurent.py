@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import decimal_root_text
+from tanglepoly import laurent
 from tanglepoly.errors import DomainError
-from tanglepoly.laurent import (DELTA, ONE, Q, ROOT_INDICES, ZERO, LaurentPoly,
-                                _round_quarter, complex_text, delta_power,
-                                ensure_root_index)
+from tanglepoly.laurent import (DELTA, DIGITS, ONE, Q, ROOT_INDICES, ZERO,
+                                LaurentPoly, _round_quarter, complex_text,
+                                delta_power, ensure_root_index)
 
 polys = st.builds(
     LaurentPoly,
@@ -239,6 +241,53 @@ def test_delta_power_is_cached_exact_power():
         expected = expected * DELTA
     with pytest.raises(ValueError):
         delta_power(-1)
+
+
+def test_the_delta_power_cache_is_bounded():
+    bound = delta_power.cache_info().maxsize
+    # the benchmark warms delta^0 to delta^31 up before it times anything
+    assert 32 <= bound < 1000
+    for n in range(3 * bound):
+        delta_power(n)
+    assert delta_power.cache_info().currsize <= bound
+
+
+# Python's limit on the digits of a printed integer; 0 means none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="integers print at any length")
+def test_texts_surely_past_the_printing_limit_convert_no_integer(monkeypatch):
+    # delta^14400, P of 7200 free circles, has about 6000 coefficients
+    # below the limit before its largest, 4334 digits long
+    texts = [lambda: str(delta_power(14400)),
+             lambda: complex_text((0, -10 ** (INT_DIGITS + DIGITS + 1)))]
+    calls = []
+    original = laurent._int_text
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(laurent, "_int_text", counted)
+    for text in texts:
+        with pytest.raises(DomainError, match="Python's limit"):
+            text()
+    assert calls == []
+    # at the limit itself the integers print
+    assert str(LaurentPoly({0: 10 ** INT_DIGITS - 1})) == "9" * INT_DIGITS
+    assert calls == [10 ** INT_DIGITS - 1]
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="integers print at any length")
+def test_a_limit_of_zero_prints_any_integer():
+    big = 10 ** (INT_DIGITS + 100)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert str(LaurentPoly({1: big})) == f"{big}q"
+        assert complex_text((big * 10 ** DIGITS, 0)).startswith(f"{big}.")
+    finally:
+        sys.set_int_max_str_digits(INT_DIGITS)
 
 
 @given(polys, polys)

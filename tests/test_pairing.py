@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import pairing, skein
-from tanglepoly.diagram import (TangleDiagram, _min_rotation, load_tng,
-                               max_label, mirror, reflect, replace, tensor)
+from tanglepoly.diagram import (TangleDiagram, load_tng, max_label, mirror,
+                               replace)
 from tanglepoly.enhanced import invariant_total_poly
 from tanglepoly.errors import DomainError
-from tanglepoly.generate import random_tangle, random_trivalent
+from tanglepoly.generate import _MorseBuilder, random_tangle
 from tanglepoly.laurent import ROOT_INDICES, LaurentPoly, delta_power
 from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
@@ -213,7 +213,8 @@ def test_closure_matches_the_matrix_on_seeded_tangles():
         d = random_tangle(random.Random(seed), max_crossings=8)
         boundaries.add((d.m % 2, d.n % 2))
         assert p_poly(d) == _p_via_matrix(d), seed
-    # both the b * bar(b) and the doubled closure are exercised
+    # both parities of the boundary, and so both delta exponents, are
+    # exercised
     assert boundaries == {(0, 0), (1, 1)}
 
 
@@ -224,22 +225,36 @@ def test_closure_matches_the_matrix_on_drawn_tangles(seed, crossings):
     assert p_poly(d) == _p_via_matrix(d)
 
 
-def test_doubled_closure_is_the_plat_closure_of_d_beside_its_reflection():
-    # tensor and reflect build D (x) reflect(D) as a diagram: the oracle of
-    # the closure _doubled_closure reads off D's label tuples
-    paths = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
-    diagrams = [load_tng(str(path)) for path in paths]
-    for seed in range(50):
-        diagrams.append(random_tangle(random.Random(seed), max_crossings=8))
-        diagrams.append(random_trivalent(random.Random(seed)))
-    assert len(diagrams) >= 135
+def _braid(strands, crossings, seed):
+    """A seeded braid word of crossings letters on strands strands."""
+    rng = random.Random(seed)
+    b = _MorseBuilder(strands)
+    for _ in range(crossings):
+        b.cross(rng.randrange(strands - 1), rng.choice((1, -1)))
+    return b.finish()
+
+
+def test_odd_boundaries_sweep_d_once(monkeypatch):
+    # the caps join D's points pairwise, all but the last on each side, so
+    # D's crossings are swept once, not beside those of its reflection
+    sweeps = []
+    original = pairing._frontier_states
+
+    def recording(crossings, *args, **kwargs):
+        sweeps.append(crossings)
+        return original(crossings, *args, **kwargs)
+
+    monkeypatch.setattr(pairing, "_frontier_states", recording)
+    # (7,7) is within MAX_HALF_BOUNDARY, but its 429-element matrix takes
+    # seconds to build, so that braid is kept short
+    diagrams = [_braid(5, 40, 0), _braid(7, 14, 1)] + [
+        d for d in map(load_tng, STRAND_FILES) if d.m % 2]
+    assert len(diagrams) >= 6
     for d in diagrams:
-        crossings, circles, caps = pairing._doubled_closure(d)
-        t = tensor(d, reflect(d))
-        assert sorted(_min_rotation(c, (0, 2)) for c in crossings) == \
-            sorted(_min_rotation(c, (0, 2)) for c in t.crossings), d
-        assert circles == len(t.circles), d
-        assert caps == pairing._caps(t.bottom, t.top), d
+        sweeps.clear()
+        p = p_poly(d)
+        assert sweeps == [d.crossings], d
+        assert p == _p_via_matrix(d), d
 
 
 @pytest.mark.parametrize("width", range(1, 6))
