@@ -38,8 +38,9 @@ Matching = tuple[Pair, ...]
 #: Largest (m+n)/2 enumerate_basis accepts.  The basis has Catalan((m+n)/2)
 #: elements, 58786 at 11, and each step up costs about 3.5 times the time
 #: and memory; pairing.MAX_HALF_BOUNDARY caps the square-sized pairing
-#: matrix lower.  P(D) and the state sums bracket closures and need no
-#: basis, so neither limit applies to them.
+#: matrix lower, at 7 (429 elements, seconds to build).  P(D) and the
+#: state sums bracket closures and need no basis, so neither limit
+#: applies to them.
 MAX_BASIS_HALF_BOUNDARY = 11
 
 # _WEIGHTS[s][k]: weight of smoothing s (A, then B) when its joins close k loops

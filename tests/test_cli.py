@@ -145,14 +145,15 @@ def _wide_fourvalent():
                          bottom=(1, 2) + rest, top=(10, 11) + rest)
 
 
-@pytest.mark.parametrize("argv", [["pairing", "9", "9"]])
+@pytest.mark.parametrize("argv", [["pairing", "9", "9"],
+                                  ["pairing", "8", "8"]])
 def test_wide_pairings_are_refused_before_any_basis(argv, capsys,
                                                      monkeypatch):
     for owner in (pairing, skein):
         monkeypatch.setattr(owner, "enumerate_basis", _refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "error: pairing supported only for (m+n)/2 <= 8\n"
+    assert err == "error: pairing supported only for (m+n)/2 <= 7\n"
 
 
 def test_invariant_at_a_wide_boundary_builds_no_basis(tmp_path, capsys,

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import pairing, skein
-from tanglepoly.diagram import (TangleDiagram, load_tng, max_label, mirror,
-                               replace)
+from tanglepoly.diagram import (TangleDiagram, all_labels, load_tng, max_label,
+                               mirror, replace)
 from tanglepoly.enhanced import invariant_total_poly
 from tanglepoly.errors import DomainError
 from tanglepoly.generate import _MorseBuilder, random_tangle
 from tanglepoly.laurent import ROOT_INDICES, LaurentPoly, delta_power
+from tanglepoly.moves import insert_kink
 from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
 from tanglepoly.skein import bracket, enumerate_basis, vector_bar
@@ -234,17 +235,24 @@ def _braid(strands, crossings, seed):
     return b.finish()
 
 
-def test_odd_boundaries_sweep_d_once(monkeypatch):
-    # the caps join D's points pairwise, all but the last on each side, so
-    # D's crossings are swept once, not beside those of its reflection
-    sweeps = []
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The arguments of every sweep p_poly runs, in call order."""
+    calls = []
     original = pairing._frontier_states
 
-    def recording(crossings, *args, **kwargs):
-        sweeps.append(crossings)
-        return original(crossings, *args, **kwargs)
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
 
     monkeypatch.setattr(pairing, "_frontier_states", recording)
+    return calls
+
+
+def test_odd_boundaries_sweep_d_once(sweeps):
+    # the caps join D's points pairwise, all but the last on each side, so
+    # D's crossings are swept once, not beside those of its reflection;
+    # kinks and bigons of the closure are removed first, so at most D's.
     # (7,7) is within MAX_HALF_BOUNDARY, but its 429-element matrix takes
     # seconds to build, so that braid is kept short
     diagrams = [_braid(5, 40, 0), _braid(7, 14, 1)] + [
@@ -253,8 +261,97 @@ def test_odd_boundaries_sweep_d_once(monkeypatch):
     for d in diagrams:
         sweeps.clear()
         p = p_poly(d)
-        assert sweeps == [d.crossings], d
+        ((swept, _, _),) = sweeps
+        assert len(swept) <= len(d.crossings), d
         assert p == _p_via_matrix(d), d
+
+
+def _word(strands, word, circles=0):
+    """The braid of word, (generator, sign) pairs, with free circles."""
+    b = _MorseBuilder(strands)
+    for gen, sign in word:
+        b.cross(gen, sign)
+    d = b.finish()
+    return _with_circles(d, circles) if circles else d
+
+
+# closures without kinks or bigons; every other strand fixture with
+# crossings has some
+IRREDUCIBLE = {"trefoil.tng", "m3_knot_a.tng"}
+
+
+def test_irreducible_closures_are_swept_as_they_are(sweeps):
+    for path in STRAND_FILES:
+        d = load_tng(path)
+        sweeps.clear()
+        p_poly(d)
+        ((crossings, circles, joins),) = sweeps
+        if d.crossings and path.rsplit("/", 1)[-1] not in IRREDUCIBLE:
+            assert len(crossings) < len(d.crossings), path
+            continue
+        # the same crossings and caps, so the sweep keeps its plan
+        assert crossings is d.crossings, path
+        assert circles == len(d.circles), path
+        assert joins == pairing._caps(d.bottom, d.top), path
+
+
+def test_kinks_and_bigons_leave_p_exact(sweeps):
+    # (diagram, loops laid): every crossing is removed
+    cases = [
+        # both caps make sigma's one crossing a kink
+        (load_tng(fixture_path("sigma.tng")), 1),
+        # a bigon between strands of different caps: its through-strands
+        # close into two circles, or into one circle and the open path
+        (_word(4, [(1, 1), (1, -1)]), 2),
+        (_word(3, [(1, 1), (1, -1)]), 1),
+        (_word(5, [(1, -1), (1, 1)], circles=2), 4),
+        # removing the inner bigon makes the outer one
+        (_word(6, [(1, 1), (2, 1), (2, -1), (1, -1)]), 3),
+    ]
+    for d, loops in cases:
+        sweeps.clear()
+        p = p_poly(d)
+        assert sweeps == [([], loops, ())], d
+        assert p == delta_power(2 * loops + d.m % 2) == _p_via_matrix(d), d
+
+
+def test_seeded_braid_words_match_the_matrix():
+    widths, kept, total = set(), 0, 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        strands = rng.randint(2, 6)
+        word = [(rng.randrange(strands - 1), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 10))]
+        d = _word(strands, word, rng.randint(0, 2))
+        assert p_poly(d) == _p_via_matrix(d), seed
+        widths.add(strands)
+        kept += len(pairing._reduced_closure(d)[0])
+        total += len(d.crossings)
+    assert widths == {2, 3, 4, 5, 6}
+    # some crossings are removed, and some are swept
+    assert 0 < kept < total
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(0, 6), st.integers(0, 2))
+def test_kinked_tangles_match_the_matrix(seed, crossings, circles):
+    # kinks of both signs on random edges, where caps may form more
+    rng = random.Random(seed)
+    d = random_tangle(rng, max_crossings=crossings)
+    for _ in range(2):
+        labels = sorted(all_labels(d))
+        if labels:
+            d = insert_kink(d, rng.choice(labels), rng.choice((1, -1)))
+    d = _with_circles(d, circles)
+    assert p_poly(d) == _p_via_matrix(d)
+
+
+def test_a_long_word_of_bigons_reduces_in_one_linear_pass(sweeps):
+    # (s1 s1^-1)^10000: the pass removes all 20000 crossings, with no
+    # recursion to exceed Python's stack, and the sweep gets none of them
+    d = _word(2, [(0, 1), (0, -1)] * 10000)
+    assert p_poly(d) == delta_power(2)
+    assert sweeps == [([], 1, ())]
 
 
 @pytest.mark.parametrize("width", range(1, 6))
