@@ -40,7 +40,9 @@ MAX_LISTED_ENHANCEMENTS.
 Each sweep is planned in one pass over the diagram: a call builds
 edge_occurrences(d) once per diagram, and that one index serves
 validation, the link tracing, the contracted vertices and the shift of the
-reflected copy.
+reflected copy.  As in every sweep, the frontier core first removes the
+doubled closure's Reidemeister I kinks and II bigons and starts its table
+at the kinks' unit (skein._frontier_states), so the sums stay exact.
 """
 
 from __future__ import annotations

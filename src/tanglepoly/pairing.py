@@ -31,14 +31,12 @@ resolved, are one scalar delta^L that the sweep leaves out of its table
 P(D) = delta^(2L + m mod 2) * b0 * bar(b0) for the table's one value b0,
 and no product carries a loop factor.
 
-Before the sweep, p_poly removes every Reidemeister I kink and II bigon
-of the closure in one linear pass (_reduced_closure), so the sweep sees
-only the crossings that P can.  Both moves leave P exact: a bigon's four
-smoothings sum to its two through-strands, so b0 is unchanged, and a kink
-multiplies b0 by -q^3 or -q^-3, a unit u with u * bar(u) = 1.  A splice
-that closes a strand on itself is one more loop in L.  bracket() does
-not use the pass, since its coordinates keep the unit, nor do the I(G)
-sweeps of enhanced, whose labels are shared with vertices and options.
+p_poly passes D's own crossings, circles and caps.  The sweep removes
+every Reidemeister I kink and II bigon of the closure, the caps included,
+before it plans (skein._frontier_states), so it contracts only the
+crossings that P can see.  A bigon leaves b0 unchanged, and a kink
+multiplies it by -q^3 or -q^-3, a unit u with u * bar(u) = 1, which
+cancels in b0 * bar(b0).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagram import TangleDiagram, _root, _union, ensure_valid
+from .diagram import TangleDiagram, _union, ensure_valid
 from .errors import DomainError
 from .laurent import LaurentPoly, ZERO, delta_power
 # bench/tracing.py patches pairing.bracket by attribute
@@ -141,89 +139,14 @@ def _caps(bottom, top) -> list[tuple[int, int]]:
     return list(zip(bottom[::2], bottom[1::2])) + list(zip(top[::2], top[1::2]))
 
 
-def _reduced_closure(d: TangleDiagram):
-    """(crossings, circles, joins) of d's plat closure with every
-    Reidemeister I kink and II bigon removed, for _frontier_states.
-
-    Slot 4*i + s is slot s of crossing i, and partner maps each slot to
-    the slot at the other end of its edge, the caps merged in, or to -1
-    at an open end.  A kink is a slot whose edge returns to the next slot
-    of its crossing; a bigon is two crossings whose edges join slots i, j
-    of equal parity and i+1, j-1, so one strand passes under both.  Each
-    removal splices the through-strands, and a splice that closes on
-    itself is one more loop.  Only the slots whose partner changed are
-    looked at again, so the pass is linear.  A surviving edge keeps the
-    original label of its later slot.  When nothing reduces, d's own
-    crossings and caps are returned, and the sweep keeps its plan.
-    """
-    caps = _caps(d.bottom, d.top)
-    parent: dict[int, int] = {}
-    loops = len(d.circles)
-    for x, y in caps:
-        if not _union(parent, x, y):
-            loops += 1
-    labels = [lab for t in d.crossings for lab in t]
-    partner = [-1] * len(labels)
-    first: dict[int, int] = {}
-    for t, lab in enumerate(labels):
-        edge = _root(parent, lab)
-        u = first.pop(edge, None)
-        if u is None:
-            first[edge] = t
-        else:
-            partner[t], partner[u] = u, t
-    alive = [True] * len(d.crossings)
-    work = list(range(len(labels)))
-    while work:
-        t = work.pop()
-        u = partner[t]
-        if u < 0 or not alive[t >> 2]:
-            continue
-        x, i, y, j = t & ~3, t & 3, u & ~3, u & 3
-        if x == y:
-            if j != (i + 1) & 3:
-                continue  # the kink, if any, is found from slot u
-            # through slots i+2 and i+3, round the kink
-            through = ((x + (i + 2 & 3), x + (i + 3 & 3)),)
-        elif (i ^ j) & 1:
-            continue
-        else:
-            if partner[x + (i - 1 & 3)] == y + (j + 1 & 3):
-                i, j = i - 1, j + 1  # t's edge is the bigon's second
-            elif partner[x + (i + 1 & 3)] != y + (j - 1 & 3):
-                continue
-            alive[y >> 2] = False
-            through = ((x + (i + 2 & 3), y + (j + 2 & 3)),
-                       (x + (i + 3 & 3), y + (j + 1 & 3)))
-        alive[x >> 2] = False
-        for e, f in through:
-            a, b = partner[e], partner[f]
-            if a == f:
-                loops += 1
-                continue
-            if a >= 0:
-                partner[a] = b
-                work.append(a)
-            if b >= 0:
-                partner[b] = a
-                work.append(b)
-    if all(alive):
-        return d.crossings, len(d.circles), caps
-    crossings = [tuple(labels[max(t, partner[t])]
-                       for t in range(4 * k, 4 * k + 4))
-                 for k, kept in enumerate(alive) if kept]
-    return crossings, loops, ()
-
-
 def p_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact P(d) = delta^(2L + m mod 2) * b0 * bar(b0), from one sweep of
     d's plat closure with an odd side's last point left open: there one
     cap pair joins the copies of d (x) reflect(d) and closes one more
-    loop.  b0 is the sweep's one value, L the loops laid before it.
-    The closure's kinks and bigons are removed first (_reduced_closure),
-    which leaves P exact."""
+    loop.  b0 is the sweep's one value, L the loops laid before it."""
     _check_strand_diagram(d)
     ensure_valid(d)
-    states, loops = _frontier_states(*_reduced_closure(d))
+    states, loops = _frontier_states(d.crossings, len(d.circles),
+                                     _caps(d.bottom, d.top))
     b0 = next(iter(states.values()), ZERO)
     return delta_power(2 * loops + d.m % 2) * (b0 * b0.bar())

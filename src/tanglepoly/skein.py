@@ -15,11 +15,16 @@ states directly over a union-find.  They share no resolution code and must
 agree exactly.
 
 Every contraction here, and those of pairing and enhanced, runs through
-_frontier_states, whose absorption order is planned in one greedy pass
-before the sweep (_absorption_order).  Each node and each optional node
-is an entry held by one or two owners of label ends, and one scoring rule
-and one update path serve them all.  The order sets the frontier's
-width, and with it the sweep's cost.
+_frontier_states.  It first removes every Reidemeister I kink and II
+bigon among the crossings it is given in one linear pass
+(_kinks_and_bigons_removed): a bigon's four smoothings sum to its two
+through-strands, and a kink's two to its through-strand times -q^3 or
+-q^-3, so the table starts at that unit and every bracket stays exact.
+Then the absorption order is planned in one greedy pass
+(_absorption_order).  Each node and each optional node is an entry held
+by one or two owners of label ends, and one scoring rule and one update
+path serve them all.  The order sets the frontier's width, and with it
+the sweep's cost.
 """
 
 from __future__ import annotations
@@ -88,9 +93,11 @@ def _noncrossing_matchings(points: tuple[int, ...]) -> list[Matching]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def enumerate_basis(m: int, n: int) -> Basis:
-    """All non-crossing perfect matchings of m+n circular positions, sorted."""
+    """All non-crossing perfect matchings of m+n circular positions, sorted;
+    the 8 latest shapes cached, since one at (m+n)/2 = 11 holds about
+    25 MiB."""
     if m < 0 or n < 0:
         raise DomainError("boundary counts cannot be negative")
     if (m + n) % 2:
@@ -177,6 +184,93 @@ def _crossing_node(t):
     weight q, B joins (a,d),(b,c) with weight q^-1."""
     a, b, c, dd = t
     return t, ((((a, b), (c, dd)), _WEIGHTS[0]), (((a, dd), (b, c)), _WEIGHTS[1]))
+
+
+def _kinks_and_bigons_removed(crossings, joins):
+    """(crossings, loops, joins, unit): the crossings left once every
+    Reidemeister I kink and II bigon among them is removed, the loops the
+    removals close, the joins to lay, and the unit the bracket picks up.
+
+    Slot 4*k + s is slot s of crossing k, and partner maps each slot to
+    the slot at the other end of its edge.  A join between two labels that
+    each occur once among the crossings, a cap, is such an edge; any other
+    once-met label leads out of the crossings (partner -1) and keeps its
+    name.  A kink is a slot whose edge returns to the next slot of its
+    crossing; a bigon is two crossings whose edges join slots i, j of
+    equal parity and i+1, j-1, so one strand passes under both.  Each
+    removal splices the through-strands: a splice that closes on itself is
+    one more loop, and one that connects two labels leading out lays a
+    join between them.  Only the slots whose partner changed are looked at
+    again, so the pass is linear.  A surviving edge keeps the label of its
+    later slot.
+
+    A bigon leaves the bracket unchanged; a kink at slots i, i+1
+    multiplies it by -q^3 for even i and -q^-3 for odd i.
+    """
+    if not crossings:
+        return crossings, 0, joins, ONE
+    labels = [lab for t in crossings for lab in t]
+    partner = [-1] * len(labels)
+    once: dict[int, int] = {}
+    for t, lab in enumerate(labels):
+        u = once.pop(lab, None)
+        if u is None:
+            once[lab] = t
+        else:
+            partner[t], partner[u] = u, t
+    arcs = []
+    for x, y in joins:
+        if x != y and x in once and y in once:
+            s, t = once.pop(x), once.pop(y)
+            partner[s], partner[t] = t, s
+        else:
+            arcs.append((x, y))
+    alive = [True] * len(crossings)
+    loops = kinks = twist = 0
+    work = list(range(len(labels)))
+    while work:
+        t = work.pop()
+        u = partner[t]
+        if u < 0 or not alive[t >> 2]:
+            continue
+        x, i, y, j = t & ~3, t & 3, u & ~3, u & 3
+        if x == y:
+            if j != (i + 1) & 3:
+                continue  # the kink, if any, is found from slot u
+            kinks += 1
+            twist += -3 if i & 1 else 3
+            # through slots i+2 and i+3, round the kink
+            through = ((x + (i + 2 & 3), x + (i + 3 & 3)),)
+        elif (i ^ j) & 1:
+            continue
+        else:
+            if partner[x + (i - 1 & 3)] == y + (j + 1 & 3):
+                i, j = i - 1, j + 1  # t's edge is the bigon's second
+            elif partner[x + (i + 1 & 3)] != y + (j - 1 & 3):
+                continue
+            alive[y >> 2] = False
+            through = ((x + (i + 2 & 3), y + (j + 2 & 3)),
+                       (x + (i + 3 & 3), y + (j + 1 & 3)))
+        alive[x >> 2] = False
+        for e, f in through:
+            a, b = partner[e], partner[f]
+            if a == f:
+                loops += 1
+            elif a < 0 and b < 0:
+                arcs.append((labels[e], labels[f]))
+            else:
+                # a slot met from outside is renamed after the label it
+                # now leads out through
+                for near, far, name in ((a, b, labels[f]), (b, a, labels[e])):
+                    if near >= 0:
+                        partner[near] = far
+                        if far < 0:
+                            labels[near] = name
+                        work.append(near)
+    left = [tuple(labels[max(t, partner[t])] for t in range(4 * k, 4 * k + 4))
+            for k in range(len(crossings)) if alive[k]]
+    unit = LaurentPoly.monomial((-1) ** kinks, twist) if kinks else ONE
+    return left, loops, arcs, unit
 
 
 _NO_MARKS: frozenset = frozenset()
@@ -346,13 +440,21 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     weights of one state's smoothings are summed per landing key first, so
     a state pays one multiplication per distinct key it reaches.
 
-    Those loops, the free circles and the loops the joins close, are a
-    factor delta^laid of every entry: the table starts at 1 without it,
-    and each caller applies it once to what it reads off the table.
+    Before any of this, the crossings' kinks and bigons are removed
+    (_kinks_and_bigons_removed); a join between two labels that each
+    occur once among the crossings is an edge of that pass, so a cap may
+    close a kink or a bigon.  The table starts at the unit the removed
+    kinks multiply the bracket by, 1 when there are none.
+
+    Those loops, the free circles, the loops the removals close and the
+    loops the joins close, are a factor delta^laid of every entry: the
+    table leaves it out, and each caller applies it once to what it reads
+    off the table.
     """
+    crossings, laid, joins, unit = _kinks_and_bigons_removed(crossings, joins)
     ends: dict[int, int] = {}
-    laid = circles + sum(_join(ends, x, y) for x, y in joins)
-    states = {frozenset(ends.items()): ONE}
+    laid += circles + sum(_join(ends, x, y) for x, y in joins)
+    states = {frozenset(ends.items()): unit}
     all_nodes = [_crossing_node(t) for t in crossings] + list(nodes)
     for smoothings, cover, done in _absorption_order(all_nodes, vertices,
                                                      options):

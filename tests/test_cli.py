@@ -16,8 +16,8 @@ from tanglepoly import cli, enhanced, moves, pairing, skein
 from tanglepoly.cli import main
 from tanglepoly.diagram import (TangleDiagram, ensure_valid, load_tng,
                                 max_label, replace, serialize_tng)
-from tanglepoly.laurent import (ROOT_INDICES, LaurentPoly, complex_text,
-                                delta_power)
+from tanglepoly.laurent import (MAX_DELTA_POWER, ROOT_INDICES, LaurentPoly,
+                                complex_text, delta_power)
 from tanglepoly.moves import braid_pattern
 
 DELTA2 = "q^4 + 2 + q^-4"
@@ -265,6 +265,27 @@ def test_integers_past_the_printing_limit_are_domain_errors(
         code, out, err = run(capsys, *argv, *flags)
         assert (code, err) == (0 if expected is None else 3, "")
         assert str(10 ** (INT_DIGITS - 1)) in out
+
+
+@pytest.mark.parametrize("argv", [["p"], ["bracket"], ["invariant", "--k", "1"]],
+                         ids=["p", "bracket", "invariant"])
+def test_delta_powers_past_the_bound_are_refused_unbuilt(argv, tmp_path,
+                                                         capsys, monkeypatch):
+    # 40000 free circles: the bracket needs delta^40000, P and I(G) delta^80000
+    path = tmp_path / "circles.tng"
+    path.write_text("tangle m=0 n=0\n"
+                    + "".join(f"O {i}\n" for i in range(1, 40001)) + "B |\n")
+    init = LaurentPoly.__init__
+
+    def bounded(self, terms=None):
+        assert len(terms or ()) <= MAX_DELTA_POWER + 1, "delta^n was built"
+        init(self, terms)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", bounded)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == ("error: loop factor delta^n supported only for "
+                   f"n <= {MAX_DELTA_POWER}\n")
 
 
 @pytest.mark.parametrize("text", [

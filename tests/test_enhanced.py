@@ -22,7 +22,7 @@ from tanglepoly.errors import DomainError, InvalidDiagramError
 from tanglepoly.generate import (MAX_ACTIVE, _MorseBuilder, random_splice_site,
                                  random_tangle, random_trivalent)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
-from tanglepoly.moves import braid_pattern, insert_kink, splice_22
+from tanglepoly.moves import SpliceSite, braid_pattern, insert_kink, splice_22
 from tanglepoly.pairing import p_poly
 from test_cli import _ladder, _ladder_and_claws
 
@@ -450,11 +450,10 @@ PINNED_PLANS = {
         ((4, 3, 10, 4, 18, 17, 24, 18), [29, 31], []),
         ((3, 1, 1, 10, 17, 15, 15, 24), [29, 31], [29, 31]),
     ],
-    # the crossing's label 4 is a self-loop
+    # the crossing's label 4 is a self-loop: the kink and its twin are
+    # removed before the planner
     "kink": [
-        ((4, 4, 5, 1), None, []),
         ((5, 1, 3, 3, 10, 6, 8, 8), [11, 12], [11, 12]),
-        ((9, 6, 10, 9), None, []),
     ],
     # an F vertex's twin node shares the sweep with the options
     "twin": [
@@ -510,6 +509,20 @@ def test_the_sweep_plans_are_pinned(monkeypatch):
                  d, enhanced._traced_vertex_links(d)), SHARED)}
     for name, (compute, d) in cases.items():
         assert _plan(monkeypatch, compute, d) == PINNED_PLANS[name], name
+
+
+def test_kinks_and_bigons_of_a_graph_reach_no_planner(monkeypatch):
+    # a kink on the handcuff's loop 1, and a bigon spliced across that
+    # loop and the other one: I(G) is exact, and the planner gets only
+    # the thick edge's option
+    d = insert_kink(handcuff(), 1)
+    d = splice_22(d, SpliceSite(1, 0, 3, 1), braid_pattern(1, -1))
+    assert len(d.crossings) == 3
+    rhos = enumerate_enhancements(d)
+    expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
+    ((_, cover, _),) = _plan(monkeypatch, invariant_total_poly, d)
+    assert cover is not None  # an option, not a crossing
+    assert invariant_total_poly(d) == expected
 
 
 def test_peeling_takes_the_forced_edges_only():

@@ -262,19 +262,23 @@ def test_texts_surely_past_the_printing_limit_convert_no_integer(monkeypatch):
     # below the limit before its largest, 4334 digits long
     texts = [lambda: str(delta_power(14400)),
              lambda: complex_text((0, -10 ** (INT_DIGITS + DIGITS + 1)))]
+    # laurent converts every integer it prints with str(): shadow it there
     calls = []
-    original = laurent._int_text
 
     def counted(n):
         calls.append(n)
-        return original(n)
+        return str(n)
 
-    monkeypatch.setattr(laurent, "_int_text", counted)
+    monkeypatch.setattr(laurent, "str", counted, raising=False)
     for text in texts:
         with pytest.raises(DomainError, match="Python's limit"):
             text()
     assert calls == []
-    # at the limit itself the integers print
+    # one digit past the limit is refused, and at the limit itself the
+    # integers print
+    with pytest.raises(DomainError, match="Python's limit"):
+        str(LaurentPoly({0: 10 ** INT_DIGITS}))
+    assert calls == []
     assert str(LaurentPoly({0: 10 ** INT_DIGITS - 1})) == "9" * INT_DIGITS
     assert calls == [10 ** INT_DIGITS - 1]
 

@@ -12,11 +12,12 @@ from tanglepoly.diagram import (TangleDiagram, all_labels, load_tng, max_label,
 from tanglepoly.enhanced import invariant_total_poly
 from tanglepoly.errors import DomainError
 from tanglepoly.generate import _MorseBuilder, random_tangle
-from tanglepoly.laurent import ROOT_INDICES, LaurentPoly, delta_power
+from tanglepoly.laurent import ONE, ROOT_INDICES, LaurentPoly, delta_power
 from tanglepoly.moves import insert_kink
 from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
-from tanglepoly.skein import bracket, enumerate_basis, vector_bar
+from tanglepoly.skein import (bracket, bracket_oracle, enumerate_basis,
+                              vector_bar)
 
 
 def test_plat_loop_counts_for_the_22_basis():
@@ -237,14 +238,22 @@ def _braid(strands, crossings, seed):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The arguments of every sweep p_poly runs, in call order."""
-    calls = []
-    original = pairing._frontier_states
+    """Every sweep p_poly runs, in call order: the labels of the nodes its
+    planner receives, and the loops it lays before its table."""
+    calls, planned = [], []
+    plan, sweep = skein._absorption_order, pairing._frontier_states
+
+    def recorded_plan(nodes, *args):
+        planned.append([labels for labels, _ in nodes])
+        return plan(nodes, *args)
 
     def recording(*args):
-        calls.append(args)
-        return original(*args)
+        states, laid = sweep(*args)
+        calls.append((planned[-1], laid))
+        planned.clear()
+        return states, laid
 
+    monkeypatch.setattr(skein, "_absorption_order", recorded_plan)
     monkeypatch.setattr(pairing, "_frontier_states", recording)
     return calls
 
@@ -252,7 +261,8 @@ def sweeps(monkeypatch):
 def test_odd_boundaries_sweep_d_once(sweeps):
     # the caps join D's points pairwise, all but the last on each side, so
     # D's crossings are swept once, not beside those of its reflection;
-    # kinks and bigons of the closure are removed first, so at most D's.
+    # kinks and bigons of the closure are removed before the planner, so
+    # it receives at most D's.
     # (7,7) is within MAX_HALF_BOUNDARY, but its 429-element matrix takes
     # seconds to build, so that braid is kept short
     diagrams = [_braid(5, 40, 0), _braid(7, 14, 1)] + [
@@ -261,8 +271,8 @@ def test_odd_boundaries_sweep_d_once(sweeps):
     for d in diagrams:
         sweeps.clear()
         p = p_poly(d)
-        ((swept, _, _),) = sweeps
-        assert len(swept) <= len(d.crossings), d
+        ((planned, _),) = sweeps
+        assert len(planned) <= len(d.crossings), d
         assert p == _p_via_matrix(d), d
 
 
@@ -285,14 +295,16 @@ def test_irreducible_closures_are_swept_as_they_are(sweeps):
         d = load_tng(path)
         sweeps.clear()
         p_poly(d)
-        ((crossings, circles, joins),) = sweeps
+        ((planned, laid),) = sweeps
         if d.crossings and path.rsplit("/", 1)[-1] not in IRREDUCIBLE:
-            assert len(crossings) < len(d.crossings), path
+            assert len(planned) < len(d.crossings), path
             continue
-        # the same crossings and caps, so the sweep keeps its plan
-        assert crossings is d.crossings, path
-        assert circles == len(d.circles), path
-        assert joins == pairing._caps(d.bottom, d.top), path
+        # the planner gets D's own crossings, labels and all, so the sweep
+        # keeps its plan; no cap closes a loop beside a crossing, so only
+        # D's circles are laid before it (crossingless caps close loops)
+        assert planned == list(d.crossings), path
+        if d.crossings:
+            assert laid == len(d.circles), path
 
 
 def test_kinks_and_bigons_leave_p_exact(sweeps):
@@ -311,11 +323,11 @@ def test_kinks_and_bigons_leave_p_exact(sweeps):
     for d, loops in cases:
         sweeps.clear()
         p = p_poly(d)
-        assert sweeps == [([], loops, ())], d
+        assert sweeps == [([], loops)], d
         assert p == delta_power(2 * loops + d.m % 2) == _p_via_matrix(d), d
 
 
-def test_seeded_braid_words_match_the_matrix():
+def test_seeded_braid_words_match_the_matrix(sweeps):
     widths, kept, total = set(), 0, 0
     for seed in range(150):
         rng = random.Random(seed)
@@ -323,9 +335,10 @@ def test_seeded_braid_words_match_the_matrix():
         word = [(rng.randrange(strands - 1), rng.choice((1, -1)))
                 for _ in range(rng.randint(0, 10))]
         d = _word(strands, word, rng.randint(0, 2))
+        sweeps.clear()
         assert p_poly(d) == _p_via_matrix(d), seed
         widths.add(strands)
-        kept += len(pairing._reduced_closure(d)[0])
+        kept += len(sweeps[0][0])
         total += len(d.crossings)
     assert widths == {2, 3, 4, 5, 6}
     # some crossings are removed, and some are swept
@@ -344,6 +357,7 @@ def test_kinked_tangles_match_the_matrix(seed, crossings, circles):
             d = insert_kink(d, rng.choice(labels), rng.choice((1, -1)))
     d = _with_circles(d, circles)
     assert p_poly(d) == _p_via_matrix(d)
+    assert bracket(d) == bracket_oracle(d)
 
 
 def test_a_long_word_of_bigons_reduces_in_one_linear_pass(sweeps):
@@ -351,7 +365,23 @@ def test_a_long_word_of_bigons_reduces_in_one_linear_pass(sweeps):
     # recursion to exceed Python's stack, and the sweep gets none of them
     d = _word(2, [(0, 1), (0, -1)] * 10000)
     assert p_poly(d) == delta_power(2)
-    assert sweeps == [([], 1, ())]
+    assert sweeps == [([], 1)]
+
+
+def test_bracket_removes_the_long_word_of_bigons(monkeypatch):
+    # the same pass serves bracket: its planner receives no crossing, and
+    # the word's coordinates are those of the identity braid
+    planned = []
+    plan = skein._absorption_order
+
+    def recorded(nodes, *args):
+        planned.append(len(nodes))
+        return plan(nodes, *args)
+
+    monkeypatch.setattr(skein, "_absorption_order", recorded)
+    v = bracket(_word(2, [(0, 1), (0, -1)] * 10000))
+    assert planned == [0]
+    assert v.as_dict() == {((1, 4), (2, 3)): ONE}
 
 
 @pytest.mark.parametrize("width", range(1, 6))

@@ -41,6 +41,16 @@ def test_basis_counts_are_catalan():
             assert len(enumerate_basis(m, n)) == CATALAN[(m + n) // 2]
 
 
+def test_the_basis_cache_is_bounded():
+    bound = enumerate_basis.cache_info().maxsize
+    assert bound is not None and bound < 64
+    shapes = [(m, k - m) for k in range(0, 14, 2) for m in range(k + 1)]
+    assert len(shapes) >= 3 * bound
+    for m, n in shapes:
+        enumerate_basis(m, n)
+    assert enumerate_basis.cache_info().currsize <= bound
+
+
 def test_basis_22_order_and_formatting():
     basis = enumerate_basis(2, 2)
     assert [format_matching(mt) for mt in basis.elements] == \
