@@ -26,13 +26,14 @@ four joint smoothings.  The enhancements differ only in their thick edges,
 so the total is one contraction of the graph's own doubled closure, read
 off its label tuples: every direct edge that forced-edge peeling keeps
 is an option, skipped (weight 1, no arcs) or taken (absorbing the twin
-node of the 4-valent vertex its contraction makes), and the frontier key
-records which vertices are covered, so only the states that take one edge
-at every vertex survive.  Its cost follows the frontier width, not the
-enhancement count.  The per-enhancement invariant is the same sweep with
-the enhancement's edges as the only options.  contract, expand_states
-and state_polys keep the literal 4^n expansion for the
-`states` listing and as the oracle of these identities;
+node of the 4-valent vertex its contraction makes), and each frontier
+state keeps the set of vertices already covered beside its open ends, so
+only the states that take one edge at every vertex survive.  Its cost
+follows the frontier width, not the enhancement count.  The
+per-enhancement invariant is the same sweep with the enhancement's edges
+as the only options.  contract, expand_states and state_polys keep the
+literal 4^n expansion for the `states` listing and as the oracle of
+these identities;
 enumerate_enhancements lists the enhancements for `rho`, once the same
 sweep, with options that lay no arcs, has counted them within
 MAX_LISTED_ENHANCEMENTS.
@@ -50,7 +51,7 @@ from __future__ import annotations
 from itertools import product
 
 from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
-                      max_label, merge_edges)
+                      max_label, merge_edges, replace)
 from .errors import DomainError, InvalidDiagramError
 from .laurent import DELTA, ZERO, LaurentPoly, delta_power
 from .pairing import _caps, p_poly
@@ -190,13 +191,12 @@ MAX_LISTED_ENHANCEMENTS = 100000
 def _count_matchings(d: TangleDiagram, links) -> int:
     """Number of perfect matchings of d's trivalent vertices by links, as
     _peeled_links gives them (every vertex has one): the frontier sweep
-    with every link an option whose take lays no arcs."""
-    # no arcs are laid, so any distinct marks do
-    vertices = [((u, u), t) for u, t in enumerate(d.trivalent)]
+    with every link an option whose take lays no arcs, so each state's
+    ends stay empty and only its covered vertices tell it apart."""
     take = (((), (1,)),)  # one smoothing: no arcs, weight 1
-    states, _ = _frontier_states((), vertices=vertices,
+    states, _ = _frontier_states((), vertices=d.trivalent,
                                  options=[(u, v, take) for _, u, v in links])
-    return states.get(frozenset(), ZERO).terms.get(0, 0)
+    return next(iter(states.values()), ZERO).terms.get(0, 0)
 
 
 def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
@@ -286,14 +286,9 @@ def contract(d: TangleDiagram, rho: Enhancement) -> TangleDiagram:
     """
     ensure_valid(d)
     check_enhancement(d, rho)
-    return TangleDiagram(
-        m=d.m, n=d.n,
-        crossings=d.crossings,
-        fourvalent=d.fourvalent + tuple(
-            _contracted_vertex(d, label) for label in sorted(rho)),
-        circles=d.circles,
-        bottom=d.bottom, top=d.top,
-    )
+    return replace(d, trivalent=(), thick=frozenset(),
+                   fourvalent=d.fourvalent + tuple(
+                       _contracted_vertex(d, label) for label in sorted(rho)))
 
 
 def expand_states(d: TangleDiagram):
@@ -393,18 +388,15 @@ def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
     """
     # tensor's shift of the reflected copy
     offset = max_label(d)
-    # a vertex's mark, its key item, pairs an id past every label of the
-    # doubled closure with itself
-    vertices = [((2 * offset + 1 + u,) * 2,
-                 (a, b, c, a + offset, b + offset, c + offset))
-                for u, (a, b, c) in enumerate(d.trivalent)]
+    vertices = [(a, b, c, a + offset, b + offset, c + offset)
+                for a, b, c in d.trivalent]
     options = [(u, v, _twin_node(_contracted_vertex(d, label), offset)[1])
                for label, u, v in links]
     states, loops = _frontier_states(
         *_doubled_closure(d, offset),
         nodes=[_twin_node(v, offset) for v in d.fourvalent],
         vertices=vertices, options=options)
-    return delta_power(loops) * states.get(frozenset(), ZERO)
+    return delta_power(loops) * next(iter(states.values()), ZERO)
 
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:

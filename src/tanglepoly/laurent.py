@@ -298,12 +298,13 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 MAX_DELTA_POWER = 16384
 
 
-@lru_cache(maxsize=64)
 def delta_power(n: int) -> LaurentPoly:
-    """delta^n = (-1)^n sum_j C(n, j) q^(2n-4j), the 64 latest cached,
-    stepping C(n, j+1) = C(n, j) (n-j) / (j+1): one small product and one
-    exact division per term, where math.comb per term would be quadratic.
-    n above MAX_DELTA_POWER is a DomainError, raised before any term."""
+    """delta^n = (-1)^n sum_j C(n, j) q^(2n-4j), stepping
+    C(n, j+1) = C(n, j) (n-j) / (j+1): one small product and one exact
+    division per term, where math.comb per term would be quadratic.
+    Nothing is cached: each sweep asks for one power, built in microseconds
+    for small n, and a cached large one would hold tens of MiB.  n above
+    MAX_DELTA_POWER is a DomainError, raised before any term."""
     if n < 0:
         raise ValueError("loop count cannot be negative")
     if n > MAX_DELTA_POWER:

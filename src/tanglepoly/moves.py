@@ -109,15 +109,8 @@ def splice_22(d: TangleDiagram, site: SpliceSite,
     cut = relabel_occurrence(cut, *edge_occurrences(cut)[site.edge_b][1 - site.end_b], b2)
     pat = relabeled(pattern, {lab: lab + base + 2 for lab in all_labels(pattern)})
 
-    assembled = TangleDiagram(
-        m=d.m, n=d.n,
-        crossings=cut.crossings + pat.crossings,
-        trivalent=cut.trivalent,
-        fourvalent=cut.fourvalent,
-        circles=cut.circles + pat.circles,
-        bottom=cut.bottom, top=cut.top,
-        thick=cut.thick,
-    )
+    assembled = replace(cut, crossings=cut.crossings + pat.crossings,
+                        circles=cut.circles + pat.circles)
     joins = (
         (site.edge_a, pat.bottom[0]), (site.edge_b, pat.bottom[1]),
         (a2, pat.top[0]), (b2, pat.top[1]),

@@ -111,8 +111,10 @@ def pairing_matrix(m: int, n: int) -> PairingMatrix:
         raise DomainError(
             f"pairing supported only for (m+n)/2 <= {MAX_HALF_BOUNDARY}")
     basis = enumerate_basis(m, n)
+    # each loop count is at most m+n; equal entries share one object
+    powers = [delta_power(k) for k in range(m + n + 1)]
     entries = tuple(
-        tuple(delta_power(plat_loop_count(m, n, e_i, e_j))
+        tuple(powers[plat_loop_count(m, n, e_i, e_j)]
               for e_j in basis.elements)
         for e_i in basis.elements
     )

@@ -273,7 +273,7 @@ def _kinks_and_bigons_removed(crossings, joins):
     return left, loops, arcs, unit
 
 
-_NO_MARKS: frozenset = frozenset()
+_NO_VERTICES: frozenset = frozenset()
 # the score of an absorbed entry: below any gain, even after the updates
 # that still reach it, so max never picks it again
 _ABSORBED = -(1 << 29)
@@ -286,18 +286,19 @@ def _absorption_order(nodes, vertices, options):
     Every entry is a tuple of owners, each owning the ends of its labels.
     A node (labels, smoothings) is the entry (i,): it owns its own labels.
     An option (u, v, smoothings) is a node that may be skipped, the entry
-    (u', v') of its two vertices: u and v index them in vertices, each
-    (mark, labels), and a vertex owns its labels' ends jointly with its
+    (u', v') of its two vertices: u and v index them in vertices, each a
+    tuple of labels, and a vertex owns its labels' ends jointly with its
     other options, since whichever option covers it lays them; every
-    vertex has an option.  cover is the frozenset of the option's marks
-    (None for a node), and done holds the marks whose last option this is.
+    vertex has an option.  cover is the frozenset {u, v} of the option's
+    vertex indices (None for a node), and done holds those whose last
+    option this is.
 
     Greedy: each step absorbs the entry with the best gain, ties by list
     order (nodes, then options).  Touching an owner closes each of its
     labels whose other end is touched (an end laid by a join counts as
     touched) and opens the others; the gain counts closed labels less
     opened ones.  A vertex between its first and its last option weighs
-    as if all its labels were open, since its key item keeps the states
+    as if all its labels were open, since the covered set keeps the states
     where it is covered apart from those where it is not: a vertex with
     two or more options starts at minus its label count in each option's
     score, and its remaining options gain that count back when it is first
@@ -309,7 +310,7 @@ def _absorption_order(nodes, vertices, options):
     """
     n = len(nodes)
     labels_of = [labels for labels, _ in nodes]
-    labels_of += [labels for _, labels in vertices]
+    labels_of += vertices
     entries = [(i,) for i in range(n)]
     entries += [(n + u, n + v) for u, v, _ in options]
     holders: list[list[int]] = [[] for _ in labels_of]
@@ -374,12 +375,11 @@ def _absorption_order(nodes, vertices, options):
                 for h in holders[owner]:
                     score[h] += mine
         if j < n:
-            plan.append((nodes[j][1], None, _NO_MARKS))
+            plan.append((nodes[j][1], None, _NO_VERTICES))
             continue
         u, v, smoothings = options[j - n]
-        marks = vertices[u][0], vertices[v][0]
-        plan.append((smoothings, frozenset(marks), frozenset(
-            [mark for mark, owner in zip(marks, owners) if not left[owner]])))
+        plan.append((smoothings, frozenset((u, v)), frozenset(
+            [w for w, owner in zip((u, v), owners) if not left[owner]])))
     return plan
 
 
@@ -408,8 +408,9 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     basis = enumerate_basis(d.m, d.n)
     states, loops = _frontier_states(d.crossings, len(d.circles),
                                      _boundary_arcs(d))
-    acc = {tuple(sorted((-u, -v) for u, v in key if u > v)):
-           delta_power(loops) * coeff for key, coeff in states.items()}
+    factor = delta_power(loops)
+    acc = {tuple(sorted((-u, -v) for u, v in ends if u > v)): factor * coeff
+           for (ends, _), coeff in states.items()}
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
@@ -427,18 +428,19 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     and weights[k] is its weight when its arcs close k loops.
 
     An option is either skipped, with weight 1 and no arcs, or taken in
-    its smoothings, which needs both its vertices uncovered.  A state key
-    is a frozenset of (end, partner) items over the open ends, plus an item
-    (mark, mark) for each covered vertex that has options left; marks lie
-    outside the label range, so _join never touches them.  When a vertex's
-    last option has been absorbed, states where it is uncovered are dropped
-    and its mark leaves the key.  So the options sum over the perfect
-    matchings of their vertices by options.
+    its smoothings, which needs both its vertices uncovered.  A state is
+    a pair (ends, covered): the frozenset of (end, partner) items over the
+    open ends, and the frozenset of the indices of the covered vertices
+    that have options left.  When a vertex's last option has been
+    absorbed, states where it is uncovered are dropped and its index
+    leaves the covered set.  So the options sum over the perfect matchings
+    of their vertices by options.
 
-    A closure, its caps laid as joins, leaves at most one key, which is
-    not frozenset() when p_poly leaves an odd side's last point open.  The
-    weights of one state's smoothings are summed per landing key first, so
-    a state pays one multiplication per distinct key it reaches.
+    A closure, its caps laid as joins, leaves at most one state, whose
+    ends are not empty when p_poly leaves an odd side's last point open.
+    The weights of one state's smoothings are summed per state they land
+    in first, so a state pays one multiplication per distinct state it
+    reaches.
 
     Before any of this, the crossings' kinks and bigons are removed
     (_kinks_and_bigons_removed); a join between two labels that each
@@ -452,28 +454,28 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     off the table.
     """
     crossings, laid, joins, unit = _kinks_and_bigons_removed(crossings, joins)
-    ends: dict[int, int] = {}
-    laid += circles + sum(_join(ends, x, y) for x, y in joins)
-    states = {frozenset(ends.items()): unit}
+    start: dict[int, int] = {}
+    laid += circles + sum(_join(start, x, y) for x, y in joins)
+    states = {(frozenset(start.items()), _NO_VERTICES): unit}
     all_nodes = [_crossing_node(t) for t in crossings] + list(nodes)
     for smoothings, cover, done in _absorption_order(all_nodes, vertices,
                                                      options):
-        nxt: dict[frozenset, LaurentPoly] = {}
+        nxt: dict[tuple, LaurentPoly] = {}
         for key, coeff in states.items():
-            base = key
+            ends, covered = key
             if cover is not None:
-                # skipped: the key is kept, and the take keys all carry cover
+                # skipped, the state is kept; taken, it needs cover uncovered
                 nxt[key] = nxt[key] + coeff if key in nxt else coeff
-                if not cover.isdisjoint(key):
+                if not cover.isdisjoint(covered):
                     continue
-                base = key | cover
-            landed: dict[frozenset, LaurentPoly] = {}
+                covered = covered | cover
+            landed: dict[tuple, LaurentPoly] = {}
             for arcs, weights in smoothings:
-                cur = dict(base)
+                cur = dict(ends)
                 loops = 0
                 for x, y in arcs:
                     loops += _join(cur, x, y)
-                new = frozenset(cur.items())
+                new = (frozenset(cur.items()), covered)
                 w = weights[loops]
                 landed[new] = landed[new] + w if new in landed else w
             for new, wsum in landed.items():
@@ -481,8 +483,9 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
                     term = coeff * wsum
                     nxt[new] = nxt[new] + term if new in nxt else term
         if done:
-            states = {key - done: coeff for key, coeff in nxt.items()
-                      if coeff and done <= key}
+            states = {(ends, covered - done): coeff
+                      for (ends, covered), coeff in nxt.items()
+                      if coeff and done <= covered}
         else:
             states = {key: coeff for key, coeff in nxt.items() if coeff}
     return states, laid

@@ -448,6 +448,37 @@ def test_root_texts_of_every_fixture_are_pinned(capsys):
     assert "".join(got) == pinned
 
 
+def _exact_transcript(capsys) -> str:
+    """Text stdout, stderr and exit code of `p` and `bracket` on every
+    strand fixture and pair file, `rho` and `states --rho 0` on every graph
+    one, and `verify` on the move manifest."""
+    files = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
+    argvs = []
+    for path in files:
+        d = load_tng(str(path))
+        name = path.relative_to(FIXTURES).as_posix()
+        if d.trivalent or d.fourvalent:
+            argvs += [["rho", name], ["states", name, "--rho", "0"]]
+        else:
+            argvs += [["p", name], ["bracket", name]]
+    argvs.append(["verify", "moves.manifest"])
+    got = []
+    for argv in argvs:
+        code, out, err = run(capsys, argv[0], str(FIXTURES / argv[1]),
+                             *argv[2:])
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1)
+        got.append(f"$ tanglepoly {' '.join(argv)}\n{out}{err}[exit {code}]\n")
+    return "".join(got)
+
+
+def test_exact_texts_of_every_fixture_are_pinned(capsys):
+    # frozen before the sweep state became (open ends, covered vertices):
+    # every exact text the CLI prints stays byte for byte as it was
+    pinned = (pathlib.Path(__file__).parent / "data" / "exact_texts.txt"
+              ).read_text()
+    assert _exact_transcript(capsys) == pinned
+
+
 def test_invariant_with_rho_index(capsys):
     code, out, _ = run(capsys, "invariant", fixture_path("theta.tng"),
                        "--k", "1", "--rho", "1")
@@ -671,6 +702,14 @@ def test_validate_reports_non_ascii_digits_in_band(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 2
     assert out.startswith("problem: line 2:")
+
+
+def test_validate_reports_a_top_count_off_the_header(tmp_path, capsys):
+    path = tmp_path / "short_top.tng"
+    path.write_text("tangle m=1 n=3\nB 1 | 1\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (2, "")
+    assert out == "problem: header says n=3 but B lists 1 top points\n"
 
 
 def test_validate_reports_a_non_utf8_file_in_band(tmp_path, capsys):

@@ -379,6 +379,31 @@ def test_is_isomorphic_respects_thick_sets():
     assert is_isomorphic(a, b)
 
 
+def test_is_isomorphic_exits_early_on_unmatched_shapes():
+    def load(name):
+        return load_tng(fixture_path(name + ".tng"))
+
+    # boundary shape, circle count and node kinds differ
+    assert not is_isomorphic(load("identity_11"), load("identity_22"))
+    assert not is_isomorphic(load("circle"), load("two_circles"))
+    assert not is_isomorphic(load("theta"), D(fourvalent=((1, 1, 2, 2),)))
+    # the boundary points, matched in order, cannot take one bijection
+    cup_cap = D(m=2, n=2, bottom=(1, 1), top=(2, 2))
+    assert validate(cup_cap).ok
+    assert not is_isomorphic(load("identity_22"), cup_cap)
+
+
+def test_is_isomorphic_backtracks_after_a_deeper_failure():
+    # e is d relabeled with its vertices in reverse order: the first
+    # binding of d's first vertex fails one vertex deeper and is undone
+    d = D(trivalent=((1, 4, 3), (3, 5, 5), (1, 8, 7), (4, 7, 8)),
+          circles=(12,))
+    e = D(trivalent=((1, 8, 7), (7, 8, 12), (4, 5, 5), (1, 4, 12)),
+          circles=(3,))
+    assert validate(d).ok and validate(e).ok
+    assert is_isomorphic(d, e) and is_isomorphic(e, d)
+
+
 def test_free_fourvalent_rotation_flag():
     a = D(fourvalent=((1, 2, 3, 4),), m=2, n=2, bottom=(1, 2), top=(4, 3))
     b = D(fourvalent=((2, 3, 4, 1),), m=2, n=2, bottom=(1, 2), top=(4, 3))

@@ -401,8 +401,8 @@ def _count_sweeps(monkeypatch):
 
 def _plan(monkeypatch, compute, d):
     """The one sweep's absorbed entries, in order: each entry's labels (its
-    first smoothing's arcs, flattened), its cover and its done set, as mark
-    ids (None for a node)."""
+    first smoothing's arcs, flattened), its cover and its done set, as
+    vertex indices (None for a node)."""
     plans = []
     original = skein._absorption_order
 
@@ -415,8 +415,7 @@ def _plan(monkeypatch, compute, d):
         compute(d)
     (plan,) = plans
     return [(tuple(x for arc in smoothings[0][0] for x in arc),
-             None if cover is None else sorted(mark for mark, _ in cover),
-             sorted(mark for mark, _ in done))
+             None if cover is None else sorted(cover), sorted(done))
             for smoothings, cover, done in plan]
 
 
@@ -424,18 +423,18 @@ def _plan(monkeypatch, compute, d):
 # the sweep, so it must be deliberate: these plans are frozen.
 PINNED_PLANS = {
     "ladder": [
-        ((5, 11, 11, 8, 17, 23, 23, 20), [25, 26], []),
-        ((1, 5, 8, 1, 13, 17, 20, 13), [25, 26], []),
-        ((11, 1, 2, 6, 23, 13, 14, 18), [25, 29], [25]),
-        ((1, 11, 9, 2, 13, 23, 21, 14), [26, 30], [26]),
-        ((6, 5, 8, 9, 18, 17, 20, 21), [29, 30], []),
-        ((5, 2, 3, 7, 17, 14, 15, 19), [29, 31], [29]),
-        ((2, 8, 10, 3, 14, 20, 22, 15), [30, 32], [30]),
-        ((7, 6, 9, 10, 19, 18, 21, 22), [31, 32], []),
-        ((4, 12, 6, 3, 16, 24, 18, 15), [27, 31], [31]),
-        ((12, 4, 3, 9, 24, 16, 15, 21), [28, 32], [32]),
-        ((12, 7, 10, 12, 24, 19, 22, 24), [27, 28], []),
-        ((7, 4, 4, 10, 19, 16, 16, 22), [27, 28], [27, 28]),
+        ((5, 11, 11, 8, 17, 23, 23, 20), [0, 1], []),
+        ((1, 5, 8, 1, 13, 17, 20, 13), [0, 1], []),
+        ((11, 1, 2, 6, 23, 13, 14, 18), [0, 4], [0]),
+        ((1, 11, 9, 2, 13, 23, 21, 14), [1, 5], [1]),
+        ((6, 5, 8, 9, 18, 17, 20, 21), [4, 5], []),
+        ((5, 2, 3, 7, 17, 14, 15, 19), [4, 6], [4]),
+        ((2, 8, 10, 3, 14, 20, 22, 15), [5, 7], [5]),
+        ((7, 6, 9, 10, 19, 18, 21, 22), [6, 7], []),
+        ((4, 12, 6, 3, 16, 24, 18, 15), [2, 6], [6]),
+        ((12, 4, 3, 9, 24, 16, 15, 21), [3, 7], [7]),
+        ((12, 7, 10, 12, 24, 19, 22, 24), [2, 3], []),
+        ((7, 4, 4, 10, 19, 16, 16, 22), [2, 3], [2, 3]),
     ],
     "trefoil": [
         ((2, 4, 3, 1), None, []),
@@ -443,22 +442,22 @@ PINNED_PLANS = {
         ((1, 5, 6, 2), None, []),
     ],
     "random": [
-        ((11, 6, 13, 13, 25, 20, 27, 27), [33, 34], [33, 34]),
-        ((3, 6, 11, 10, 17, 20, 25, 24), [30, 32], []),
-        ((1, 4, 6, 5, 15, 18, 20, 19), [29, 30], [30]),
-        ((4, 1, 5, 11, 18, 15, 19, 25), [31, 32], [32]),
-        ((4, 3, 10, 4, 18, 17, 24, 18), [29, 31], []),
-        ((3, 1, 1, 10, 17, 15, 15, 24), [29, 31], [29, 31]),
+        ((11, 6, 13, 13, 25, 20, 27, 27), [4, 5], [4, 5]),
+        ((3, 6, 11, 10, 17, 20, 25, 24), [1, 3], []),
+        ((1, 4, 6, 5, 15, 18, 20, 19), [0, 1], [1]),
+        ((4, 1, 5, 11, 18, 15, 19, 25), [2, 3], [3]),
+        ((4, 3, 10, 4, 18, 17, 24, 18), [0, 2], []),
+        ((3, 1, 1, 10, 17, 15, 15, 24), [0, 2], [0, 2]),
     ],
     # the crossing's label 4 is a self-loop: the kink and its twin are
     # removed before the planner
     "kink": [
-        ((5, 1, 3, 3, 10, 6, 8, 8), [11, 12], [11, 12]),
+        ((5, 1, 3, 3, 10, 6, 8, 8), [0, 1], [0, 1]),
     ],
     # an F vertex's twin node shares the sweep with the options
     "twin": [
         ((4, 5, 5, 3, 9, 10, 10, 8), None, []),
-        ((1, 1, 3, 4, 6, 6, 8, 9), [11, 12], [11, 12]),
+        ((1, 1, 3, 4, 6, 6, 8, 9), [0, 1], [0, 1]),
     ],
     # the count sweep: options that lay no arcs
     "count": [

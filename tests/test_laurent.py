@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from conftest import decimal_root_text
 from tanglepoly import laurent
 from tanglepoly.errors import DomainError
-from tanglepoly.laurent import (DELTA, DIGITS, ONE, Q, ROOT_INDICES, ZERO,
-                                LaurentPoly, _round_quarter, complex_text,
-                                delta_power, ensure_root_index)
+from tanglepoly.laurent import (DELTA, DIGITS, MAX_DELTA_POWER, ONE, Q,
+                                ROOT_INDICES, ZERO, LaurentPoly,
+                                _round_quarter, complex_text, delta_power,
+                                ensure_root_index)
 
 polys = st.builds(
     LaurentPoly,
@@ -237,19 +239,22 @@ def test_delta_power_is_cached_exact_power():
     expected = ONE
     for n in range(41):
         assert delta_power(n) == expected, n
-        assert delta_power(n) is delta_power(n)
         expected = expected * DELTA
     with pytest.raises(ValueError):
         delta_power(-1)
 
 
-def test_the_delta_power_cache_is_bounded():
-    bound = delta_power.cache_info().maxsize
-    # the benchmark warms delta^0 to delta^31 up before it times anything
-    assert 32 <= bound < 1000
-    for n in range(3 * bound):
-        delta_power(n)
-    assert delta_power.cache_info().currsize <= bound
+def test_a_dropped_delta_power_holds_no_memory():
+    # delta^16384 alone takes about 26 MiB; nothing may keep it once the
+    # caller drops it
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(delta_power(MAX_DELTA_POWER).terms) == MAX_DELTA_POWER + 1
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 # Python's limit on the digits of a printed integer; 0 means none
