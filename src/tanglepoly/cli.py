@@ -266,7 +266,8 @@ def build_parser() -> _Parser:
                               help="check every pair in a fixture manifest")
     p_verify.add_argument("manifest")
     p_verify.add_argument("--k", type=int, default=None,
-                          help="restrict root checks to one index")
+                          help="admissible root index at which a failed root "
+                               "pair is reported")
     p_verify.set_defaults(func=cmd_verify)
 
     p_validate = sub.add_parser("validate", parents=[common],

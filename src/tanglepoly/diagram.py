@@ -380,6 +380,13 @@ def parse_tng(text: str) -> TangleDiagram:
             if not match:
                 raise ParseError(lineno, "header must be 'tangle m=<int> n=<int>'")
             header = tuple(_int(x, lineno, "header count") for x in match.groups())
+            try:
+                # validation prints m+n, which may have one digit more than
+                # either count
+                str(sum(header))
+            except ValueError:
+                raise ParseError(lineno, "header count sum m+n is too long: "
+                                         "more digits than Python prints") from None
         elif tag in _NODE_ARITY:
             arity = _NODE_ARITY[tag]
             if len(tokens) != arity + 1:

@@ -30,13 +30,14 @@ node of the 4-valent vertex its contraction makes), and each frontier
 state keeps the set of vertices already covered beside its open ends, so
 only the states that take one edge at every vertex survive.  Its cost
 follows the frontier width, not the enhancement count.  The
-per-enhancement invariant is the same sweep with the enhancement's edges
-as the only options.  contract, expand_states and state_polys keep the
-literal 4^n expansion for the `states` listing and as the oracle of
-these identities;
-enumerate_enhancements lists the enhancements for `rho`, once the same
-sweep, with options that lay no arcs, has counted them within
-MAX_LISTED_ENHANCEMENTS.
+per-enhancement invariant is I_rho(G) = I(G/rho), the same sweep of
+contract(d, rho): its thick edges are 4-valent vertices, so it has nodes
+only and no options.  contract is the one place a thick set becomes
+4-valent vertices, for that sweep and for expand_states and state_polys,
+which keep the literal 4^n expansion for the `states` listing and as the
+oracle of these identities; enumerate_enhancements lists the
+enhancements for `rho`, once the same sweep, with options that lay no
+arcs, has counted them within MAX_LISTED_ENHANCEMENTS.
 
 Each sweep is planned in one pass over the diagram: a call builds
 edge_occurrences(d) once per diagram, and that one index serves
@@ -214,9 +215,11 @@ def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
             f"{MAX_LISTED_ENHANCEMENTS} enhancements")
     if not count:
         return ()
+    # each thick set comes once: where two search paths part, each takes
+    # a link at one vertex that the other does not
     nv = len(d.trivalent)
-    found = set(_matchings(_links_by_vertex(nv, links), [False] * nv, []))
-    return tuple(sorted(found, key=sorted))
+    return tuple(sorted(_matchings(_links_by_vertex(nv, links),
+                                   [False] * nv, []), key=sorted))
 
 
 def enhancements_by_vertex_sums(d: TangleDiagram) -> tuple[Enhancement, ...]:
@@ -375,17 +378,23 @@ def _doubled_closure(d: TangleDiagram, offset: int):
         d.bottom + twin(d.bottom[::-1]), d.top + twin(d.top[::-1]))
 
 
-def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
-    """Sum of the state sums of a valid d over its thick sets by links,
-    (label, vertex index, vertex index) triples, in one sweep.
+def _state_sum(d: TangleDiagram) -> LaurentPoly:
+    """Sum of the state sums of a valid d over all its enhancements, in one
+    sweep; zero, unswept, when forced-edge peeling leaves a vertex without
+    links.
 
     The sweep contracts the plat closure of d (x) reflect(d), read off d's
     label tuples, absorbing d's 4-valent vertices with their twins, and
-    each link as an option: taken, it absorbs the twin node of the vertex
-    its contraction makes; skipped, it lays nothing.  The frontier core
-    keeps only the states where every trivalent vertex is taken exactly
-    once, so the sweep sums over the perfect matchings by links.
+    each peeled link as an option: taken, it absorbs the twin node of the
+    vertex its contraction makes; skipped, it lays nothing.  The frontier
+    core keeps only the states where every trivalent vertex is taken
+    exactly once, so the sweep sums over the perfect matchings by links.
+    A contracted diagram has no links, so its sweep is the state sum of
+    its one enhancement, the empty thick set.
     """
+    links = _peeled_links(d)
+    if links is None:
+        return ZERO
     # tensor's shift of the reflected copy
     offset = max_label(d)
     vertices = [(a, b, c, a + offset, b + offset, c + offset)
@@ -400,19 +409,14 @@ def _state_sum(d: TangleDiagram, links) -> LaurentPoly:
 
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
-    """Exact state sum for one enhancement: the sweep with rho's edges as
-    the only options."""
+    """Exact state sum for one enhancement: I_rho(G) = I(G/rho), the sweep
+    of contract(d, rho), which validates d and rho."""
     check_state_sum(d)
-    ensure_valid(d)
-    check_enhancement(d, rho)
-    occ = edge_occurrences(d)
-    return _state_sum(d, [(label, occ[label][0][1], occ[label][1][1])
-                          for label in sorted(rho)])
+    return _state_sum(contract(d, rho))
 
 
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements, in one sweep; zero when none exist."""
     check_state_sum(d)
     ensure_valid(d)
-    links = _peeled_links(d)
-    return ZERO if links is None else _state_sum(d, links)
+    return _state_sum(d)

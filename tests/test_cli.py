@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,30 @@ def test_oversized_integers_are_parse_errors(text, tmp_path, capsys):
     assert err.startswith("error: line ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not INT_DIGITS, reason="integers print at any length")
+def test_a_header_whose_sum_cannot_print_is_a_parse_error(tmp_path, capsys):
+    # each count prints, but the odd sum m+n has one digit too many
+    path = tmp_path / "big.tng"
+    path.write_text(f"tangle m={'9' * INT_DIGITS} n=2\nB |\n")
+    manifest = tmp_path / "big.manifest"
+    manifest.write_text(f"pair big {path} {path} M3 exact\n")
+    message = ("line 1: header count sum m+n is too long: more digits than "
+               "Python prints")
+    assert run(capsys, "validate", str(path)) == (2, f"problem: {message}\n", "")
+    code, out, err = run(capsys, "validate", str(path), "--json")
+    assert (code, json.loads(out), err) == (
+        2, {"ok": False, "problems": [message]}, "")
+    for argv in (["p", str(path)], ["invariant", str(path), "--k", "1"],
+                 ["verify", str(manifest)]):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    # a sum that prints keeps its problem line
+    path.write_text(f"tangle m=1{'0' * (INT_DIGITS - 1)} n=1\nB |\n")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out.startswith("problem: boundary size m+n = "
+                          f"1{'0' * (INT_DIGITS - 2)}1 is odd; ")
+
+
 def test_p_json(capsys):
     code, out, _ = run(capsys, "p", fixture_path("trefoil.tng"), "--json")
     assert code == 0
@@ -446,6 +472,34 @@ def test_root_texts_of_every_fixture_are_pinned(capsys):
             assert code == 0
             got.append("$ tanglepoly " + " ".join(argv) + "\n" + out)
     assert "".join(got) == pinned
+
+
+def _rho_transcript(capsys) -> str:
+    """`invariant NAME --rho I --all-k` for every enhancement index I of
+    every graph fixture and pair file that declares no thick edges."""
+    files = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
+    got = []
+    for path in files:
+        d = load_tng(str(path))
+        if not (d.trivalent or d.fourvalent) or d.thick:
+            continue
+        name = path.relative_to(FIXTURES).as_posix()
+        for i in range(len(enhanced.enumerate_enhancements(d))):
+            argv = ["invariant", name, "--rho", str(i), "--all-k"]
+            code, out, _ = run(capsys, argv[0], str(path), *argv[2:])
+            assert code == 0
+            got.append("$ tanglepoly " + " ".join(argv) + "\n" + out)
+    return "".join(got)
+
+
+def test_rho_texts_of_every_graph_fixture_are_pinned(capsys):
+    # frozen before I_rho became the sweep of contract(d, rho): every
+    # enhancement's root values stay byte for byte as they were
+    pinned = (pathlib.Path(__file__).parent / "data" / "rho_texts.txt"
+              ).read_text()
+    transcript = _rho_transcript(capsys)
+    assert transcript.count("$ tanglepoly") == 13
+    assert transcript == pinned
 
 
 def _exact_transcript(capsys) -> str:
@@ -905,3 +959,55 @@ def test_no_traceback_on_any_fixture_file(command, flags):
 @given(m=st.integers(-1, 5), n=st.integers(-1, 5), flags=_flags())
 def test_no_traceback_on_any_boundary_counts(command, m, n, flags):
     assert _exit_code([command, str(m), str(n), *flags]) in (0, 1, 2, 3)
+
+
+# counts of as many digits as Python prints and of one more: beside a
+# count of 2 the first sums to one digit too many, and the second is too
+# long itself
+_LONG_COUNTS = ["9" * (INT_DIGITS or 4300), "1" + "0" * (INT_DIGITS or 4300)]
+
+
+@st.composite
+def _tng_texts(draw):
+    """Small random .tng text over labels 1..k: a header, up to three node
+    or circle lines, a B line and an optional T line."""
+    label = st.integers(1, draw(st.integers(1, 6))).map(str)
+    counts = [str(draw(st.integers(0, 3))) for _ in "mn"]
+    long = draw(st.sampled_from([None, *_LONG_COUNTS]))
+    if long:
+        counts[draw(st.integers(0, 1))] = long
+    lines = ["tangle m={} n={}".format(*counts)]
+    for tag, arity in draw(st.lists(st.sampled_from(
+            (("X", 4), ("V", 3), ("F", 4), ("O", 1))), max_size=3)):
+        lines.append(" ".join([tag, *draw(st.lists(
+            label, min_size=arity, max_size=arity))]))
+    lines.append(" ".join(["B", *draw(st.lists(label, max_size=3)), "|",
+                           *draw(st.lists(label, max_size=3))]))
+    if draw(st.booleans()):
+        lines.append(" ".join(["T", *draw(st.lists(label, max_size=2))]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60)
+@given(text=_tng_texts(), rho=st.sampled_from([[], ["--rho", "0"]]))
+def test_no_traceback_on_any_random_text(text, rho, tmp_path_factory):
+    folder = tmp_path_factory.mktemp("text")
+    path = folder / "random.tng"
+    path.write_text(text)
+    manifest = folder / "random.manifest"
+    manifest.write_text(f"pair random {path} {path} M3 exact\n")
+    for argv in (["bracket", str(path)], ["p", str(path)], ["rho", str(path)],
+                 ["states", str(path), *rho],
+                 ["invariant", str(path), "--all-k", *rho],
+                 ["verify", str(manifest)], ["validate", str(path)]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = _exit_code(argv)
+        assert code in (0, 2, 3), (argv, text)
+        if argv[0] == "validate":
+            # problems go to stdout, one line each
+            assert err.getvalue() == "", (argv, text)
+            assert code == 0 or out.getvalue().startswith("problem: ")
+        elif code:
+            assert err.getvalue().startswith("error: "), (argv, text)
+            assert err.getvalue().count("\n") == 1, (argv, text)

@@ -545,6 +545,26 @@ def test_the_plan_is_built_once_per_graph(monkeypatch):
     assert sweeps == [3 * 4]
 
 
+def test_a_rho_sweep_is_the_sweep_of_the_contracted_graph(monkeypatch):
+    # I_rho(G) = I(G/rho): contract makes rho's edges 4-valent vertices,
+    # so the sweep plans nodes only and has no matching to choose
+    d = ensure_valid(_ladder(4))
+    rho = enumerate_enhancements(d)[5]
+    contracted = []
+    original = enhanced.contract
+
+    def counted(*args):
+        contracted.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(enhanced, "contract", counted)
+    plan = _plan(monkeypatch, lambda g: invariant_rho_poly(g, rho), d)
+    assert contracted == [(d, rho)]
+    assert len(plan) == len(rho)
+    assert all(cover is None for _, cover, _ in plan)
+    assert invariant_rho_poly(d, rho) == _oracle_rho_poly(d, rho)
+
+
 def test_a_ten_rung_ladder_is_one_sweep(monkeypatch):
     d = ensure_valid(_ladder(10))
     rhos = enumerate_enhancements(d)
@@ -607,6 +627,7 @@ def test_the_total_sweep_sums_the_restricted_sweeps_on_random_graphs(seed):
     rng = random.Random(seed)
     d = tensor(random_trivalent(rng), random_trivalent(rng))
     rhos = enumerate_enhancements(d)
+    assert len(rhos) == len(set(rhos))
     # the listing and the total both read the peeled links, so the oracle
     # searches every traced link, unpeeled
     nv = len(d.trivalent)
