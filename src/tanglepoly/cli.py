@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .diagram import TangleDiagram, ensure_valid, load_tng, validate
+from .diagram import TangleDiagram, load_tng, validate
 from .enhanced import (check_state_listing, check_state_sum, contract,
                        enumerate_enhancements, invariant_rho_poly,
                        invariant_total_poly, state_polys)
@@ -54,12 +54,6 @@ def _emit(args, text_lines, obj) -> None:
             print(line)
 
 
-def _load(path: str) -> TangleDiagram:
-    d = load_tng(path)
-    ensure_valid(d)
-    return d
-
-
 def _matching_json(mt) -> list:
     return [list(pair) for pair in mt]
 
@@ -75,7 +69,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    d = _load(args.file)
+    d = load_tng(args.file)
     vec = bracket(d)
     lines = [f"{format_matching(mt)}: {coeff}"
              for mt, coeff in zip(vec.basis.elements, vec.coords)]
@@ -98,7 +92,7 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_p(args) -> int:
-    d = _load(args.file)
+    d = load_tng(args.file)
     if args.k is not None:
         ensure_root_index(args.k)
     p = p_poly(d)
@@ -112,7 +106,7 @@ def cmd_p(args) -> int:
 
 
 def cmd_rho(args) -> int:
-    d = _load(args.file)
+    d = load_tng(args.file)
     enhancements = enumerate_enhancements(d)
     lines = ["{" + ",".join(str(x) for x in sorted(rho)) + "}"
              for rho in enhancements]
@@ -145,7 +139,7 @@ def _pick_rho(d: TangleDiagram, rho_index: int | None) -> frozenset:
 
 
 def cmd_states(args) -> int:
-    d = _load(args.file)
+    d = load_tng(args.file)
     check_state_listing(d)
     rho = _pick_rho(d, args.rho)
     entries = state_polys(contract(d, rho))
@@ -160,7 +154,7 @@ def cmd_states(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    d = _load(args.file)
+    d = load_tng(args.file)
     ks = ROOT_INDICES if args.all_k else (args.k,)
     for k in ks:
         ensure_root_index(k)

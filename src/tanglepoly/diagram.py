@@ -235,6 +235,7 @@ def _rotation_system(d: TangleDiagram):
     order, tangle edge, frame arc to the previous point).  Indexed by dart:
     sigma is the ccw next dart at the same vertex, twin the other end of the
     edge, owner the vertex id and labels the edge label (None on the frame).
+    Every label of d must occur twice (invariant_problems finds none).
     """
     rings: list[tuple] = [*d.crossings, *d.trivalent, *d.fourvalent]
     points = boundary_circular_labels(d)
@@ -252,10 +253,8 @@ def _rotation_system(d: TangleDiagram):
     for dart, lab in enumerate(labels):
         if lab is not None:
             by_label.setdefault(lab, []).append(dart)
-    for lab, darts in by_label.items():
-        if len(darts) != 2:
-            raise InvalidDiagramError(f"label {lab} occurs {len(darts)} time(s), expected 2")
-        twin[darts[0]], twin[darts[1]] = darts[1], darts[0]
+    for a, b in by_label.values():
+        twin[a], twin[b] = b, a
     # the frame arc from point p to point p+1 (darts follow the node darts)
     first = len(labels) - 3 * len(points)
     for p in range(len(points)):
@@ -286,13 +285,14 @@ def _faces(sigma: list[int], twin: list[int]) -> tuple[list[int], int]:
 def planarity_problems(d: TangleDiagram) -> list[str]:
     """[NONPLANAR_MESSAGE] unless every component of the closed map is a sphere.
 
+    d must have no invariant_problems; validate, its one caller in the
+    package, checks those first, since the rotation system pairs the two
+    darts of every label.
+
     A connected map has V - E + F = 2 - 2g with genus g >= 0, so summed
     over C components V - E + F = 2C holds exactly when all are planar.
     """
-    try:
-        sigma, twin, owner, _ = _rotation_system(d)
-    except InvalidDiagramError as exc:
-        return [str(exc)]
+    sigma, twin, owner, _ = _rotation_system(d)
     _, n_faces = _faces(sigma, twin)
     # owners are numbered in dart order
     n_vertices = owner[-1] + 1 if owner else 0
@@ -450,11 +450,17 @@ def read_text(path) -> str:
 
 
 def load_tng(path) -> TangleDiagram:
-    return parse_tng(read_text(path))
+    """The valid diagram a .tng file holds: ParseError for a file that cannot
+    be read or parsed, InvalidDiagramError for one that validate refuses.
+    Every command reads its files here, so each file is judged valid or
+    not before any domain check sees it."""
+    return ensure_valid(parse_tng(read_text(path)))
 
 
 def map_faces(d: TangleDiagram) -> tuple[frozenset[int], ...]:
-    """Edge-label sets of the faces of the boundary-closed rotation system."""
+    """Edge-label sets of the faces of the boundary-closed rotation system;
+    an invalid d raises InvalidDiagramError."""
+    ensure_valid(d)
     sigma, twin, _, labels = _rotation_system(d)
     face_of, n_faces = _faces(sigma, twin)
     faces: list[set[int]] = [set() for _ in range(n_faces)]
@@ -584,10 +590,20 @@ def is_isomorphic(d1: TangleDiagram, d2: TangleDiagram, *,
     Crossing and 4-valent codes may rotate by two slots, trivalent codes by
     any amount; free_fourvalent additionally allows odd rotations of F codes
     (the same embedded vertex with the smoothing convention re-anchored).
+    An invalid d1 or d2 raises InvalidDiagramError.
+
+    Every label of a valid diagram has two ends.  So once a label is bound,
+    a node holding it has one possible image, the node at the matching end
+    of the label's image, and placing it binds the node's other labels.
+    The boundary's labels place what they reach that way.  Each node
+    component they do not reach is placed from the first seed image that
+    places all of it: a component placed from a seed is isomorphic to its
+    image, so any other component that could take that image could take
+    this one's instead.  Nothing recurses, so no depth grows with d1.
     """
-    if (d1.m, d1.n) != (d2.m, d2.n):
-        return False
-    if len(d1.circles) != len(d2.circles):
+    ensure_valid(d1)
+    ensure_valid(d2)
+    if (d1.m, d1.n, len(d1.circles)) != (d2.m, d2.n, len(d2.circles)):
         return False
     nodes1 = list(d1.node_lines())
     nodes2 = list(d2.node_lines())
@@ -597,56 +613,77 @@ def is_isomorphic(d1: TangleDiagram, d2: TangleDiagram, *,
     rot_steps = dict(_ROT_STEPS)
     if free_fourvalent:
         rot_steps["F"] = (0, 1, 2, 3)
+    # the (node, slot) ends of every label
+    at1: dict[int, list[tuple[int, int]]] = {}
+    at2: dict[int, list[tuple[int, int]]] = {}
+    for at, nodes in ((at1, nodes1), (at2, nodes2)):
+        for i, (_, t) in enumerate(nodes):
+            for s, lab in enumerate(t):
+                at.setdefault(lab, []).append((i, s))
 
     fwd: dict[int, int] = {}
     back: dict[int, int] = {}
+    # node of d1 -> node of d2; undo cuts fwd and image back to a length,
+    # as dicts keep the order of insertion
+    image: dict[int, int] = {}
+    used = [False] * len(nodes2)
 
-    def bind(a: int, b: int, trail: list[int]) -> bool:
+    def bind(a: int, b: int) -> bool:
         if (a in fwd) != (b in back):
             return False
         if a in fwd:
             return fwd[a] == b
         if (a in d1.thick) != (b in d2.thick):
             return False
-        fwd[a] = b
-        back[b] = a
-        trail.append(a)
+        fwd[a], back[b] = b, a
         return True
 
-    def unbind(trail: list[int]) -> None:
-        for a in trail:
-            back.pop(fwd.pop(a))
+    def undo(bound: int, placed: int) -> None:
+        """Keep only the first bound labels and placed nodes."""
+        for a in list(fwd)[bound:]:
+            del back[fwd.pop(a)]
+        for i in list(image)[placed:]:
+            used[image.pop(i)] = False
 
-    for pa, pb in zip(d1.bottom + d1.top, d2.bottom + d2.top):
-        if not bind(pa, pb, []):
+    def place(i: int, j: int, step: int) -> bool:
+        """Map node i of d1 onto node j of d2 rotated by step."""
+        (kind, t1), (kind2, t2) = nodes1[i], nodes2[j]
+        if used[j] or kind2 != kind or step not in rot_steps[kind]:
             return False
+        bound = len(fwd)
+        if not all(bind(a, t2[(s + step) % len(t2)]) for s, a in enumerate(t1)):
+            undo(bound, len(image))
+            return False
+        image[i] = j
+        used[j] = True
+        return True
 
-    used = [False] * len(nodes2)
+    def spread(todo: list[int]) -> bool:
+        """Place every node reached from the bound labels in todo."""
+        while todo:
+            a = todo.pop()
+            for i, s in at1.get(a, ()):
+                if i in image:
+                    continue
+                t1 = nodes1[i][1]
+                if not any(place(i, j, (s2 - s) % len(t1))
+                           for j, s2 in at2.get(fwd[a], ())):
+                    return False
+                todo += t1
+        return True
 
-    def pick_next(remaining: list[int]) -> int:
-        for idx in remaining:
-            if any(lab in fwd for lab in nodes1[idx][1]):
-                return idx
-        return remaining[0]
-
-    def search(remaining: list[int]) -> bool:
-        if not remaining:
-            return True
-        idx = pick_next(remaining)
-        kind, t1 = nodes1[idx]
-        rest = [i for i in remaining if i != idx]
-        for j, (kind2, t2) in enumerate(nodes2):
-            if used[j] or kind2 != kind:
-                continue
-            for step in rot_steps[kind]:
-                rotated = tuple(t2[(i + step) % len(t2)] for i in range(len(t2)))
-                trail: list[int] = []
-                if all(bind(a, b, trail) for a, b in zip(t1, rotated)):
-                    used[j] = True
-                    if search(rest):
-                        return True
-                    used[j] = False
-                unbind(trail)
+    def seeded(i: int) -> bool:
+        """Place node i's component from the first seed image that places
+        all of it."""
+        bound, placed = len(fwd), len(image)
+        for j in range(len(nodes2)):
+            for step in rot_steps[nodes1[i][0]]:
+                if place(i, j, step) and spread(list(nodes1[i][1])):
+                    return True
+                undo(bound, placed)
         return False
 
-    return search(list(range(len(nodes1))))
+    points = d1.bottom + d1.top
+    return (all(bind(a, b) for a, b in zip(points, d2.bottom + d2.top))
+            and spread(list(points))
+            and all(i in image or seeded(i) for i in range(len(nodes1))))

@@ -410,13 +410,14 @@ def _state_sum(d: TangleDiagram) -> LaurentPoly:
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:
     """Exact state sum for one enhancement: I_rho(G) = I(G/rho), the sweep
-    of contract(d, rho), which validates d and rho."""
+    of contract(d, rho), which checks rho."""
+    ensure_valid(d)
     check_state_sum(d)
     return _state_sum(contract(d, rho))
 
 
 def invariant_total_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact sum over all enhancements, in one sweep; zero when none exist."""
-    check_state_sum(d)
     ensure_valid(d)
+    check_state_sum(d)
     return _state_sum(d)

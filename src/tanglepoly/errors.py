@@ -20,7 +20,8 @@ class ParseError(TangleError):
 
 
 class InvalidDiagramError(TangleError):
-    """A diagram violates a structural invariant (label counts, thick rules)."""
+    """A diagram violates a structural invariant (label counts, thick rules,
+    planarity)."""
 
 
 class DomainError(TangleError):

@@ -184,26 +184,30 @@ def comparison_poly(d: TangleDiagram) -> LaurentPoly:
     return p_poly(d)
 
 
+def pair_mismatch(expected: str, pa: LaurentPoly, pb: LaurentPoly,
+                  k: int | None = None) -> str:
+    """How pa and pb break the relation expected names, "" when they keep
+    it (see module docstring)."""
+    if expected == "exact":
+        return "" if pa == pb else f"{pa} != {pb}"
+    # unequal residues differ at every admissible root, so a failure is
+    # reported at the root asked for, or else at the first
+    kk = ROOT_INDICES[0] if k is None else ensure_root_index(k)
+    if pa.residue() == pb.residue():
+        return ""
+    va, vb = (complex_text(p.rounded_root(kk)) for p in (pa, pb))
+    return f"k={kk}: {va} != {vb}"
+
+
 def verify_pair(pair: MovePair, base_dir: str, k: int | None = None) -> PairResult:
     da = load_tng(os.path.join(base_dir, pair.file_a))
     db = load_tng(os.path.join(base_dir, pair.file_b))
     if bool(da.thick) != bool(db.thick):
         raise DomainError(
             f"pair {pair.name}: one side declares thick edges, the other does not")
-    pa, pb = comparison_poly(da), comparison_poly(db)
-    if pair.expected == "exact":
-        if pa == pb:
-            return PairResult(pair.name, pair.move, pair.expected, True)
-        return PairResult(pair.name, pair.move, pair.expected, False,
-                          f"{pa} != {pb}")
-    # unequal residues differ at every admissible root, so a failure is
-    # reported at the root asked for, or else at the first
-    kk = ROOT_INDICES[0] if k is None else ensure_root_index(k)
-    if pa.residue() == pb.residue():
-        return PairResult(pair.name, pair.move, pair.expected, True)
-    va, vb = (complex_text(p.rounded_root(kk)) for p in (pa, pb))
-    return PairResult(pair.name, pair.move, pair.expected, False,
-                      f"k={kk}: {va} != {vb}")
+    detail = pair_mismatch(pair.expected, comparison_poly(da),
+                           comparison_poly(db), k)
+    return PairResult(pair.name, pair.move, pair.expected, not detail, detail)
 
 
 def verify_manifest(path: str, k: int | None = None) -> tuple[PairResult, ...]:

@@ -146,8 +146,8 @@ def p_poly(d: TangleDiagram) -> LaurentPoly:
     d's plat closure with an odd side's last point left open: there one
     cap pair joins the copies of d (x) reflect(d) and closes one more
     loop.  b0 is the sweep's one value, L the loops laid before it."""
-    _check_strand_diagram(d)
     ensure_valid(d)
+    _check_strand_diagram(d)
     states, loops = _frontier_states(d.crossings, len(d.circles),
                                      _caps(d.bottom, d.top))
     b0 = next(iter(states.values()), ZERO)

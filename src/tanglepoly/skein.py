@@ -127,17 +127,18 @@ def vector_bar(v: CoordinateVector) -> CoordinateVector:
 
 
 def _check_strand_diagram(d: TangleDiagram) -> None:
+    """Refuse a graph diagram.  Callers validate d first, so a thick set,
+    whose edges join trivalent vertices, is refused here too."""
     # a graph diagram is a valid file, just outside this operation: DomainError
     # so the CLI reports it on the domain channel, not as a bad input file
     if d.trivalent or d.fourvalent:
         raise DomainError(
             "bracket reduction needs a strand diagram; graph vertices present")
-    if d.thick:
-        raise DomainError("bracket reduction needs an empty thick set")
 
 
 def resolve_flat(d: TangleDiagram) -> tuple[Matching, int]:
     """Boundary matching and free-circle count of a crossingless diagram."""
+    ensure_valid(d)
     if d.crossings:
         raise InvalidDiagramError("resolve_flat needs a crossingless diagram")
     _check_strand_diagram(d)
@@ -146,16 +147,7 @@ def resolve_flat(d: TangleDiagram) -> tuple[Matching, int]:
         positions.setdefault(lab, []).append(circular_position(d.m, d.n, "bot", i))
     for i, lab in enumerate(d.top):
         positions.setdefault(lab, []).append(circular_position(d.m, d.n, "top", i))
-    pairs = []
-    for lab in positions:
-        if len(positions[lab]) != 2:
-            raise InvalidDiagramError(
-                f"label {lab} does not join two boundary points")
-        a, b = sorted(positions[lab])
-        pairs.append((a, b))
-    matching = tuple(sorted(pairs))
-    if not is_noncrossing(matching):
-        raise InvalidDiagramError("nonplanar input detected")
+    matching = tuple(sorted(tuple(sorted(ends)) for ends in positions.values()))
     return matching, len(d.circles)
 
 
@@ -403,8 +395,8 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     delta.  Equal matchings merge, so the work follows the number of
     distinct frontier matchings, not the 2^c smoothing states.
     """
-    _check_strand_diagram(d)
     ensure_valid(d)
+    _check_strand_diagram(d)
     basis = enumerate_basis(d.m, d.n)
     states, loops = _frontier_states(d.crossings, len(d.circles),
                                      _boundary_arcs(d))
@@ -498,8 +490,8 @@ def bracket_oracle(d: TangleDiagram) -> CoordinateVector:
     No diagram surgery and no recursion; kept separate from bracket() so the
     two can check each other.
     """
-    _check_strand_diagram(d)
     ensure_valid(d)
+    _check_strand_diagram(d)
     basis = enumerate_basis(d.m, d.n)
     boundary = (
         [(circular_position(d.m, d.n, "bot", i), lab) for i, lab in enumerate(d.bottom)]

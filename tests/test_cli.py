@@ -730,6 +730,40 @@ def test_verify_reports_failures(tmp_path, capsys):
     assert "FAIL" in out and "k=" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("bracket",), ("p",), ("p", "--k", "1"), ("rho",), ("states",),
+    ("states", "--rho", "0"), ("invariant", "--k", "1"),
+    ("invariant", "--rho", "0", "--k", "1"), ("validate",),
+])
+@pytest.mark.parametrize("text", [
+    # a theta whose two vertices turn the same way only embeds in a torus
+    "tangle m=0 n=0\nV 1 2 3\nV 1 2 3\nB |\n",
+    # a thick edge must join two trivalent vertices
+    "tangle m=1 n=1\nB 1 | 1\nT 1\n",
+], ids=["nonplanar_theta", "thick_strand"])
+def test_an_invalid_file_exits_2_whatever_the_command(argv, text, tmp_path,
+                                                      capsys):
+    path = tmp_path / "invalid.tng"
+    path.write_text(text)
+    code, _, _ = run(capsys, *argv, str(path))
+    assert code == 2
+
+
+def test_verify_refuses_an_invalid_pair_file_before_its_thick_sets(tmp_path,
+                                                                   capsys):
+    # the nonplanar side declares no thick edge and the other side does;
+    # the file is invalid before the pair's thick sets are compared
+    (tmp_path / "a.tng").write_bytes(
+        (FIXTURES / "bad" / "bad_nonplanar.tng").read_bytes())
+    (tmp_path / "b.tng").write_bytes(
+        (FIXTURES / "pairs" / "ih_a.tng").read_bytes())
+    manifest = tmp_path / "pairs.manifest"
+    manifest.write_text("pair x a.tng b.tng IH exact\n")
+    code, out, err = run(capsys, "verify", str(manifest))
+    assert (code, out) == (2, "")
+    assert err == "error: nonplanar or inconsistent rotation system\n"
+
+
 def test_validate_ok(capsys):
     code, out, _ = run(capsys, "validate", fixture_path("theta.tng"))
     assert code == 0

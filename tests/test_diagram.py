@@ -15,8 +15,12 @@ from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram,
                                 parse_tng, planarity_problems, reflect,
                                 relabel_occurrence, relabeled, replace,
                                 serialize_tng, tensor, validate)
+from tanglepoly.enhanced import (contract, enumerate_enhancements,
+                                 invariant_rho_poly, invariant_total_poly)
 from tanglepoly.errors import InvalidDiagramError, ParseError, TangleError
 from tanglepoly.generate import random_tangle, random_trivalent
+from tanglepoly.pairing import p_poly
+from tanglepoly.skein import bracket, bracket_oracle
 
 GOOD_FIXTURES = (
     "circle", "two_circles", "identity_11", "identity_22", "three_strand",
@@ -132,12 +136,16 @@ def test_bad_syntax_fixture_is_a_parse_error(fixtures_dir):
 
 
 def test_nonplanar_fixture_parses_but_fails_validation(fixtures_dir):
-    d = load_tng(fixtures_dir / "bad" / "bad_nonplanar.tng")
+    path = fixtures_dir / "bad" / "bad_nonplanar.tng"
+    d = parse_tng(path.read_text())
     report = validate(d)
     assert not report.ok
     assert NONPLANAR_MESSAGE in report.problems
     with pytest.raises(InvalidDiagramError):
         ensure_valid(d)
+    # loading a file is the one gate: it refuses what validate refuses
+    with pytest.raises(InvalidDiagramError, match=f"^{NONPLANAR_MESSAGE}$"):
+        load_tng(path)
 
 
 BAD_FIXTURE_PROBLEMS = {
@@ -190,17 +198,42 @@ def test_validation_messages_of_many_problems_keep_their_order():
         "thick edge 3 is a circle",
         "thick edge 9 does not join two trivalent vertices",
         "thick edge 13 does not join two trivalent vertices")
-    # the rotation system names the first bad label in dart order
-    assert planarity_problems(d) == ["label 2 occurs 1 time(s), expected 2"]
-    with pytest.raises(InvalidDiagramError,
-                       match=r"^label 2 occurs 1 time\(s\), expected 2$"):
+    # map_faces refuses an invalid diagram with validate's joined message
+    with pytest.raises(InvalidDiagramError) as err:
         map_faces(d)
+    assert str(err.value) == "; ".join(validate(d).problems)
     thrice = D(crossings=((2, 2, 2, 1), (1, 3, 4, 4)))
     assert validate(thrice).problems == (
         "label 2 occurs 3 time(s), expected 2",
         "label 3 occurs 1 time(s), expected 2")
-    assert planarity_problems(thrice) == [
-        "label 2 occurs 3 time(s), expected 2"]
+
+
+# an invalid diagram is refused as invalid by every computation, before
+# any check of the computation's own domain (strand or graph, thick set)
+COMPUTATIONS = {
+    "bracket": bracket,
+    "bracket_oracle": bracket_oracle,
+    "p_poly": p_poly,
+    "invariant_total_poly": invariant_total_poly,
+    "invariant_rho_poly": lambda d: invariant_rho_poly(d, frozenset({1})),
+    "enumerate_enhancements": enumerate_enhancements,
+    "contract": lambda d: contract(d, frozenset({1})),
+    "map_faces": map_faces,
+    "is_isomorphic": lambda d: is_isomorphic(d, d),
+}
+
+
+@pytest.mark.parametrize("d", [
+    # a theta whose two vertices turn the same way only embeds in a torus
+    D(trivalent=((1, 2, 3), (1, 2, 3))),
+    # a thick edge must join two trivalent vertices
+    D(m=1, n=1, bottom=(1,), top=(1,), thick=frozenset({1})),
+], ids=["nonplanar_theta", "thick_strand"])
+@pytest.mark.parametrize("name", sorted(COMPUTATIONS))
+def test_every_computation_refuses_an_invalid_diagram_first(name, d):
+    with pytest.raises(InvalidDiagramError) as err:
+        COMPUTATIONS[name](d)
+    assert str(err.value) == "; ".join(validate(d).problems)
 
 
 def test_header_boundary_mismatch_is_invalid():
@@ -402,6 +435,22 @@ def test_is_isomorphic_backtracks_after_a_deeper_failure():
           circles=(3,))
     assert validate(d).ok and validate(e).ok
     assert is_isomorphic(d, e) and is_isomorphic(e, d)
+
+
+def test_is_isomorphic_of_a_long_braid_does_not_recurse():
+    # 3000 crossings in one chain, past Python's recursion limit
+    from tanglepoly.moves import braid_pattern
+    d = braid_pattern(*[1] * 3000)
+    labels = sorted(all_labels(d))
+    shuffled = labels[:]
+    random.Random(0).shuffle(shuffled)
+    copy = relabeled(d, dict(zip(labels, shuffled)))
+    a, b, c, dd = d.crossings[1500]
+    flipped = replace(d, crossings=d.crossings[:1500] + ((b, c, dd, a),)
+                      + d.crossings[1501:])
+    assert validate(flipped).ok
+    assert is_isomorphic(d, copy) and is_isomorphic(copy, d)
+    assert not is_isomorphic(d, flipped) and not is_isomorphic(flipped, copy)
 
 
 def test_free_fourvalent_rotation_flag():

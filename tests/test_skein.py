@@ -154,9 +154,11 @@ def test_bracket_of_the_arc():
 
 
 def test_bracket_rejects_thick_sets():
+    # a thick edge must join two trivalent vertices: the set makes the
+    # diagram invalid before the bracket's strand check sees it
     d = TangleDiagram(m=1, n=1, crossings=(), bottom=(1,), top=(1,),
                       thick=frozenset({1}))
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidDiagramError):
         bracket(d)
 
 
