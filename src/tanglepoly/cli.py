@@ -9,7 +9,6 @@ validation error, 3 domain error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .diagram import TangleDiagram, load_tng, validate
@@ -46,8 +45,10 @@ def complex_json(value: tuple[int, int]) -> dict:
 
 
 def _emit(args, text_lines, obj) -> None:
-    # the JSON object, and with it every double, is built only under --json
+    # the JSON object, every double in it and the json module are built or
+    # loaded only under --json
     if args.json:
+        import json
         print(json.dumps(obj(), indent=2, sort_keys=True))
     else:
         for line in text_lines:

@@ -457,21 +457,8 @@ def load_tng(path) -> TangleDiagram:
     return ensure_valid(parse_tng(read_text(path)))
 
 
-def map_faces(d: TangleDiagram) -> tuple[frozenset[int], ...]:
-    """Edge-label sets of the faces of the boundary-closed rotation system;
-    an invalid d raises InvalidDiagramError."""
-    ensure_valid(d)
-    sigma, twin, _, labels = _rotation_system(d)
-    face_of, n_faces = _faces(sigma, twin)
-    faces: list[set[int]] = [set() for _ in range(n_faces)]
-    for face, lab in zip(face_of, labels):
-        if lab is not None:
-            faces[face].add(lab)
-    return tuple(map(frozenset, faces))
-
-
 # ---------------------------------------------------------------------------
-# diagram operations
+# label merging; the surgery that no command runs is in generate
 
 
 def _renamed(d: TangleDiagram, rename, circles: tuple[int, ...]) -> TangleDiagram:
@@ -491,32 +478,6 @@ def _renamed(d: TangleDiagram, rename, circles: tuple[int, ...]) -> TangleDiagra
     )
 
 
-def relabeled(d: TangleDiagram, mapping: dict[int, int]) -> TangleDiagram:
-    def rename(x: int) -> int:
-        return mapping.get(x, x)
-
-    return _renamed(d, rename, tuple(map(rename, d.circles)))
-
-
-_OCCURRENCE_FIELDS = {"X": "crossings", "V": "trivalent", "F": "fourvalent",
-                      "bot": "bottom", "top": "top"}
-
-
-def relabel_occurrence(d: TangleDiagram, kind: str, idx: int, slot: int,
-                       new_label: int) -> TangleDiagram:
-    """Rename a single edge end, identified by its occurrence coordinates."""
-    def patched(t: tuple, i: int, value) -> tuple:
-        return t[:i] + (value,) + t[i + 1:]
-
-    if kind not in _OCCURRENCE_FIELDS:
-        raise ValueError(f"unknown occurrence kind {kind!r}")
-    name = _OCCURRENCE_FIELDS[kind]
-    seq = getattr(d, name)
-    if kind in ("bot", "top"):
-        return replace(d, **{name: patched(seq, slot, new_label)})
-    return replace(d, **{name: patched(seq, idx, patched(seq[idx], slot, new_label))})
-
-
 def merge_edges(d: TangleDiagram, joins) -> TangleDiagram:
     """Connect edge ends pairwise; joining an edge to itself closes a circle.
 
@@ -534,156 +495,3 @@ def merge_edges(d: TangleDiagram, joins) -> TangleDiagram:
             fresh += 1
             circles.append(fresh)
     return _renamed(d, lambda x: _root(parent, x), tuple(circles))
-
-
-def mirror(d: TangleDiagram) -> TangleDiagram:
-    """Swap over- and under-strands at every crossing (reflect through the plane)."""
-    flipped = tuple((b, c, dd, a) for (a, b, c, dd) in d.crossings)
-    return replace(d, crossings=flipped)
-
-
-def reflect(d: TangleDiagram) -> TangleDiagram:
-    """Reflect the strip left to right.
-
-    Boundary points reverse on both sides, and every node's ccw order
-    reverses: a crossing (a,b,c,d) becomes (a,d,c,b), keeping its
-    under-pair (a,c) while its A and B smoothings trade places.
-    """
-    def reverse(t):
-        return (t[0],) + t[:0:-1]
-
-    return replace(
-        d,
-        crossings=tuple(map(reverse, d.crossings)),
-        trivalent=tuple(map(reverse, d.trivalent)),
-        fourvalent=tuple(map(reverse, d.fourvalent)),
-        bottom=d.bottom[::-1], top=d.top[::-1],
-    )
-
-
-def tensor(d1: TangleDiagram, d2: TangleDiagram) -> TangleDiagram:
-    """Place d2 to the right of d1; d2 is relabeled above d1's labels."""
-    offset = max_label(d1)
-    d2r = relabeled(d2, {lab: lab + offset for lab in all_labels(d2)})
-    return TangleDiagram(
-        m=d1.m + d2.m, n=d1.n + d2.n,
-        crossings=d1.crossings + d2r.crossings,
-        trivalent=d1.trivalent + d2r.trivalent,
-        fourvalent=d1.fourvalent + d2r.fourvalent,
-        circles=d1.circles + d2r.circles,
-        bottom=d1.bottom + d2r.bottom,
-        top=d1.top + d2r.top,
-        thick=d1.thick | d2r.thick,
-    )
-
-
-# ---------------------------------------------------------------------------
-# isomorphism up to relabeling (and optionally free 4-valent rotation)
-
-_ROT_STEPS = {"X": (0, 2), "V": (0, 1, 2), "F": (0, 2)}
-
-
-def is_isomorphic(d1: TangleDiagram, d2: TangleDiagram, *,
-                  free_fourvalent: bool = False) -> bool:
-    """Label-bijection equivalence with boundary points matched in order.
-
-    Crossing and 4-valent codes may rotate by two slots, trivalent codes by
-    any amount; free_fourvalent additionally allows odd rotations of F codes
-    (the same embedded vertex with the smoothing convention re-anchored).
-    An invalid d1 or d2 raises InvalidDiagramError.
-
-    Every label of a valid diagram has two ends.  So once a label is bound,
-    a node holding it has one possible image, the node at the matching end
-    of the label's image, and placing it binds the node's other labels.
-    The boundary's labels place what they reach that way.  Each node
-    component they do not reach is placed from the first seed image that
-    places all of it: a component placed from a seed is isomorphic to its
-    image, so any other component that could take that image could take
-    this one's instead.  Nothing recurses, so no depth grows with d1.
-    """
-    ensure_valid(d1)
-    ensure_valid(d2)
-    if (d1.m, d1.n, len(d1.circles)) != (d2.m, d2.n, len(d2.circles)):
-        return False
-    nodes1 = list(d1.node_lines())
-    nodes2 = list(d2.node_lines())
-    if sorted(k for k, _ in nodes1) != sorted(k for k, _ in nodes2):
-        return False
-
-    rot_steps = dict(_ROT_STEPS)
-    if free_fourvalent:
-        rot_steps["F"] = (0, 1, 2, 3)
-    # the (node, slot) ends of every label
-    at1: dict[int, list[tuple[int, int]]] = {}
-    at2: dict[int, list[tuple[int, int]]] = {}
-    for at, nodes in ((at1, nodes1), (at2, nodes2)):
-        for i, (_, t) in enumerate(nodes):
-            for s, lab in enumerate(t):
-                at.setdefault(lab, []).append((i, s))
-
-    fwd: dict[int, int] = {}
-    back: dict[int, int] = {}
-    # node of d1 -> node of d2; undo cuts fwd and image back to a length,
-    # as dicts keep the order of insertion
-    image: dict[int, int] = {}
-    used = [False] * len(nodes2)
-
-    def bind(a: int, b: int) -> bool:
-        if (a in fwd) != (b in back):
-            return False
-        if a in fwd:
-            return fwd[a] == b
-        if (a in d1.thick) != (b in d2.thick):
-            return False
-        fwd[a], back[b] = b, a
-        return True
-
-    def undo(bound: int, placed: int) -> None:
-        """Keep only the first bound labels and placed nodes."""
-        for a in list(fwd)[bound:]:
-            del back[fwd.pop(a)]
-        for i in list(image)[placed:]:
-            used[image.pop(i)] = False
-
-    def place(i: int, j: int, step: int) -> bool:
-        """Map node i of d1 onto node j of d2 rotated by step."""
-        (kind, t1), (kind2, t2) = nodes1[i], nodes2[j]
-        if used[j] or kind2 != kind or step not in rot_steps[kind]:
-            return False
-        bound = len(fwd)
-        if not all(bind(a, t2[(s + step) % len(t2)]) for s, a in enumerate(t1)):
-            undo(bound, len(image))
-            return False
-        image[i] = j
-        used[j] = True
-        return True
-
-    def spread(todo: list[int]) -> bool:
-        """Place every node reached from the bound labels in todo."""
-        while todo:
-            a = todo.pop()
-            for i, s in at1.get(a, ()):
-                if i in image:
-                    continue
-                t1 = nodes1[i][1]
-                if not any(place(i, j, (s2 - s) % len(t1))
-                           for j, s2 in at2.get(fwd[a], ())):
-                    return False
-                todo += t1
-        return True
-
-    def seeded(i: int) -> bool:
-        """Place node i's component from the first seed image that places
-        all of it."""
-        bound, placed = len(fwd), len(image)
-        for j in range(len(nodes2)):
-            for step in rot_steps[nodes1[i][0]]:
-                if place(i, j, step) and spread(list(nodes1[i][1])):
-                    return True
-                undo(bound, placed)
-        return False
-
-    points = d1.bottom + d1.top
-    return (all(bind(a, b) for a, b in zip(points, d2.bottom + d2.top))
-            and spread(list(points))
-            and all(i in image or seeded(i) for i in range(len(nodes1))))

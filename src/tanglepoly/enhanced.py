@@ -352,7 +352,8 @@ def check_state_sum(d: TangleDiagram) -> None:
 def _twin_node(vertex, offset: int):
     """Frontier node of a 4-valent vertex and its twin, whose labels are
     shifted by offset.  Both are smoothed by label pairs, T0 (a,b),(c,d) and
-    Tinf (a,d),(b,c), never by the twin's code, which reflect re-anchors."""
+    Tinf (a,d),(b,c), never by the twin's code, which the reflection
+    re-anchors."""
     a, b, c, dd = vertex
     ta, tb, tc, td = a + offset, b + offset, c + offset, dd + offset
     flat = (((a, b), (c, dd)), ((a, dd), (b, c)))
@@ -366,8 +367,8 @@ def _twin_node(vertex, offset: int):
 def _doubled_closure(d: TangleDiagram, offset: int):
     """(crossings, circles, caps) of the plat closure of d (x) reflect(d):
     the reflected copy reverses the ccw order of every crossing and the
-    boundary, and its labels are shifted by offset, max_label(d), as tensor
-    shifts them."""
+    boundary, and its labels are shifted by offset, max_label(d), so that
+    they clear d's."""
 
     def twin(t):
         return tuple(x + offset for x in t)
@@ -395,7 +396,7 @@ def _state_sum(d: TangleDiagram) -> LaurentPoly:
     links = _peeled_links(d)
     if links is None:
         return ZERO
-    # tensor's shift of the reflected copy
+    # the shift that moves the reflected copy's labels past d's
     offset = max_label(d)
     vertices = [(a, b, c, a + offset, b + offset, c + offset)
                 for a, b, c in d.trivalent]

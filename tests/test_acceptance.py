@@ -14,11 +14,11 @@ from tanglepoly.enhanced import (enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
                                  contract, invariant_rho_poly,
                                  invariant_total_poly)
-from tanglepoly.generate import (random_splice_site, random_tangle,
-                                 random_trivalent)
+from tanglepoly.generate import (braid_pattern, insert_kink,
+                                 random_splice_site, random_tangle,
+                                 random_trivalent, splice_22)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
-from tanglepoly.moves import (braid_pattern, insert_kink, parse_manifest,
-                              splice_22, verify_pair)
+from tanglepoly.moves import parse_manifest, verify_pair
 from tanglepoly.pairing import p_poly, pairing_matrix
 from tanglepoly.skein import bracket, bracket_oracle, enumerate_basis
 

@@ -18,9 +18,9 @@ from tanglepoly import cli, enhanced, moves, pairing, skein
 from tanglepoly.cli import main
 from tanglepoly.diagram import (TangleDiagram, ensure_valid, load_tng,
                                 max_label, replace, serialize_tng)
+from tanglepoly.generate import braid_pattern
 from tanglepoly.laurent import (MAX_DELTA_POWER, ROOT_INDICES, LaurentPoly,
                                 complex_text, delta_power)
-from tanglepoly.moves import braid_pattern
 
 DELTA2 = "q^4 + 2 + q^-4"
 DELTA3 = "-q^6 - 3q^2 - 3q^-2 - q^-6"
@@ -913,31 +913,55 @@ def test_cli_import_does_not_load_concurrent_futures():
 
 
 COLD_START = """
-import json, sys
+import io, sys
+from contextlib import redirect_stdout
 import tanglepoly
 core = [m for m in ("diagram", "pairing", "enhanced", "laurent", "skein",
                     "moves") if "tanglepoly." + m not in sys.modules]
 import tanglepoly.cli
-loaded = [m for m in ("dataclasses", "inspect", "tanglepoly.generate")
-          if m in sys.modules]
+LAZY = ("dataclasses", "inspect", "json", "tanglepoly.generate")
+loaded = {"import": [m for m in LAZY if m in sys.modules]}
+fx = sys.argv[1]
+for argv in (["validate", fx + "/trefoil.tng"], ["p", fx + "/trefoil.tng"],
+             ["bracket", fx + "/trefoil.tng"],
+             ["invariant", fx + "/theta.tng", "--all-k"],
+             ["verify", fx + "/moves.manifest"],
+             ["states", fx + "/theta.tng", "--rho", "0"],
+             ["rho", fx + "/theta.tng"], ["basis", "2", "2"],
+             ["pairing", "2", "2"], ["p", "--json", fx + "/trefoil.tng"]):
+    with redirect_stdout(io.StringIO()):
+        code = tanglepoly.cli.main(argv)
+    key = argv[0] + " --json" * ("--json" in argv)
+    loaded[key] = [code] + [m for m in LAZY if m in sys.modules]
 lazy = (tanglepoly.random_trivalent
         is sys.modules["tanglepoly.generate"].random_trivalent)
 names = {}
 exec("from tanglepoly import *", names)
 unbound = sorted(set(tanglepoly.__all__) - names.keys())
+import json
 print(json.dumps([core, loaded, lazy, unbound]))
 """
 
 
 def test_cli_cold_start_imports_no_dataclasses_or_generators():
     # the bench reads the six core modules from sys.modules after
-    # `import tanglepoly`; the generators load on first use
+    # `import tanglepoly`; generate loads on first use, and json only
+    # under --json, so no command without it compiles either
     src = FIXTURES.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_START], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        [sys.executable, "-S", "-c", COLD_START, str(FIXTURES)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], [], True, []]
+    core, loaded, lazy, unbound = json.loads(proc.stdout)
+    assert core == []
+    assert loaded.pop("import") == []
+    assert loaded.pop("p --json") == [0, "json"]
+    assert loaded == {cmd: [0] for cmd in (
+        "validate", "p", "bracket", "invariant", "verify", "states", "rho",
+        "basis", "pairing")}
+    assert lazy is True
+    assert unbound == []
     for path in src.rglob("*.py"):
         text = path.read_text()
         assert "import dataclasses" not in text, path

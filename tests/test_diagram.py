@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +10,17 @@ from tanglepoly import diagram
 from tanglepoly.diagram import (NONPLANAR_MESSAGE, TangleDiagram,
                                 ValidationReport, all_labels,
                                 boundary_circular_labels, edge_occurrences,
-                                ensure_valid, invariant_problems,
-                                is_isomorphic, load_tng,
-                                map_faces, max_label, merge_edges, mirror,
-                                parse_tng, planarity_problems, reflect,
-                                relabel_occurrence, relabeled, replace,
-                                serialize_tng, tensor, validate)
+                                ensure_valid, invariant_problems, load_tng,
+                                max_label, merge_edges, parse_tng,
+                                planarity_problems, replace, serialize_tng,
+                                validate)
 from tanglepoly.enhanced import (contract, enumerate_enhancements,
                                  invariant_rho_poly, invariant_total_poly)
 from tanglepoly.errors import InvalidDiagramError, ParseError, TangleError
-from tanglepoly.generate import random_tangle, random_trivalent
+from tanglepoly.generate import (braid_pattern, is_isomorphic, map_faces,
+                                 mirror, random_tangle, random_trivalent,
+                                 reflect, relabel_occurrence, relabeled,
+                                 tensor)
 from tanglepoly.pairing import p_poly
 from tanglepoly.skein import bracket, bracket_oracle
 
@@ -439,7 +441,6 @@ def test_is_isomorphic_backtracks_after_a_deeper_failure():
 
 def test_is_isomorphic_of_a_long_braid_does_not_recurse():
     # 3000 crossings in one chain, past Python's recursion limit
-    from tanglepoly.moves import braid_pattern
     d = braid_pattern(*[1] * 3000)
     labels = sorted(all_labels(d))
     shuffled = labels[:]
@@ -451,6 +452,22 @@ def test_is_isomorphic_of_a_long_braid_does_not_recurse():
     assert validate(flipped).ok
     assert is_isomorphic(d, copy) and is_isomorphic(copy, d)
     assert not is_isomorphic(d, flipped) and not is_isomorphic(flipped, copy)
+
+
+def test_is_isomorphic_refuses_unequal_label_types_at_once():
+    # a closed braid against itself with its middle crossing turned by one
+    # slot: seeding each start node would spread round the whole closure
+    n = 1000
+    d = braid_pattern(*[1] * n)
+    d = merge_edges(replace(d, m=0, n=0, bottom=(), top=()),
+                    [(1, d.top[0]), (2, d.top[1])])
+    a, b, c, dd = d.crossings[n // 2]
+    flipped = replace(d, crossings=d.crossings[:n // 2] + ((b, c, dd, a),)
+                      + d.crossings[n // 2 + 1:])
+    assert validate(d).ok and validate(flipped).ok
+    start = time.perf_counter()
+    assert not is_isomorphic(d, flipped)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_free_fourvalent_rotation_flag():
@@ -478,7 +495,6 @@ def test_merge_edges_joins_and_closes_circles():
 
 
 def test_mirror_swaps_over_and_under():
-    from tanglepoly.moves import braid_pattern
     assert mirror(braid_pattern(+1)) == braid_pattern(-1)
     d = load_tng(fixture_path("trefoil.tng"))
     assert mirror(mirror(d)) == d

@@ -9,20 +9,21 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import enhanced, pairing, skein
-from tanglepoly.diagram import (TangleDiagram, _min_rotation,
-                                edge_occurrences, ensure_valid, is_isomorphic,
-                                load_tng, max_label, merge_edges, parse_tng,
-                                read_text, reflect, relabeled, replace, tensor)
+from tanglepoly.diagram import (TangleDiagram, _min_rotation, edge_occurrences,
+                                ensure_valid, load_tng, max_label, merge_edges,
+                                parse_tng, read_text, replace)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
                                  invariant_rho_poly, invariant_total_poly,
                                  state_polys)
 from tanglepoly.errors import DomainError, InvalidDiagramError
-from tanglepoly.generate import (MAX_ACTIVE, _MorseBuilder, random_splice_site,
-                                 random_tangle, random_trivalent)
+from tanglepoly.generate import (MAX_ACTIVE, SpliceSite, _MorseBuilder,
+                                 braid_pattern, insert_kink, is_isomorphic,
+                                 random_splice_site, random_tangle,
+                                 random_trivalent, reflect, relabeled,
+                                 splice_22, tensor)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
-from tanglepoly.moves import SpliceSite, braid_pattern, insert_kink, splice_22
 from tanglepoly.pairing import p_poly
 from test_cli import _ladder, _ladder_and_claws
 

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, decimal_root_text, fixture_path
 from tanglepoly import moves
 from tanglepoly.cli import main
-from tanglepoly.diagram import (TangleDiagram, all_labels, is_isomorphic,
-                                load_tng, map_faces, mirror, serialize_tng)
+from tanglepoly.diagram import (TangleDiagram, all_labels, load_tng,
+                                serialize_tng)
 from tanglepoly.enhanced import contract, invariant_rho_poly
 from tanglepoly.errors import (DomainError, InvalidDiagramError, ParseError,
                                TangleError)
-from tanglepoly.generate import (_MorseBuilder, random_splice_site,
-                                 random_tangle)
+from tanglepoly.generate import (SpliceSite, _MorseBuilder, braid_pattern,
+                                 ih_rewrite, insert_kink, is_isomorphic,
+                                 map_faces, mirror, random_splice_site,
+                                 random_tangle, splice_22)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES
-from tanglepoly.moves import (MovePair, SpliceSite, braid_pattern,
-                              comparison_poly, ih_rewrite, insert_kink,
-                              parse_manifest, splice_22, verify_manifest,
-                              verify_pair)
+from tanglepoly.moves import (MovePair, comparison_poly, parse_manifest,
+                              verify_manifest, verify_pair)
 from tanglepoly.pairing import p_poly
 from tanglepoly.skein import bracket
 

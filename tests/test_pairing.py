@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, fixture_path
 from tanglepoly import pairing, skein
 from tanglepoly.diagram import (TangleDiagram, all_labels, load_tng, max_label,
-                               mirror, replace)
+                                replace)
 from tanglepoly.enhanced import invariant_total_poly
 from tanglepoly.errors import DomainError
-from tanglepoly.generate import _MorseBuilder, random_tangle
+from tanglepoly.generate import (_MorseBuilder, insert_kink, mirror,
+                                 random_tangle)
 from tanglepoly.laurent import ONE, ROOT_INDICES, LaurentPoly, delta_power
-from tanglepoly.moves import insert_kink
 from tanglepoly.pairing import (MAX_HALF_BOUNDARY, p_poly, pair,
                                 pairing_matrix, plat_loop_count)
 from tanglepoly.skein import (bracket, bracket_oracle, enumerate_basis,

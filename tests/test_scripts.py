@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import subprocess
 import sys
@@ -47,3 +49,17 @@ def test_the_benchmark_set_up_finds_the_core_modules():
     proc = subprocess.run([sys.executable, "-c", code, str(BENCH)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_benchmark_freezer_finds_every_name_it_imports():
+    # bench/freeze.py imports by module path, so a name moved to another
+    # module breaks it
+    tree = ast.parse((BENCH / "freeze.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("tanglepoly.")
+               for alias in node.names]
+    assert len(imports) >= 10
+    missing = [(module, name) for module, name in imports
+               if name not in vars(importlib.import_module(module))]
+    assert missing == []

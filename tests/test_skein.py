@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from tanglepoly.diagram import TangleDiagram, load_tng, mirror
+from tanglepoly.diagram import TangleDiagram, load_tng
 from tanglepoly.errors import DomainError, InvalidDiagramError
-from tanglepoly.generate import random_tangle
+from tanglepoly.generate import mirror, random_tangle
 from tanglepoly.laurent import DELTA, LaurentPoly, ONE, delta_power
 from tanglepoly.skein import (CoordinateVector, bracket, bracket_oracle,
                               circular_position, enumerate_basis,

@@ -12,8 +12,9 @@ import pytest
 
 from tanglepoly.diagram import (TangleDiagram, ValidationReport,
                                 edge_occurrences, replace, validate)
+from tanglepoly.generate import SpliceSite
 from tanglepoly.laurent import ONE, Q, ZERO
-from tanglepoly.moves import MovePair, PairResult, SpliceSite
+from tanglepoly.moves import MovePair, PairResult
 from tanglepoly.pairing import PairingMatrix, pairing_matrix
 from tanglepoly.skein import Basis, CoordinateVector, enumerate_basis
 
