@@ -56,24 +56,25 @@ from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
 from .errors import DomainError, InvalidDiagramError
 from .laurent import DELTA, ZERO, LaurentPoly, delta_power
 from .pairing import _caps, p_poly
-from .skein import _frontier_states
+from .skein import _frontier_states, _loop_weights
 
 Enhancement = frozenset[int]
 
 STATE_PATTERNS = ("T-", "T+", "T0", "Tinf")
 
-# _TWIN_WEIGHTS[s][t][k]: twin weight W[s][t] (module docstring, q^2 + q^-2
-# is -delta) when the joint smoothing's four arcs close k loops; s and t
-# are 0 for T0, 1 for Tinf
-_TWIN_WEIGHTS = tuple(tuple(tuple(w * delta_power(k) for k in range(5))
-                            for w in row) for row in ((3, -DELTA), (-DELTA, 3)))
+# _TWIN_WEIGHTS[s][t][k]: the term map of twin weight W[s][t] (module
+# docstring, q^2 + q^-2 is -delta) when the joint smoothing's four arcs
+# close k loops; s and t are 0 for T0, 1 for Tinf
+_TWIN_WEIGHTS = tuple(tuple(_loop_weights(w, 4) for w in row)
+                     for row in ((3, -DELTA), (-DELTA, 3)))
 
 #: Largest number n of 4-valent vertices after contraction (the diagram's
 #: own plus one per thick edge, the same for every enhancement) that the
 #: state sums accept.  All enhancements are summed in one frontier sweep,
 #: whose cost follows the frontier width rather than n: on a 2-core Xeon
-#: with Python 3.11, a closed chain of 10 takes about 1.2 ms and a closed
-#: 10-rung ladder (233 enhancements) about 3 ms, 40 rungs about 27 ms.  So
+#: with Python 3.11, a closed chain of 10 takes about 0.9 ms and a closed
+#: 10-rung ladder (233 enhancements) about 1.6 ms, 40 rungs about 13 ms
+#: (in-process, best of 12 runs).  So
 #: this bound is a proxy that refuses work which would finish; it is kept
 #: until a limit on the sweep's own width replaces it.
 MAX_STATE_VERTICES = 10
@@ -194,7 +195,7 @@ def _count_matchings(d: TangleDiagram, links) -> int:
     _peeled_links gives them (every vertex has one): the frontier sweep
     with every link an option whose take lays no arcs, so each state's
     ends stay empty and only its covered vertices tell it apart."""
-    take = (((), (1,)),)  # one smoothing: no arcs, weight 1
+    take = (((), _loop_weights(1, 0)),)  # one smoothing: no arcs, weight 1
     states, _ = _frontier_states((), vertices=d.trivalent,
                                  options=[(u, v, take) for _, u, v in links])
     return next(iter(states.values()), ZERO).terms.get(0, 0)

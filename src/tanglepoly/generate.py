@@ -26,9 +26,9 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .diagram import (TangleDiagram, _faces, _renamed, _rotation_system,
-                      all_labels, edge_occurrences, ensure_valid, max_label,
-                      merge_edges, replace)
+from .diagram import (TangleDiagram, _faces, _renamed, _root,
+                      _rotation_system, _union, all_labels, edge_occurrences,
+                      ensure_valid, max_label, merge_edges, replace)
 from .enhanced import _contracted_vertex
 from .errors import DomainError, InvalidDiagramError
 
@@ -144,9 +144,11 @@ def is_isomorphic(d1: TangleDiagram, d2: TangleDiagram, *,
     the sorted types of a label's two ends, each its node kind (or
     boundary side) and, where every allowed rotation keeps it, its slot
     parity, plus the label's thick flag.  An isomorphism keeps every
-    label's type, so unequal multisets answer False in n log n.  Equal
-    multisets can still cost a seed search per component, which is
-    quadratic when it fails late.
+    label's type, so unequal multisets answer False in n log n.  So do
+    unequal multisets of node-component sizes (nodes joined by a label
+    are in one component), as an isomorphism maps each component onto one
+    of the same size.  Diagrams equal in both can still cost a seed search
+    per component, which is quadratic when it fails late.
     """
     ensure_valid(d1)
     ensure_valid(d2)
@@ -176,6 +178,20 @@ def is_isomorphic(d1: TangleDiagram, d2: TangleDiagram, *,
         for i, (_, t) in enumerate(nodes):
             for s, lab in enumerate(t):
                 at.setdefault(lab, []).append((i, s))
+
+    def component_sizes(at: dict, count: int) -> list[int]:
+        parent: dict[int, int] = {}
+        for ends in at.values():
+            if len(ends) == 2:
+                _union(parent, ends[0][0], ends[1][0])
+        sizes: dict[int, int] = {}
+        for i in range(count):
+            root = _root(parent, i)
+            sizes[root] = sizes.get(root, 0) + 1
+        return sorted(sizes.values())
+
+    if component_sizes(at1, len(nodes1)) != component_sizes(at2, len(nodes2)):
+        return False
 
     fwd: dict[int, int] = {}
     back: dict[int, int] = {}

@@ -25,6 +25,13 @@ Then the absorption order is planned in one greedy pass
 by one or two owners of label ends, and one scoring rule and one update
 path serve them all.  The order sets the frontier's width, and with it
 the sweep's cost.
+
+The sweep's arithmetic is on plain term maps {exponent: coefficient}.  A
+weight is a tuple of such maps, entry k the smoothing's weight when its
+arcs close k loops; _loop_weights is the one place that builds them, for
+the crossings here and for enhanced's twin and take weights.  A table
+coefficient is a term map the sweep owns and adds products into in place,
+one per surviving state; LaurentPoly wraps only what the sweep returns.
 """
 
 from __future__ import annotations
@@ -48,9 +55,17 @@ Matching = tuple[Pair, ...]
 #: applies to them.
 MAX_BASIS_HALF_BOUNDARY = 11
 
-# _WEIGHTS[s][k]: weight of smoothing s (A, then B) when its joins close k loops
-_WEIGHTS = tuple(tuple(w * delta_power(k) for k in range(3))
-                 for w in (Q, Q.bar()))
+
+def _loop_weights(w, most: int) -> tuple[dict[int, int], ...]:
+    """The weights of a smoothing of weight w (a LaurentPoly or an int):
+    entry k is the term map of w * delta^k, its weight when its arcs close
+    k loops, for k up to most.  The sweep reads these maps and never
+    changes them."""
+    return tuple((delta_power(k) * w).terms for k in range(most + 1))
+
+
+# _WEIGHTS[s]: the weights of smoothing s (A, then B), up to two loops
+_WEIGHTS = tuple(_loop_weights(w, 2) for w in (Q, Q.bar()))
 
 
 def circular_position(m: int, n: int, side: str, index: int) -> int:
@@ -151,24 +166,29 @@ def resolve_flat(d: TangleDiagram) -> tuple[Matching, int]:
     return matching, len(d.circles)
 
 
-def _join(ends: dict[int, int], x: int, y: int) -> int:
-    """Connect ends x and y by an arc; 1 if that closes a loop, else 0.
+def _join(ends: dict[int, int], arcs) -> int:
+    """Connect the ends x and y of each arc (x, y) in turn; the number of
+    loops that closes.
 
     ends maps each open end to the open end at the other side of its path.
     An end already open continues through the arc to its partner; an end
     not yet open becomes open with the arc as its path.
     """
-    if x == y:
-        return 1
-    px = ends.pop(x, None)
-    py = ends.pop(y, None)
-    if px == y:
-        return 1
-    u = x if px is None else px
-    v = y if py is None else py
-    ends[u] = v
-    ends[v] = u
-    return 0
+    loops = 0
+    for x, y in arcs:
+        if x == y:
+            loops += 1
+            continue
+        px = ends.pop(x, None)
+        py = ends.pop(y, None)
+        if px == y:
+            loops += 1
+            continue
+        u = x if px is None else px
+        v = y if py is None else py
+        ends[u] = v
+        ends[v] = u
+    return loops
 
 
 def _crossing_node(t):
@@ -417,7 +437,8 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     absorbed.  The nodes absorbed are the crossings, the given nodes, each
     a pair (labels, smoothings), and the given options over the given
     vertices (see _absorption_order): every smoothing is (arcs, weights),
-    and weights[k] is its weight when its arcs close k loops.
+    and weights[k], a term map {exponent: coefficient} from _loop_weights,
+    is its weight when its arcs close k loops.
 
     An option is either skipped, with weight 1 and no arcs, or taken in
     its smoothings, which needs both its vertices uncovered.  A state is
@@ -430,15 +451,24 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
 
     A closure, its caps laid as joins, leaves at most one state, whose
     ends are not empty when p_poly leaves an odd side's last point open.
-    The weights of one state's smoothings are summed per state they land
-    in first, so a state pays one multiplication per distinct state it
-    reaches.
+
+    A state's coefficient in the table is a term map the sweep owns, one
+    per state; only the table that is returned wraps each in a
+    LaurentPoly.  At each step the weights of one state's smoothings are
+    summed per state they land in, and each sum is convolved with the
+    state's map straight into the map of the state it lands in, so a state
+    pays one product per distinct state it reaches and allocates no
+    polynomial for it.  A skipped option moves its map to the next table,
+    where later products may add into it.  Zero
+    terms and empty maps are dropped once, at the end of the step.  No
+    weight map and no unit is ever written to, and no map is written to
+    while a state still reads it.
 
     Before any of this, the crossings' kinks and bigons are removed
     (_kinks_and_bigons_removed); a join between two labels that each
     occur once among the crossings is an edge of that pass, so a cap may
-    close a kink or a bigon.  The table starts at the unit the removed
-    kinks multiply the bracket by, 1 when there are none.
+    close a kink or a bigon.  The table starts at a copy of the unit the
+    removed kinks multiply the bracket by, 1 when there are none.
 
     Those loops, the free circles, the loops the removals close and the
     loops the joins close, are a factor delta^laid of every entry: the
@@ -447,40 +477,55 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     """
     crossings, laid, joins, unit = _kinks_and_bigons_removed(crossings, joins)
     start: dict[int, int] = {}
-    laid += circles + sum(_join(start, x, y) for x, y in joins)
-    states = {(frozenset(start.items()), _NO_VERTICES): unit}
+    laid += circles + _join(start, joins)
+    states = {(frozenset(start.items()), _NO_VERTICES): unit.terms}
     all_nodes = [_crossing_node(t) for t in crossings] + list(nodes)
     for smoothings, cover, done in _absorption_order(all_nodes, vertices,
                                                      options):
-        nxt: dict[tuple, LaurentPoly] = {}
+        nxt: dict[tuple, dict[int, int]] = {}
         for key, coeff in states.items():
             ends, covered = key
             if cover is not None:
                 # skipped, the state is kept; taken, it needs cover uncovered
-                nxt[key] = nxt[key] + coeff if key in nxt else coeff
+                acc = nxt.get(key)
+                if acc is None:
+                    nxt[key] = coeff  # no state reads it after this one
+                else:
+                    for e, c in coeff.items():
+                        acc[e] = acc.get(e, 0) + c
                 if not cover.isdisjoint(covered):
                     continue
                 covered = covered | cover
-            landed: dict[tuple, LaurentPoly] = {}
+            base = dict(ends)
+            landed: dict[tuple, dict[int, int]] = {}
             for arcs, weights in smoothings:
-                cur = dict(ends)
-                loops = 0
-                for x, y in arcs:
-                    loops += _join(cur, x, y)
+                cur = base.copy()
+                w = weights[_join(cur, arcs)]
                 new = (frozenset(cur.items()), covered)
-                w = weights[loops]
-                landed[new] = landed[new] + w if new in landed else w
-            for new, wsum in landed.items():
-                if wsum:
-                    term = coeff * wsum
-                    nxt[new] = nxt[new] + term if new in nxt else term
-        if done:
-            states = {(ends, covered - done): coeff
-                      for (ends, covered), coeff in nxt.items()
-                      if coeff and done <= covered}
-        else:
-            states = {key: coeff for key, coeff in nxt.items() if coeff}
-    return states, laid
+                prev = landed.get(new)
+                if prev is not None:
+                    w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
+                landed[new] = w
+            for new, w in landed.items():
+                acc = nxt.get(new)
+                if acc is None:
+                    acc = nxt[new] = {}
+                for e2, c2 in w.items():
+                    if c2:
+                        for e1, c1 in coeff.items():
+                            e = e1 + e2
+                            acc[e] = acc.get(e, 0) + c1 * c2
+        states = {}
+        for (ends, covered), acc in nxt.items():
+            if done:
+                if not done <= covered:
+                    continue
+                covered -= done
+            if 0 in acc.values():
+                acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                states[ends, covered] = acc
+    return {key: LaurentPoly(acc) for key, acc in states.items()}, laid
 
 
 def bracket_oracle(d: TangleDiagram) -> CoordinateVector:

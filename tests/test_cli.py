@@ -834,7 +834,7 @@ def test_validate_json(capsys):
 
 
 # planarity checks per command: one per input diagram value, so the
-# command's own validation repeats none of _load's; `states` also checks
+# command's own validation repeats none of load_tng's; `states` also checks
 # its four state diagrams, and `verify` the 22 files of the manifest
 @pytest.mark.parametrize("argv, checks", [
     (("p", "trefoil.tng"), 1),

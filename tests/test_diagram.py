@@ -454,19 +454,38 @@ def test_is_isomorphic_of_a_long_braid_does_not_recurse():
     assert not is_isomorphic(d, flipped) and not is_isomorphic(flipped, copy)
 
 
+def _closed_braid(n):
+    """sigma_1^n with both strands joined round."""
+    d = braid_pattern(*[1] * n)
+    return merge_edges(replace(d, m=0, n=0, bottom=(), top=()),
+                       [(1, d.top[0]), (2, d.top[1])])
+
+
 def test_is_isomorphic_refuses_unequal_label_types_at_once():
     # a closed braid against itself with its middle crossing turned by one
     # slot: seeding each start node would spread round the whole closure
     n = 1000
-    d = braid_pattern(*[1] * n)
-    d = merge_edges(replace(d, m=0, n=0, bottom=(), top=()),
-                    [(1, d.top[0]), (2, d.top[1])])
+    d = _closed_braid(n)
     a, b, c, dd = d.crossings[n // 2]
     flipped = replace(d, crossings=d.crossings[:n // 2] + ((b, c, dd, a),)
                       + d.crossings[n // 2 + 1:])
     assert validate(d).ok and validate(flipped).ok
     start = time.perf_counter()
     assert not is_isomorphic(d, flipped)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_is_isomorphic_refuses_unequal_component_sizes_at_once():
+    # one closed braid against two of half its length side by side: every
+    # label has the same type, but the components differ in size, and
+    # seeding each start node would spread half way round before failing
+    n = 1000
+    whole, halves = _closed_braid(n), tensor(_closed_braid(n // 2),
+                                             _closed_braid(n // 2))
+    assert validate(whole).ok and validate(halves).ok
+    start = time.perf_counter()
+    assert not is_isomorphic(whole, halves)
+    assert not is_isomorphic(halves, whole)
     assert time.perf_counter() - start < 0.5
 
 

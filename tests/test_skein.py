@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
+from tanglepoly import enhanced, skein
 from tanglepoly.diagram import TangleDiagram, load_tng
+from tanglepoly.enhanced import invariant_total_poly
 from tanglepoly.errors import DomainError, InvalidDiagramError
 from tanglepoly.generate import mirror, random_tangle
-from tanglepoly.laurent import DELTA, LaurentPoly, ONE, delta_power
+from tanglepoly.laurent import DELTA, LaurentPoly, ONE, Q, delta_power
+from tanglepoly.pairing import p_poly
 from tanglepoly.skein import (CoordinateVector, bracket, bracket_oracle,
                               circular_position, enumerate_basis,
                               format_matching, is_noncrossing, resolve_flat,
@@ -190,3 +194,61 @@ def test_closed_diagram_coordinates_are_scalars():
     squared = vec.coords[0] * vec.coords[0].bar()
     for k in (1, 5, 7, 11, 13, 17, 19, 23):
         assert abs(squared.eval_root(k) - 9.0) < 1e-9
+
+
+def _node(labels, *smoothings):
+    """A frontier node: smoothings are (arcs, weight) pairs, each weight
+    taken up to two loops."""
+    return labels, tuple((arcs, skein._loop_weights(w, 2))
+                         for arcs, w in smoothings)
+
+
+def test_smoothings_that_cancel_in_one_state_leave_no_state():
+    # both smoothings open the one path 1-2, with weights q and -q
+    for w, left in ((-Q, {}), (Q, 2 * Q)):
+        node = _node((1, 2), (((1, 2),), Q), (((2, 1),), w))
+        states, laid = skein._frontier_states((), nodes=[node])
+        assert laid == 0
+        assert states == ({} if left == {} else
+                          {(frozenset({(1, 2), (2, 1)}), frozenset()): left})
+
+
+def test_products_that_cancel_across_states_leave_no_state():
+    # the first node leaves two states, paths 1-2, 3-4 with coefficient 1
+    # and paths 1-4, 2-3 with -delta; the second closes them in two loops
+    # and in one, so both land on the empty state, as delta^2 - delta^2
+    for sign, left in ((-1, {}), (1, 2 * delta_power(2))):
+        first = _node((1, 2, 3, 4), (((1, 2), (3, 4)), 1),
+                      (((1, 4), (2, 3)), sign * DELTA))
+        second = _node((1, 2, 3, 4), (((1, 2), (3, 4)), 1))
+        states, _ = skein._frontier_states((), nodes=[first, second])
+        assert states == ({} if left == {} else
+                          {(frozenset(), frozenset()): left})
+
+
+def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
+                                                   monkeypatch):
+    # the sweep adds products into its own term maps in place; a weight
+    # map or a kinks' unit written to would change every later sweep
+    weights = copy.deepcopy((skein._WEIGHTS, enhanced._TWIN_WEIGHTS))
+    units = []
+    removed = skein._kinks_and_bigons_removed
+
+    def recorded(*args):
+        out = removed(*args)
+        units.append((out[3], out[3].terms))
+        return out
+
+    monkeypatch.setattr(skein, "_kinks_and_bigons_removed", recorded)
+    for path in sorted(fixtures_dir.rglob("*.tng")):
+        if path.parent.name == "bad":
+            continue
+        d = load_tng(path)
+        if not (d.trivalent or d.fourvalent):
+            p_poly(d)
+            bracket(d)
+        invariant_total_poly(d)
+    assert (skein._WEIGHTS, enhanced._TWIN_WEIGHTS) == weights
+    assert any(terms != {0: 1} for _, terms in units)
+    assert all(unit.terms == terms for unit, terms in units)
+    assert ONE.terms == {0: 1}
