@@ -74,9 +74,9 @@ _TWIN_WEIGHTS = tuple(tuple(_loop_weights(w, 4) for w in row)
 #: whose cost follows the frontier width rather than n: on a 2-core Xeon
 #: with Python 3.11, a closed chain of 10 takes about 0.9 ms and a closed
 #: 10-rung ladder (233 enhancements) about 1.6 ms, 40 rungs about 13 ms
-#: (in-process, best of 12 runs).  So
-#: this bound is a proxy that refuses work which would finish; it is kept
-#: until a limit on the sweep's own width replaces it.
+#: (in-process, best of 12 runs).  So this bound is a proxy that refuses
+#: work which would finish; it is kept until a limit on the sweep's own
+#: width replaces it.
 MAX_STATE_VERTICES = 10
 
 #: Largest n the `states` listing accepts.  It expands and prints all 4^n

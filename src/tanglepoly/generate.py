@@ -24,6 +24,7 @@ turns a cap meeting its own cup into a circle.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import NamedTuple
 
 from .diagram import (TangleDiagram, _faces, _renamed, _root,
@@ -184,11 +185,7 @@ def is_isomorphic(d1: TangleDiagram, d2: TangleDiagram, *,
         for ends in at.values():
             if len(ends) == 2:
                 _union(parent, ends[0][0], ends[1][0])
-        sizes: dict[int, int] = {}
-        for i in range(count):
-            root = _root(parent, i)
-            sizes[root] = sizes.get(root, 0) + 1
-        return sorted(sizes.values())
+        return sorted(Counter(_root(parent, i) for i in range(count)).values())
 
     if component_sizes(at1, len(nodes1)) != component_sizes(at2, len(nodes2)):
         return False
