@@ -20,31 +20,41 @@ bracket expands T- = q T0 + q^-1 Tinf and T+ = q^-1 T0 + q Tinf, with
 conjugate weights in the reflected copy.  So the four patterns of one
 vertex, taken in both copies at once, sum to the twin weight
 W[s][t] = [[3, q^2 + q^-2], [q^2 + q^-2, 3]] on the joint flat smoothings
-(s in D, t in its reflection), and the 4^n states sum to one frontier
-contraction of that closure which absorbs each vertex with its twin in the
-four joint smoothings.  The enhancements differ only in their thick edges,
-so the total is one contraction of the graph's own doubled closure, read
-off its label tuples: every direct edge that forced-edge peeling keeps
-is an option, skipped (weight 1, no arcs) or taken (absorbing the twin
-node of the 4-valent vertex its contraction makes), and each frontier
-state keeps the set of vertices already covered beside its open ends, so
-only the states that take one edge at every vertex survive.  Its cost
-follows the frontier width, not the enhancement count.  The
-per-enhancement invariant is I_rho(G) = I(G/rho), the same sweep of
-contract(d, rho): its thick edges are 4-valent vertices, so it has nodes
-only and no options.  contract is the one place a thick set becomes
-4-valent vertices, for that sweep and for expand_states and state_polys,
-which keep the literal 4^n expansion for the `states` listing and as the
-oracle of these identities; enumerate_enhancements lists the
-enhancements for `rho`, once the same sweep, with options that lay no
-arcs, has counted them within MAX_LISTED_ENHANCEMENTS.
+(s in D, t in its reflection).  The reflected copy lays exactly D's arcs,
+so that closure is never built: the 4^n states sum to one two-half sweep
+of D's own crossings, circles and plat caps (skein._frontier_states).
+Its states are pairs (h1, h2) of half-states, the open ends of D and of
+its reflection, both in D's labels, coupled only by the weights of the
+joint picks and by the covered set below.  Each vertex is a node with
+arc sets T0 and Tinf and the four joint picks (s, t) of weight W[s][t];
+each crossing is a node with picks of weight w_s * bar(w_t), the
+reflection barring the second half.  As in p_poly, an odd side's last
+point is left open in each half; its cap to its mirror closes one more
+loop, so the sum is delta^(2L + m mod 2) times the sweep's one value, L
+the loops laid in each half.  The enhancements differ only in their
+thick edges, so the total is one such sweep of the graph itself: every
+direct edge that forced-edge peeling keeps is an option, skipped
+(weight 1, no arcs) or taken (absorbing the node of the 4-valent vertex
+its contraction makes), and each frontier state keeps the set of
+vertices already covered beside its halves, so only the states that take
+one edge at every vertex survive.  Its cost follows the frontier width,
+not the enhancement count.  The per-enhancement invariant is
+I_rho(G) = I(G/rho), the same sweep of contract(d, rho): its thick edges
+are 4-valent vertices, so it has nodes only and no options.  contract
+is the one place a thick set becomes 4-valent vertices, for that sweep
+and for expand_states and state_polys, which keep the literal 4^n
+expansion for the `states` listing and as the oracle of these
+identities; enumerate_enhancements lists the enhancements for `rho`,
+once the same sweep, with options that lay no arcs, has counted them
+within MAX_LISTED_ENHANCEMENTS.
 
 Each sweep is planned in one pass over the diagram: a call builds
 edge_occurrences(d) once per diagram, and that one index serves
-validation, the link tracing, the contracted vertices and the shift of the
-reflected copy.  As in every sweep, the frontier core first removes the
-doubled closure's Reidemeister I kinks and II bigons and starts its table
-at the kinks' unit (skein._frontier_states), so the sums stay exact.
+validation, the link tracing and the contracted vertices.  As in every
+sweep, the frontier core first removes D's Reidemeister I kinks and II
+bigons, caps included (skein._frontier_states), so the sums stay exact:
+the reflection's kinks are D's mirrored, their units u and bar(u) cancel,
+and the two-half table starts at 1.
 """
 
 from __future__ import annotations
@@ -52,19 +62,19 @@ from __future__ import annotations
 from itertools import product
 
 from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
-                      max_label, merge_edges, replace)
+                      merge_edges, replace)
 from .errors import DomainError, InvalidDiagramError
 from .laurent import DELTA, ZERO, LaurentPoly, delta_power
 from .pairing import _caps, p_poly
-from .skein import _frontier_states, _loop_weights
+from .skein import _frontier_states, _loop_weights, _paired_node, _picks
 
 Enhancement = frozenset[int]
 
 STATE_PATTERNS = ("T-", "T+", "T0", "Tinf")
 
 # _TWIN_WEIGHTS[s][t][k]: the term map of twin weight W[s][t] (module
-# docstring, q^2 + q^-2 is -delta) when the joint smoothing's four arcs
-# close k loops; s and t are 0 for T0, 1 for Tinf
+# docstring, q^2 + q^-2 is -delta) when the joint pick's four arcs, two
+# in each half, close k loops; s and t are 0 for T0, 1 for Tinf
 _TWIN_WEIGHTS = tuple(tuple(_loop_weights(w, 4) for w in row)
                      for row in ((3, -DELTA), (-DELTA, 3)))
 
@@ -72,9 +82,9 @@ _TWIN_WEIGHTS = tuple(tuple(_loop_weights(w, 4) for w in row)
 #: own plus one per thick edge, the same for every enhancement) that the
 #: state sums accept.  All enhancements are summed in one frontier sweep,
 #: whose cost follows the frontier width rather than n: on a 2-core Xeon
-#: with Python 3.11, a closed chain of 10 takes about 0.9 ms and a closed
-#: 10-rung ladder (233 enhancements) about 1.6 ms, 40 rungs about 13 ms
-#: (in-process, best of 12 runs).  So this bound is a proxy that refuses
+#: with Python 3.11, a closed chain of 10 takes about 0.6 ms and a closed
+#: 10-rung ladder (233 enhancements) about 1.3 ms, 40 rungs about 11 ms
+#: (in-process, least of 12 calls).  So this bound is a proxy that refuses
 #: work which would finish; it is kept until a limit on the sweep's own
 #: width replaces it.
 MAX_STATE_VERTICES = 10
@@ -350,64 +360,35 @@ def check_state_sum(d: TangleDiagram) -> None:
     _check_vertex_limit(d, MAX_STATE_VERTICES, "state sum")
 
 
-def _twin_node(vertex, offset: int):
-    """Frontier node of a 4-valent vertex and its twin, whose labels are
-    shifted by offset.  Both are smoothed by label pairs, T0 (a,b),(c,d) and
-    Tinf (a,d),(b,c), never by the twin's code, which the reflection
-    re-anchors."""
-    a, b, c, dd = vertex
-    ta, tb, tc, td = a + offset, b + offset, c + offset, dd + offset
-    flat = (((a, b), (c, dd)), ((a, dd), (b, c)))
-    twin = (((ta, tb), (tc, td)), ((ta, td), (tb, tc)))
-    (w00, w01), (w10, w11) = _TWIN_WEIGHTS
-    return (a, b, c, dd, ta, tb, tc, td), (
-        (flat[0] + twin[0], w00), (flat[0] + twin[1], w01),
-        (flat[1] + twin[0], w10), (flat[1] + twin[1], w11))
-
-
-def _doubled_closure(d: TangleDiagram, offset: int):
-    """(crossings, circles, caps) of the plat closure of d (x) reflect(d):
-    the reflected copy reverses the ccw order of every crossing and the
-    boundary, and its labels are shifted by offset, max_label(d), so that
-    they clear d's."""
-
-    def twin(t):
-        return tuple(x + offset for x in t)
-
-    crossings = d.crossings + tuple(twin((a, dd, c, b))
-                                    for a, b, c, dd in d.crossings)
-    return crossings, 2 * len(d.circles), _caps(
-        d.bottom + twin(d.bottom[::-1]), d.top + twin(d.top[::-1]))
-
-
 def _state_sum(d: TangleDiagram) -> LaurentPoly:
     """Sum of the state sums of a valid d over all its enhancements, in one
     sweep; zero, unswept, when forced-edge peeling leaves a vertex without
     links.
 
-    The sweep contracts the plat closure of d (x) reflect(d), read off d's
-    label tuples, absorbing d's 4-valent vertices with their twins, and
-    each peeled link as an option: taken, it absorbs the twin node of the
-    vertex its contraction makes; skipped, it lays nothing.  The frontier
-    core keeps only the states where every trivalent vertex is taken
-    exactly once, so the sweep sums over the perfect matchings by links.
-    A contracted diagram has no links, so its sweep is the state sum of
-    its one enhancement, the empty thick set.
+    The sweep is a two-half sweep of d's own crossings, circles and plat
+    caps, an odd side's last point left open as in p_poly: each state is a
+    pair of half-states, d's and its reflection's, in d's labels.  Each
+    4-valent vertex is a node with arc sets T0 and Tinf and the four
+    joint picks (s, t) of twin weight W[s][t], and each peeled link an
+    option over its two trivalent vertices: taken, it absorbs that node of
+    the vertex its contraction makes; skipped, it lays nothing.  The
+    frontier core keeps only the states where every trivalent vertex is
+    taken exactly once, so the sweep sums over the perfect matchings by
+    links.  The result is delta^(2L + m mod 2) times the one value left,
+    L the loops laid in each half.  A contracted diagram has no links, so
+    its sweep is the state sum of its one enhancement, the empty thick set.
     """
     links = _peeled_links(d)
     if links is None:
         return ZERO
-    # the shift that moves the reflected copy's labels past d's
-    offset = max_label(d)
-    vertices = [(a, b, c, a + offset, b + offset, c + offset)
-                for a, b, c in d.trivalent]
-    options = [(u, v, _twin_node(_contracted_vertex(d, label), offset)[1])
+    picks = _picks(_TWIN_WEIGHTS)
+    options = [(u, v, _paired_node(_contracted_vertex(d, label), picks)[1])
                for label, u, v in links]
     states, loops = _frontier_states(
-        *_doubled_closure(d, offset),
-        nodes=[_twin_node(v, offset) for v in d.fourvalent],
-        vertices=vertices, options=options)
-    return delta_power(loops) * next(iter(states.values()), ZERO)
+        d.crossings, len(d.circles), _caps(d.bottom, d.top),
+        nodes=[_paired_node(v, picks) for v in d.fourvalent],
+        vertices=d.trivalent, options=options, halves=2)
+    return delta_power(2 * loops + d.m % 2) * next(iter(states.values()), ZERO)
 
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:

@@ -32,6 +32,21 @@ arcs close k loops; _loop_weights is the one place that builds them, for
 the crossings here and for enhanced's twin and take weights.  A table
 coefficient is a term map the sweep owns and adds products into in place,
 one per surviving state; LaurentPoly wraps only what the sweep returns.
+
+A sweep has one half or two.  A one-half sweep (bracket, p_poly and the
+enhancement count) keys a state by the open ends of its half: the
+frozenset of (end, partner) items.  A two-half sweep (enhanced's state
+sums) contracts a diagram beside its reflection without laying the
+reflected copy, which lays exactly the diagram's arcs.  Its state is a
+pair of halves, the open ends of each copy in the diagram's own labels,
+and a node is absorbed in joint picks (s, t) that lay arc set s in the
+first half and arc set t in the second.  At each step every distinct
+half lays its arc sets once, into a map from half to [(new half, loops)]
+that lives for that step only, and a pick's key is the pair of halves it
+lands on.  The loops laid before the sweep, L of them, are laid in each
+half, so the value of a closure is delta^(2L + m mod 2) times the one
+value left: the extra delta is the loop that an odd side's last points,
+left open in each half, close through the caps joining the copies.
 """
 
 from __future__ import annotations
@@ -196,6 +211,29 @@ def _crossing_node(t):
     weight q, B joins (a,d),(b,c) with weight q^-1."""
     a, b, c, dd = t
     return t, ((((a, b), (c, dd)), _WEIGHTS[0]), (((a, dd), (b, c)), _WEIGHTS[1]))
+
+
+def _picks(weights):
+    """The joint picks (s, t, weights[s][t]) of a node of a two-half sweep,
+    from its 2x2 matrix of weights: the first half lays arc set s and the
+    second arc set t."""
+    return tuple((s, t, w) for s, row in enumerate(weights)
+                 for t, w in enumerate(row))
+
+
+# a crossing's picks in a two-half sweep, up to four loops: the second
+# half is the reflected copy, whose weights are barred, so pick (s, t)
+# weighs w_s * bar(w_t)
+_CROSSING_PICKS = _picks([[_loop_weights(a * b.bar(), 4) for b in (Q, Q.bar())]
+                          for a in (Q, Q.bar())])
+
+
+def _paired_node(t, picks):
+    """A crossing or 4-valent vertex (a,b,c,d) as a node of a two-half
+    sweep: its arc sets (a,b),(c,d) (A, or T0) and (a,d),(b,c) (B, or
+    Tinf), and its picks over them."""
+    a, b, c, dd = t
+    return t, ((((a, b), (c, dd)), ((a, dd), (b, c))), picks)
 
 
 def _kinks_and_bigons_removed(crossings, joins):
@@ -426,8 +464,110 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
+def _one_half_step(states, smoothings, cover):
+    """The next table, before its zeros and done vertices are dropped, of a
+    one-half sweep: each state absorbs a node or an option in its
+    smoothings (_frontier_states)."""
+    nxt: dict[tuple, dict[int, int]] = {}
+    for key, coeff in states.items():
+        ends, covered = key
+        if cover is not None:
+            # skipped, the state is kept; taken, it needs cover uncovered
+            acc = nxt.get(key)
+            if acc is None:
+                nxt[key] = coeff  # no state reads it after this one
+            else:
+                for e, c in coeff.items():
+                    acc[e] = acc.get(e, 0) + c
+            if not cover.isdisjoint(covered):
+                continue
+            covered = covered | cover
+        base = dict(ends)
+        landed: dict[tuple, dict[int, int]] = {}
+        for arcs, weights in smoothings:
+            cur = base.copy()
+            w = weights[_join(cur, arcs)]
+            new = (frozenset(cur.items()), covered)
+            prev = landed.get(new)
+            if prev is not None:
+                w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
+            landed[new] = w
+        for new, w in landed.items():
+            acc = nxt.get(new)
+            if acc is None:
+                acc = nxt[new] = {}
+            for e2, c2 in w.items():
+                if c2:
+                    for e1, c1 in coeff.items():
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+    return nxt
+
+
+def _laid(half, arc_sets) -> list[tuple[frozenset, int]]:
+    """(new half, loops) of a half with each arc set laid."""
+    base = dict(half)
+    out = []
+    for arcs in arc_sets:
+        cur = base.copy()
+        loops = _join(cur, arcs)
+        out.append((frozenset(cur.items()), loops))
+    return out
+
+
+def _two_half_step(states, node, cover):
+    """The next table, before its zeros and done vertices are dropped, of a
+    two-half sweep: each state (h1, h2) absorbs a node or an option in its
+    joint picks (_frontier_states)."""
+    arc_sets, picks = node
+    # each half met at this step: [(new half, loops)] per arc set
+    moves: dict[frozenset, list] = {}
+    nxt: dict[tuple, dict[int, int]] = {}
+    for key, coeff in states.items():
+        halves, covered = key
+        if cover is not None:
+            # skipped, the state is kept; taken, it needs cover uncovered
+            acc = nxt.get(key)
+            if acc is None:
+                nxt[key] = coeff  # no state reads it after this one
+            else:
+                for e, c in coeff.items():
+                    acc[e] = acc.get(e, 0) + c
+            if not cover.isdisjoint(covered):
+                continue
+            covered = covered | cover
+        h1, h2 = halves
+        first = moves.get(h1)
+        if first is None:
+            first = moves[h1] = _laid(h1, arc_sets)
+        second = moves.get(h2)
+        if second is None:
+            second = moves[h2] = _laid(h2, arc_sets)
+        landed: dict[tuple, dict[int, int]] = {}
+        for s, t, weights in picks:
+            new1, loops1 = first[s]
+            new2, loops2 = second[t]
+            w = weights[loops1 + loops2]
+            new = ((new1, new2), covered)
+            prev = landed.get(new)
+            if prev is not None:
+                w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
+            landed[new] = w
+        for new, w in landed.items():
+            acc = nxt.get(new)
+            if acc is None:
+                acc = nxt[new] = {}
+            for e2, c2 in w.items():
+                if c2:
+                    for e1, c1 in coeff.items():
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+    return nxt
+
+
 def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
-                     vertices=(), options=()) -> tuple[dict, int]:
+                     vertices=(), options=(), halves: int = 1
+                     ) -> tuple[dict, int]:
     """(states, laid): the final state table of the frontier contraction,
     zeros dropped, and the number of loops laid before it.
 
@@ -449,8 +589,22 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     leaves the covered set.  So the options sum over the perfect matchings
     of their vertices by options.
 
+    With halves=2 the sweep is a two-half sweep (see the module
+    docstring): a state is ((h1, h2), covered), each half a frozenset of
+    open ends as above, in the diagram's own labels, and every node's
+    smoothings are (arc sets, picks) (_paired_node).  A pick
+    (s, t, weights) lays arc set s in h1 and arc set t in h2, and
+    weights[k] is its weight when the two close k loops between them.
+    The crossings are nodes with the picks _CROSSING_PICKS, the reflection
+    barring the second half's weights.  At each step every distinct half
+    lays each arc set once, into a map from half to [(new half, loops)]
+    kept for that step only (_two_half_step), so a pick costs two lookups
+    and no join.  Both halves start from the same end map, and the kinks'
+    unit u of the first meets bar(u) in the second, so the table starts
+    at 1.
+
     A closure, its caps laid as joins, leaves at most one state, whose
-    ends are not empty when p_poly leaves an odd side's last point open.
+    ends are not empty when an odd side's last point is left open.
 
     A state's coefficient in the table is a term map the sweep owns, one
     per state; only the table that is returned wraps each in a
@@ -473,48 +627,27 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     Those loops, the free circles, the loops the removals close and the
     loops the joins close, are a factor delta^laid of every entry: the
     table leaves it out, and each caller applies it once to what it reads
-    off the table.
+    off the table.  With halves=2 they are laid in each half, so a caller
+    of a closure applies delta^(2 * laid + m mod 2), the extra delta the
+    loop that an odd side's last points, open in both halves, close
+    through the caps joining the copies.
     """
     crossings, laid, joins, unit = _kinks_and_bigons_removed(crossings, joins)
     start: dict[int, int] = {}
     laid += circles + _join(start, joins)
-    states = {(frozenset(start.items()), _NO_VERTICES): unit.terms}
-    all_nodes = [_crossing_node(t) for t in crossings] + list(nodes)
+    ends = frozenset(start.items())
+    if halves == 1:
+        states = {(ends, _NO_VERTICES): unit.terms}
+        all_nodes = [_crossing_node(t) for t in crossings]
+        step = _one_half_step
+    else:
+        states = {((ends, ends), _NO_VERTICES): {0: 1}}  # u * bar(u) = 1
+        all_nodes = [_paired_node(t, _CROSSING_PICKS) for t in crossings]
+        step = _two_half_step
+    all_nodes += nodes
     for smoothings, cover, done in _absorption_order(all_nodes, vertices,
                                                      options):
-        nxt: dict[tuple, dict[int, int]] = {}
-        for key, coeff in states.items():
-            ends, covered = key
-            if cover is not None:
-                # skipped, the state is kept; taken, it needs cover uncovered
-                acc = nxt.get(key)
-                if acc is None:
-                    nxt[key] = coeff  # no state reads it after this one
-                else:
-                    for e, c in coeff.items():
-                        acc[e] = acc.get(e, 0) + c
-                if not cover.isdisjoint(covered):
-                    continue
-                covered = covered | cover
-            base = dict(ends)
-            landed: dict[tuple, dict[int, int]] = {}
-            for arcs, weights in smoothings:
-                cur = base.copy()
-                w = weights[_join(cur, arcs)]
-                new = (frozenset(cur.items()), covered)
-                prev = landed.get(new)
-                if prev is not None:
-                    w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
-                landed[new] = w
-            for new, w in landed.items():
-                acc = nxt.get(new)
-                if acc is None:
-                    acc = nxt[new] = {}
-                for e2, c2 in w.items():
-                    if c2:
-                        for e1, c1 in coeff.items():
-                            e = e1 + e2
-                            acc[e] = acc.get(e, 0) + c1 * c2
+        nxt = step(states, smoothings, cover)
         states = {}
         for (ends, covered), acc in nxt.items():
             if done:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import enhanced, pairing, skein
-from tanglepoly.diagram import (TangleDiagram, _min_rotation, edge_occurrences,
-                                ensure_valid, load_tng, max_label, merge_edges,
-                                parse_tng, read_text, replace)
+from tanglepoly.diagram import (TangleDiagram, edge_occurrences, ensure_valid,
+                                load_tng, max_label, merge_edges, parse_tng,
+                                read_text, replace)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -21,8 +21,8 @@ from tanglepoly.errors import DomainError, InvalidDiagramError
 from tanglepoly.generate import (MAX_ACTIVE, SpliceSite, _MorseBuilder,
                                  braid_pattern, insert_kink, is_isomorphic,
                                  random_splice_site, random_tangle,
-                                 random_trivalent, reflect, relabeled,
-                                 splice_22, tensor)
+                                 random_trivalent, relabeled, splice_22,
+                                 tensor)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
 from tanglepoly.pairing import p_poly
 from test_cli import _ladder, _ladder_and_claws
@@ -225,8 +225,19 @@ def test_invariant_functions_validate_the_root_index():
 
 
 def test_invariant_of_pure_strand_diagram_is_its_pairing():
-    d = load_tng(fixture_path("trefoil.tng"))
-    assert invariant_total_poly(d) == p_poly(d)
+    # a strand diagram has the one enhancement, the empty thick set, and
+    # its one state is itself: the two-half sweep of its crossings, each
+    # pick (s, t) of weight w_s * bar(w_t), is P(D), with the extra delta
+    # of an odd boundary
+    paths = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
+    diagrams = [d for d in map(load_tng, map(str, paths))
+                if not (d.trivalent or d.fourvalent)]
+    diagrams += [random_tangle(random.Random(seed), max_crossings=10)
+                 for seed in range(300)]
+    assert len(diagrams) == 321
+    assert sum(d.m % 2 for d in diagrams) == 154
+    for d in diagrams:
+        assert invariant_total_poly(d) == p_poly(d), d
 
 
 def test_fourvalent_diagrams_have_the_empty_enhancement():
@@ -345,24 +356,6 @@ def test_coupled_sweep_matches_the_state_oracle_at_a_wide_boundary():
     _assert_matches_oracle(d, "wide")
 
 
-def test_doubled_closure_is_the_plat_closure_of_d_beside_its_reflection():
-    # tensor and reflect build D (x) reflect(D) as a diagram: the oracle of
-    # the closure _doubled_closure reads off D's label tuples
-    paths = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
-    diagrams = [load_tng(str(path)) for path in paths]
-    for seed in range(50):
-        diagrams.append(random_tangle(random.Random(seed), max_crossings=8))
-        diagrams.append(random_trivalent(random.Random(seed)))
-    assert len(diagrams) >= 135
-    for d in diagrams:
-        crossings, circles, caps = enhanced._doubled_closure(d, max_label(d))
-        t = tensor(d, reflect(d))
-        assert sorted(_min_rotation(c, (0, 2)) for c in crossings) == \
-            sorted(_min_rotation(c, (0, 2)) for c in t.crossings), d
-        assert circles == len(t.circles), d
-        assert caps == pairing._caps(t.bottom, t.top), d
-
-
 def test_state_sum_builds_no_basis_and_no_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a basis, matrix or bracket vector was built")
@@ -402,8 +395,8 @@ def _count_sweeps(monkeypatch):
 
 def _plan(monkeypatch, compute, d):
     """The one sweep's absorbed entries, in order: each entry's labels (its
-    first smoothing's arcs, flattened), its cover and its done set, as
-    vertex indices (None for a node)."""
+    first smoothing's arcs, or a two-half node's first arc set, flattened),
+    its cover and its done set, as vertex indices (None for a node)."""
     plans = []
     original = skein._absorption_order
 
@@ -424,18 +417,18 @@ def _plan(monkeypatch, compute, d):
 # the sweep, so it must be deliberate: these plans are frozen.
 PINNED_PLANS = {
     "ladder": [
-        ((5, 11, 11, 8, 17, 23, 23, 20), [0, 1], []),
-        ((1, 5, 8, 1, 13, 17, 20, 13), [0, 1], []),
-        ((11, 1, 2, 6, 23, 13, 14, 18), [0, 4], [0]),
-        ((1, 11, 9, 2, 13, 23, 21, 14), [1, 5], [1]),
-        ((6, 5, 8, 9, 18, 17, 20, 21), [4, 5], []),
-        ((5, 2, 3, 7, 17, 14, 15, 19), [4, 6], [4]),
-        ((2, 8, 10, 3, 14, 20, 22, 15), [5, 7], [5]),
-        ((7, 6, 9, 10, 19, 18, 21, 22), [6, 7], []),
-        ((4, 12, 6, 3, 16, 24, 18, 15), [2, 6], [6]),
-        ((12, 4, 3, 9, 24, 16, 15, 21), [3, 7], [7]),
-        ((12, 7, 10, 12, 24, 19, 22, 24), [2, 3], []),
-        ((7, 4, 4, 10, 19, 16, 16, 22), [2, 3], [2, 3]),
+        ((5, 11, 11, 8), [0, 1], []),
+        ((1, 5, 8, 1), [0, 1], []),
+        ((11, 1, 2, 6), [0, 4], [0]),
+        ((1, 11, 9, 2), [1, 5], [1]),
+        ((6, 5, 8, 9), [4, 5], []),
+        ((5, 2, 3, 7), [4, 6], [4]),
+        ((2, 8, 10, 3), [5, 7], [5]),
+        ((7, 6, 9, 10), [6, 7], []),
+        ((4, 12, 6, 3), [2, 6], [6]),
+        ((12, 4, 3, 9), [3, 7], [7]),
+        ((12, 7, 10, 12), [2, 3], []),
+        ((7, 4, 4, 10), [2, 3], [2, 3]),
     ],
     "trefoil": [
         ((2, 4, 3, 1), None, []),
@@ -443,22 +436,23 @@ PINNED_PLANS = {
         ((1, 5, 6, 2), None, []),
     ],
     "random": [
-        ((11, 6, 13, 13, 25, 20, 27, 27), [4, 5], [4, 5]),
-        ((3, 6, 11, 10, 17, 20, 25, 24), [1, 3], []),
-        ((1, 4, 6, 5, 15, 18, 20, 19), [0, 1], [1]),
-        ((4, 1, 5, 11, 18, 15, 19, 25), [2, 3], [3]),
-        ((4, 3, 10, 4, 18, 17, 24, 18), [0, 2], []),
-        ((3, 1, 1, 10, 17, 15, 15, 24), [0, 2], [0, 2]),
+        ((11, 6, 13, 13), [4, 5], [4, 5]),
+        ((3, 6, 11, 10), [1, 3], []),
+        ((1, 4, 6, 5), [0, 1], [1]),
+        ((4, 1, 5, 11), [2, 3], [3]),
+        ((4, 3, 10, 4), [0, 2], []),
+        ((3, 1, 1, 10), [0, 2], [0, 2]),
     ],
-    # the crossing's label 4 is a self-loop: the kink and its twin are
-    # removed before the planner
+    # the crossing's label 4 is a self-loop: the kink is removed before
+    # the planner
     "kink": [
-        ((5, 1, 3, 3, 10, 6, 8, 8), [0, 1], [0, 1]),
+        ((5, 1, 3, 3), [0, 1], [0, 1]),
     ],
-    # an F vertex's twin node shares the sweep with the options
+    # an F vertex's node, with its four joint picks, shares the sweep with
+    # the options
     "twin": [
-        ((4, 5, 5, 3, 9, 10, 10, 8), None, []),
-        ((1, 1, 3, 4, 6, 6, 8, 9), [0, 1], [0, 1]),
+        ((4, 5, 5, 3), None, []),
+        ((1, 1, 3, 4), [0, 1], [0, 1]),
     ],
     # the count sweep: options that lay no arcs
     "count": [
@@ -544,6 +538,36 @@ def test_the_plan_is_built_once_per_graph(monkeypatch):
     assert invariant_total_poly(d) == expected
     # one sweep, every direct edge of the ladder an option
     assert sweeps == [3 * 4]
+
+
+def test_a_state_is_a_pair_of_halves_in_the_graphs_own_labels(monkeypatch):
+    # each distinct half lays its two arc sets once per step, and each of
+    # a state's four joint picks reads the pair of halves it lands on: so
+    # the picks outnumber the joins, and no end map, from which every
+    # state key is frozen, holds a label past max_label(d)
+    d = ensure_valid(_ladder(6))
+    expected = invariant_total_poly(d)
+    joins, picks = [], []
+    join = skein._join
+
+    def recorded(ends, arcs):
+        loops = join(ends, arcs)
+        if arcs:  # a closed ladder has no caps: every join is a step's
+            joins.append(max(*ends, *ends.values(),
+                             *(x for arc in arcs for x in arc)))
+        return loops
+
+    class Counted(tuple):
+        def __getitem__(self, k):
+            picks.append(k)
+            return tuple.__getitem__(self, k)
+
+    monkeypatch.setattr(skein, "_join", recorded)
+    monkeypatch.setattr(enhanced, "_TWIN_WEIGHTS", tuple(
+        tuple(map(Counted, row)) for row in enhanced._TWIN_WEIGHTS))
+    assert invariant_total_poly(d) == expected
+    assert 0 < len(joins) < len(picks)
+    assert max(joins) <= max_label(d)
 
 
 def test_a_rho_sweep_is_the_sweep_of_the_contracted_graph(monkeypatch):
