@@ -33,20 +33,25 @@ the crossings here and for enhanced's twin and take weights.  A table
 coefficient is a term map the sweep owns and adds products into in place,
 one per surviving state; LaurentPoly wraps only what the sweep returns.
 
-A sweep has one half or two.  A one-half sweep (bracket, p_poly and the
+A sweep has one half or two, and one step loop (_step) serves both: it
+skips or takes each option, and convolves each state's coefficient with
+the weights summed per state it lands in.  Where a state's half lands is
+all that the two kinds of sweep do differently, and a landing function
+for each kind gives it.  A one-half sweep (bracket, p_poly and the
 enhancement count) keys a state by the open ends of its half: the
-frozenset of (end, partner) items.  A two-half sweep (enhanced's state
-sums) contracts a diagram beside its reflection without laying the
-reflected copy, which lays exactly the diagram's arcs.  Its state is a
-pair of halves, the open ends of each copy in the diagram's own labels,
-and a node is absorbed in joint picks (s, t) that lay arc set s in the
-first half and arc set t in the second.  At each step every distinct
-half lays its arc sets once, into a map from half to [(new half, loops)]
-that lives for that step only, and a pick's key is the pair of halves it
-lands on.  The loops laid before the sweep, L of them, are laid in each
-half, so the value of a closure is delta^(2L + m mod 2) times the one
-value left: the extra delta is the loop that an odd side's last points,
-left open in each half, close through the caps joining the copies.
+frozenset of (end, partner) items; _one_half_lands lays each smoothing
+on a copy of them.  A two-half sweep (enhanced's state sums) contracts a
+diagram beside its reflection without laying the reflected copy, which
+lays exactly the diagram's arcs.  Its state is a pair of halves, the
+open ends of each copy in the diagram's own labels, and a node is
+absorbed in joint picks (s, t) that lay arc set s in the first half and
+arc set t in the second.  _two_half_lands lays every distinct half's arc
+sets once per step, into a cache that lives for that step only and also
+keeps each pair of halves' landings, so a pick costs two lookups.  The
+loops laid before the sweep, L of them, are laid in each half, so the
+value of a closure is delta^(2L + m mod 2) times the one value left: the
+extra delta is the loop that an odd side's last points, left open in
+each half, close through the caps joining the copies.
 """
 
 from __future__ import annotations
@@ -323,7 +328,7 @@ def _kinks_and_bigons_removed(crossings, joins):
     return left, loops, arcs, unit
 
 
-_NO_VERTICES: frozenset = frozenset()
+_NO_VERTICES = 0
 # the score of an absorbed entry: below any gain, even after the updates
 # that still reach it, so max never picks it again
 _ABSORBED = -(1 << 29)
@@ -339,9 +344,9 @@ def _absorption_order(nodes, vertices, options):
     (u', v') of its two vertices: u and v index them in vertices, each a
     tuple of labels, and a vertex owns its labels' ends jointly with its
     other options, since whichever option covers it lays them; every
-    vertex has an option.  cover is the frozenset {u, v} of the option's
-    vertex indices (None for a node), and done holds those whose last
-    option this is.
+    vertex has an option.  cover and done are bitmasks, bit u for vertex
+    index u: cover = 1 << u | 1 << v (None for a node), and done holds
+    the vertices whose last option this is (0 for a node).
 
     Greedy: each step absorbs the entry with the best gain, ties by list
     order (nodes, then options).  Touching an owner closes each of its
@@ -428,8 +433,8 @@ def _absorption_order(nodes, vertices, options):
             plan.append((nodes[j][1], None, _NO_VERTICES))
             continue
         u, v, smoothings = options[j - n]
-        plan.append((smoothings, frozenset((u, v)), frozenset(
-            [w for w, owner in zip((u, v), owners) if not left[owner]])))
+        plan.append((smoothings, 1 << u | 1 << v,
+                     (not left[n + u]) << u | (not left[n + v]) << v))
     return plan
 
 
@@ -464,44 +469,21 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
-def _one_half_step(states, smoothings, cover):
-    """The next table, before its zeros and done vertices are dropped, of a
-    one-half sweep: each state absorbs a node or an option in its
-    smoothings (_frontier_states)."""
-    nxt: dict[tuple, dict[int, int]] = {}
-    for key, coeff in states.items():
-        ends, covered = key
-        if cover is not None:
-            # skipped, the state is kept; taken, it needs cover uncovered
-            acc = nxt.get(key)
-            if acc is None:
-                nxt[key] = coeff  # no state reads it after this one
-            else:
-                for e, c in coeff.items():
-                    acc[e] = acc.get(e, 0) + c
-            if not cover.isdisjoint(covered):
-                continue
-            covered = covered | cover
-        base = dict(ends)
-        landed: dict[tuple, dict[int, int]] = {}
-        for arcs, weights in smoothings:
-            cur = base.copy()
-            w = weights[_join(cur, arcs)]
-            new = (frozenset(cur.items()), covered)
-            prev = landed.get(new)
-            if prev is not None:
-                w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
-            landed[new] = w
-        for new, w in landed.items():
-            acc = nxt.get(new)
-            if acc is None:
-                acc = nxt[new] = {}
-            for e2, c2 in w.items():
-                if c2:
-                    for e1, c1 in coeff.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + c1 * c2
-    return nxt
+def _one_half_lands(smoothings, ends, cache):
+    """{new ends: summed weights} of one state of a one-half sweep, its
+    ends laid in each smoothing.  Each state has its own ends, so this
+    keeps nothing in the step's cache."""
+    base = dict(ends)
+    landed: dict[frozenset, dict[int, int]] = {}
+    for arcs, weights in smoothings:
+        cur = base.copy()
+        w = weights[_join(cur, arcs)]
+        new = frozenset(cur.items())
+        prev = landed.get(new)
+        if prev is not None:
+            w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
+        landed[new] = w
+    return landed
 
 
 def _laid(half, arc_sets) -> list[tuple[frozenset, int]]:
@@ -515,45 +497,60 @@ def _laid(half, arc_sets) -> list[tuple[frozenset, int]]:
     return out
 
 
-def _two_half_step(states, node, cover):
-    """The next table, before its zeros and done vertices are dropped, of a
-    two-half sweep: each state (h1, h2) absorbs a node or an option in its
-    joint picks (_frontier_states)."""
+def _two_half_lands(node, halves, cache):
+    """{(new h1, new h2): summed weights} of one state of a two-half
+    sweep, in the node's joint picks.  The step's cache keeps each half's
+    _laid results and each pair's map, so a half lays its arc sets once
+    per step and states with equal halves share one map."""
+    landed = cache.get(halves)
+    if landed is not None:
+        return landed
     arc_sets, picks = node
-    # each half met at this step: [(new half, loops)] per arc set
-    moves: dict[frozenset, list] = {}
+    h1, h2 = halves
+    first = cache.get(h1)
+    if first is None:
+        first = cache[h1] = _laid(h1, arc_sets)
+    second = cache.get(h2)
+    if second is None:
+        second = cache[h2] = _laid(h2, arc_sets)
+    landed = cache[halves] = {}
+    for s, t, weights in picks:
+        new1, loops1 = first[s]
+        new2, loops2 = second[t]
+        w = weights[loops1 + loops2]
+        new = (new1, new2)
+        prev = landed.get(new)
+        if prev is not None:
+            w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
+        landed[new] = w
+    return landed
+
+
+def _step(states, node, cover, done, lands):
+    """The next table, before its zero terms are dropped: each state
+    absorbs a node, or an option over the vertices of the mask cover,
+    landing where lands(node, half, cache) sends its half
+    (_frontier_states)."""
+    cache: dict = {}
     nxt: dict[tuple, dict[int, int]] = {}
     for key, coeff in states.items():
-        halves, covered = key
+        half, covered = key
         if cover is not None:
-            # skipped, the state is kept; taken, it needs cover uncovered
-            acc = nxt.get(key)
-            if acc is None:
-                nxt[key] = coeff  # no state reads it after this one
-            else:
-                for e, c in coeff.items():
-                    acc[e] = acc.get(e, 0) + c
-            if not cover.isdisjoint(covered):
+            # skipped, the state is kept only with its done vertices
+            # covered; taken, it needs cover uncovered
+            if covered & done == done:
+                key = (half, covered ^ done)
+                acc = nxt.get(key)
+                if acc is None:
+                    nxt[key] = coeff  # no state reads it after this one
+                else:
+                    for e, c in coeff.items():
+                        acc[e] = acc.get(e, 0) + c
+            if covered & cover:
                 continue
-            covered = covered | cover
-        h1, h2 = halves
-        first = moves.get(h1)
-        if first is None:
-            first = moves[h1] = _laid(h1, arc_sets)
-        second = moves.get(h2)
-        if second is None:
-            second = moves[h2] = _laid(h2, arc_sets)
-        landed: dict[tuple, dict[int, int]] = {}
-        for s, t, weights in picks:
-            new1, loops1 = first[s]
-            new2, loops2 = second[t]
-            w = weights[loops1 + loops2]
-            new = ((new1, new2), covered)
-            prev = landed.get(new)
-            if prev is not None:
-                w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
-            landed[new] = w
-        for new, w in landed.items():
+            covered = (covered | cover) ^ done
+        for new, w in lands(node, half, cache).items():
+            new = (new, covered)
             acc = nxt.get(new)
             if acc is None:
                 acc = nxt[new] = {}
@@ -583,11 +580,13 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     An option is either skipped, with weight 1 and no arcs, or taken in
     its smoothings, which needs both its vertices uncovered.  A state is
     a pair (ends, covered): the frozenset of (end, partner) items over the
-    open ends, and the frozenset of the indices of the covered vertices
-    that have options left.  When a vertex's last option has been
-    absorbed, states where it is uncovered are dropped and its index
-    leaves the covered set.  So the options sum over the perfect matchings
-    of their vertices by options.
+    open ends, and the bitmask of the covered vertices that have options
+    left, bit u for vertex index u.  The step of a vertex's last option
+    (its bit in the step's done mask) drops it where a state lands: a
+    skipped state is carried only when it covers every done vertex, with
+    their bits cleared, and a taken one lands at (covered | cover) ^ done.
+    So the options sum over the perfect matchings of their vertices by
+    options.
 
     With halves=2 the sweep is a two-half sweep (see the module
     docstring): a state is ((h1, h2), covered), each half a frozenset of
@@ -597,11 +596,11 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     weights[k] is its weight when the two close k loops between them.
     The crossings are nodes with the picks _CROSSING_PICKS, the reflection
     barring the second half's weights.  At each step every distinct half
-    lays each arc set once, into a map from half to [(new half, loops)]
-    kept for that step only (_two_half_step), so a pick costs two lookups
-    and no join.  Both halves start from the same end map, and the kinks'
-    unit u of the first meets bar(u) in the second, so the table starts
-    at 1.
+    lays each arc set once, into a cache kept for that step only
+    (_two_half_lands), so a pick costs two lookups and no join, and
+    states with equal halves share one landing map.  Both halves start
+    from the same end map, and the kinks' unit u of the first meets
+    bar(u) in the second, so the table starts at 1.
 
     A closure, its caps laid as joins, leaves at most one state, whose
     ends are not empty when an odd side's last point is left open.
@@ -613,10 +612,10 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     state's map straight into the map of the state it lands in, so a state
     pays one product per distinct state it reaches and allocates no
     polynomial for it.  A skipped option moves its map to the next table,
-    where later products may add into it.  Zero
-    terms and empty maps are dropped once, at the end of the step.  No
-    weight map and no unit is ever written to, and no map is written to
-    while a state still reads it.
+    where later products may add into it.  Zero terms and empty maps are
+    dropped once, at the end of the step.  No weight map and no unit is
+    ever written to, and no map is written to while a state still reads
+    it.
 
     Before any of this, the crossings' kinks and bigons are removed
     (_kinks_and_bigons_removed); a join between two labels that each
@@ -639,25 +638,21 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     if halves == 1:
         states = {(ends, _NO_VERTICES): unit.terms}
         all_nodes = [_crossing_node(t) for t in crossings]
-        step = _one_half_step
+        lands = _one_half_lands
     else:
         states = {((ends, ends), _NO_VERTICES): {0: 1}}  # u * bar(u) = 1
         all_nodes = [_paired_node(t, _CROSSING_PICKS) for t in crossings]
-        step = _two_half_step
+        lands = _two_half_lands
     all_nodes += nodes
     for smoothings, cover, done in _absorption_order(all_nodes, vertices,
                                                      options):
-        nxt = step(states, smoothings, cover)
+        nxt = _step(states, smoothings, cover, done, lands)
         states = {}
-        for (ends, covered), acc in nxt.items():
-            if done:
-                if not done <= covered:
-                    continue
-                covered -= done
+        for key, acc in nxt.items():
             if 0 in acc.values():
                 acc = {e: c for e, c in acc.items() if c}
             if acc:
-                states[ends, covered] = acc
+                states[key] = acc
     return {key: LaurentPoly(acc) for key, acc in states.items()}, laid
 
 

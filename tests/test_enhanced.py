@@ -396,7 +396,8 @@ def _count_sweeps(monkeypatch):
 def _plan(monkeypatch, compute, d):
     """The one sweep's absorbed entries, in order: each entry's labels (its
     first smoothing's arcs, or a two-half node's first arc set, flattened),
-    its cover and its done set, as vertex indices (None for a node)."""
+    its cover and its done set, each a bitmask decoded into its vertex
+    indices (None for a node)."""
     plans = []
     original = skein._absorption_order
 
@@ -408,8 +409,12 @@ def _plan(monkeypatch, compute, d):
         patch.setattr(skein, "_absorption_order", recorded)
         compute(d)
     (plan,) = plans
+
+    def indices(mask):
+        return [u for u in range(mask.bit_length()) if mask >> u & 1]
+
     return [(tuple(x for arc in smoothings[0][0] for x in arc),
-             None if cover is None else sorted(cover), sorted(done))
+             None if cover is None else indices(cover), indices(done))
             for smoothings, cover, done in plan]
 
 

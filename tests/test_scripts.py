@@ -63,3 +63,25 @@ def test_the_benchmark_freezer_finds_every_name_it_imports():
     missing = [(module, name) for module, name in imports
                if name not in vars(importlib.import_module(module))]
     assert missing == []
+
+
+def test_code_lines_counts_no_blank_comment_or_docstring_line(tmp_path):
+    source = ('"""A module docstring,\n'
+              'over two lines."""\n'
+              '\n'
+              '# a comment\n'
+              'def f(x):\n'
+              '    """A function docstring."""\n'
+              '    y = """a string\n'
+              'that is code"""  # a trailing comment\n'
+              '    return x + y\n')
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(source)
+    (tmp_path / "top.py").write_text("x = 1\n\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # def, the two lines of y's string, and return; then x = 1
+    assert proc.stdout == "pkg/mod.py 4\ntop.py 1\ntotal 5\n"

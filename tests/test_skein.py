@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
+from test_cli import _ladder
 from tanglepoly import enhanced, skein
 from tanglepoly.diagram import TangleDiagram, load_tng
-from tanglepoly.enhanced import invariant_total_poly
+from tanglepoly.enhanced import enumerate_enhancements, invariant_total_poly
 from tanglepoly.errors import DomainError, InvalidDiagramError
 from tanglepoly.generate import mirror, random_tangle
 from tanglepoly.laurent import DELTA, LaurentPoly, ONE, Q, delta_power
@@ -210,7 +211,7 @@ def test_smoothings_that_cancel_in_one_state_leave_no_state():
         states, laid = skein._frontier_states((), nodes=[node])
         assert laid == 0
         assert states == ({} if left == {} else
-                          {(frozenset({(1, 2), (2, 1)}), frozenset()): left})
+                          {(frozenset({(1, 2), (2, 1)}), 0): left})
 
 
 def test_products_that_cancel_across_states_leave_no_state():
@@ -223,7 +224,54 @@ def test_products_that_cancel_across_states_leave_no_state():
         second = _node((1, 2, 3, 4), (((1, 2), (3, 4)), 1))
         states, _ = skein._frontier_states((), nodes=[first, second])
         assert states == ({} if left == {} else
-                          {(frozenset(), frozenset()): left})
+                          {(frozenset(), 0): left})
+
+
+def _checked_steps(monkeypatch, compute, *args, **kwargs):
+    """(compute(*args, **kwargs), uncovered), every sweep step checked
+    against the done rule at landing; uncovered counts the states that met
+    a step with one of its done vertices uncovered."""
+    step = skein._step
+    uncovered = 0
+
+    def checked(states, node, cover, done, lands):
+        nonlocal uncovered
+        nxt = step(states, node, cover, done, lands)
+        # a done vertex leaves the covered set where a state lands
+        assert all(not covered & done for _, covered in nxt)
+        if cover is None:
+            return nxt
+        for (half, covered), coeff in states.items():
+            if covered & done == done:
+                assert (half, covered ^ done) in nxt  # skipped, carried
+            else:
+                # a done vertex left uncovered: the state is not carried
+                assert all(acc is not coeff for acc in nxt.values())
+                uncovered += 1
+        return nxt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skein, "_step", checked)
+        return compute(*args, **kwargs), uncovered
+
+
+def test_done_vertices_are_dropped_where_a_state_lands(monkeypatch):
+    _, uncovered = _checked_steps(monkeypatch, invariant_total_poly,
+                                  _ladder(6))
+    assert uncovered
+    # the count sweep: options that lay no arcs
+    _, uncovered = _checked_steps(monkeypatch, enumerate_enhancements,
+                                  _ladder(4))
+    assert uncovered
+    # a 4-cycle, each edge an option that lays no arcs: its two perfect
+    # matchings are all that is left
+    take = (((), skein._loop_weights(1, 0)),)
+    vertices = ((1, 2, 5), (1, 3, 6), (3, 4, 7), (2, 4, 8))
+    options = [(0, 1, take), (1, 2, take), (2, 3, take), (0, 3, take)]
+    out, uncovered = _checked_steps(monkeypatch, skein._frontier_states, (),
+                                    vertices=vertices, options=options)
+    assert uncovered
+    assert out == ({(frozenset(), 0): LaurentPoly({0: 2})}, 0)
 
 
 def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
