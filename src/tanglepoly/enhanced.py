@@ -25,28 +25,32 @@ so that closure is never built: the 4^n states sum to one two-half sweep
 of D's own crossings, circles and plat caps (skein._frontier_states).
 Its states are pairs (h1, h2) of half-states, the open ends of D and of
 its reflection, both in D's labels, coupled only by the weights of the
-joint picks and by the covered set below.  Each vertex is a node with
-arc sets T0 and Tinf and the four joint picks (s, t) of weight W[s][t];
-each crossing is a node with picks of weight w_s * bar(w_t), the
-reflection barring the second half.  As in p_poly, an odd side's last
-point is left open in each half; its cap to its mirror closes one more
-loop, so the sum is delta^(2L + m mod 2) times the sweep's one value, L
-the loops laid in each half.  The enhancements differ only in their
-thick edges, so the total is one such sweep of the graph itself: every
-direct edge that forced-edge peeling keeps is an option, skipped
-(weight 1, no arcs) or taken (absorbing the node of the 4-valent vertex
-its contraction makes), and each frontier state keeps the set of
-vertices already covered beside its halves, so only the states that take
-one edge at every vertex survive.  Its cost follows the frontier width,
-not the enhancement count.  The per-enhancement invariant is
+joint picks and by the matched vertices below.  Each 4-valent vertex is
+a node with arc sets T0 and Tinf and the four joint picks (s, t) of
+weight W[s][t]; each crossing is a node with picks of weight
+w_s * bar(w_t), the reflection barring the second half.  As in p_poly,
+an odd side's last point is left open in each half; its cap to its
+mirror closes one more loop, so the sum is delta^(2L + m mod 2) times
+the sweep's one value, L the loops laid in each half.  The enhancements
+differ only in their thick edges, so the total is one such sweep of the
+graph itself, in which each trivalent vertex is a node that picks its
+thick edge.  Its links are the direct edges at it that forced-edge
+peeling keeps, and a link absorbs the node of the 4-valent vertex its
+contraction makes; a link whose two ends keep no other is forced, and
+is that node.  Each frontier state keeps, beside its halves, the
+vertices matched ahead: those that an earlier vertex took a link to.
+Such a vertex passes its own node and lays nothing, and any other takes
+a link to a later vertex not yet matched, so only the states that match
+every vertex once survive.  Its cost follows the frontier width, not
+the enhancement count.  The per-enhancement invariant is
 I_rho(G) = I(G/rho), the same sweep of contract(d, rho): its thick edges
-are 4-valent vertices, so it has nodes only and no options.  contract
-is the one place a thick set becomes 4-valent vertices, for that sweep
-and for expand_states and state_polys, which keep the literal 4^n
-expansion for the `states` listing and as the oracle of these
-identities; enumerate_enhancements lists the enhancements for `rho`,
-once the same sweep, with options that lay no arcs, has counted them
-within MAX_LISTED_ENHANCEMENTS.
+are 4-valent vertices, so it has plain nodes only.  contract is the one
+place a thick set becomes 4-valent vertices, for that sweep and for
+expand_states and state_polys, which keep the literal 4^n expansion for
+the `states` listing and as the oracle of these identities;
+enumerate_enhancements lists the enhancements for `rho`, once the same
+sweep, its links laying no arcs, has counted them within
+MAX_LISTED_ENHANCEMENTS.
 
 Each sweep is planned in one pass over the diagram: a call builds
 edge_occurrences(d) once per diagram, and that one index serves
@@ -146,7 +150,8 @@ def _peeled_links(d: TangleDiagram) -> list[tuple[int, int, int]] | None:
     """The traced links in traced order, less those forced-edge peeling
     shows to lie in no perfect matching; None if a vertex is left without
     links.  A vertex with one link takes it, so its partner's other links
-    die and may force more; a kept link in no matching is a harmless option."""
+    die and may force more; a kept link in no matching is a harmless link
+    of the sweep, which keeps only perfect matchings."""
     links = _traced_vertex_links(d)
     by_vertex = _links_by_vertex(len(d.trivalent), links)
     dead: set[int] = set()
@@ -195,19 +200,44 @@ def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
 #: `invariant`, list.  The listing holds and sorts them all: a closed
 #: 22-rung ladder has 75025, listed by `rho` in about 2.3 s on a 2-core
 #: Xeon with Python 3.11, and the count grows by a factor of about 1.6 per
-#: rung.  The count comes first, from a sweep that lays no arcs: it
-#: refuses a 1200-rung ladder (about 10^251 enhancements) in about 0.5 s.
+#: rung.  The count comes first, from a sweep that lays no arcs: `rho`
+#: refuses a 1200-rung ladder (about 10^251 enhancements) in about 0.12 s
+#: end to end on a 2-core AMD EPYC with Python 3.11.7.
 MAX_LISTED_ENHANCEMENTS = 100000
+
+
+def _vertex_nodes(d: TangleDiagram, links, smoothings_of) -> list:
+    """The sweep's nodes for d's trivalent vertices, linked as links gives
+    them (every vertex has one).  A link takes smoothings_of(t), t the
+    4-valent vertex its contraction makes.  A link whose two ends keep no
+    other link is forced, and is the plain node (t, smoothings_of(t));
+    every other vertex u is the vertex node (its labels, its links, 1 << u)
+    of skein._frontier_states, each link (1 << v, smoothings) to partner v.
+    """
+    by_vertex = _links_by_vertex(len(d.trivalent), links)
+    nodes, taken = [], {}
+    for label, u, v in links:
+        t = _contracted_vertex(d, label)
+        if len(by_vertex[u]) == len(by_vertex[v]) == 1:
+            nodes.append((t, smoothings_of(t)))
+        else:
+            taken[label] = smoothings_of(t)
+    for u, at in enumerate(by_vertex):
+        if at[0][0] in taken:  # else its one link is forced
+            nodes.append((d.trivalent[u],
+                          tuple((1 << v, taken[label]) for label, v in at),
+                          1 << u))
+    return nodes
 
 
 def _count_matchings(d: TangleDiagram, links) -> int:
     """Number of perfect matchings of d's trivalent vertices by links, as
-    _peeled_links gives them (every vertex has one): the frontier sweep
-    with every link an option whose take lays no arcs, so each state's
-    ends stay empty and only its covered vertices tell it apart."""
+    _peeled_links gives them (every vertex has one): the frontier sweep of
+    d's vertex nodes, whose links lay no arcs, so each state's ends stay
+    empty and only its matched-ahead vertices tell it apart."""
     take = (((), _loop_weights(1, 0)),)  # one smoothing: no arcs, weight 1
-    states, _ = _frontier_states((), vertices=d.trivalent,
-                                 options=[(u, v, take) for _, u, v in links])
+    states, _ = _frontier_states((), nodes=_vertex_nodes(d, links,
+                                                         lambda t: take))
     return next(iter(states.values()), ZERO).terms.get(0, 0)
 
 
@@ -369,25 +399,24 @@ def _state_sum(d: TangleDiagram) -> LaurentPoly:
     caps, an odd side's last point left open as in p_poly: each state is a
     pair of half-states, d's and its reflection's, in d's labels.  Each
     4-valent vertex is a node with arc sets T0 and Tinf and the four
-    joint picks (s, t) of twin weight W[s][t], and each peeled link an
-    option over its two trivalent vertices: taken, it absorbs that node of
-    the vertex its contraction makes; skipped, it lays nothing.  The
-    frontier core keeps only the states where every trivalent vertex is
-    taken exactly once, so the sweep sums over the perfect matchings by
-    links.  The result is delta^(2L + m mod 2) times the one value left,
-    L the loops laid in each half.  A contracted diagram has no links, so
-    its sweep is the state sum of its one enhancement, the empty thick set.
+    joint picks (s, t) of twin weight W[s][t], and each trivalent vertex
+    a vertex node (_vertex_nodes) whose links to the peeled partners
+    absorb that node of the vertex their contraction makes.  The frontier
+    core keeps only the states that match every trivalent vertex exactly
+    once, so the sweep sums over the perfect matchings by links.  The
+    result is delta^(2L + m mod 2) times the one value left, L the loops
+    laid in each half.  A contracted diagram has no links, so its sweep
+    is the state sum of its one enhancement, the empty thick set.
     """
     links = _peeled_links(d)
     if links is None:
         return ZERO
     picks = _picks(_TWIN_WEIGHTS)
-    options = [(u, v, _paired_node(_contracted_vertex(d, label), picks)[1])
-               for label, u, v in links]
-    states, loops = _frontier_states(
-        d.crossings, len(d.circles), _caps(d.bottom, d.top),
-        nodes=[_paired_node(v, picks) for v in d.fourvalent],
-        vertices=d.trivalent, options=options, halves=2)
+    nodes = [_paired_node(v, picks) for v in d.fourvalent]
+    nodes += _vertex_nodes(d, links, lambda t: _paired_node(t, picks)[1])
+    states, loops = _frontier_states(d.crossings, len(d.circles),
+                                     _caps(d.bottom, d.top), nodes=nodes,
+                                     halves=2)
     return delta_power(2 * loops + d.m % 2) * next(iter(states.values()), ZERO)
 
 

@@ -21,10 +21,10 @@ bigon among the crossings it is given in one linear pass
 through-strands, and a kink's two to its through-strand times -q^3 or
 -q^-3, so the table starts at that unit and every bracket stays exact.
 Then the absorption order is planned in one greedy pass
-(_absorption_order).  Each node and each optional node is an entry held
-by one or two owners of label ends, and one scoring rule and one update
-path serve them all.  The order sets the frontier's width, and with it
-the sweep's cost.
+(_absorption_order): every node owns its labels, a graph's trivalent
+vertex included, and scores the labels it closes less those it opens; a
+trivalent vertex also counts the partners it may leave matched ahead.
+The order sets the frontier's width, and with it the sweep's cost.
 
 The sweep's arithmetic is on plain term maps {exponent: coefficient}.  A
 weight is a tuple of such maps, entry k the smoothing's weight when its
@@ -34,24 +34,26 @@ coefficient is a term map the sweep owns and adds products into in place,
 one per surviving state; LaurentPoly wraps only what the sweep returns.
 
 A sweep has one half or two, and one step loop (_step) serves both: it
-skips or takes each option, and convolves each state's coefficient with
-the weights summed per state it lands in.  Where a state's half lands is
-all that the two kinds of sweep do differently, and a landing function
-for each kind gives it.  A one-half sweep (bracket, p_poly and the
-enhancement count) keys a state by the open ends of its half: the
-frozenset of (end, partner) items; _one_half_lands lays each smoothing
-on a copy of them.  A two-half sweep (enhanced's state sums) contracts a
-diagram beside its reflection without laying the reflected copy, which
-lays exactly the diagram's arcs.  Its state is a pair of halves, the
-open ends of each copy in the diagram's own labels, and a node is
-absorbed in joint picks (s, t) that lay arc set s in the first half and
-arc set t in the second.  _two_half_lands lays every distinct half's arc
-sets once per step, into a cache that lives for that step only and also
-keeps each pair of halves' landings, so a pick costs two lookups.  The
-loops laid before the sweep, L of them, are laid in each half, so the
-value of a closure is delta^(2L + m mod 2) times the one value left: the
-extra delta is the loop that an odd side's last points, left open in
-each half, close through the caps joining the copies.
+convolves each state's coefficient with the weights summed per state it
+lands in.  At a trivalent vertex's node it takes each link to a partner
+not yet matched, or passes on a state whose vertex an earlier partner
+matched (_frontier_states).  Where a state's half lands is all that the
+two kinds of sweep do differently, and a landing function for each kind
+gives it.  A one-half sweep (bracket, p_poly and the enhancement count)
+keys a state by the open ends of its half: the frozenset of (end,
+partner) items; _one_half_lands lays each smoothing on a copy of them.
+A two-half sweep (enhanced's state sums) contracts a diagram beside its
+reflection without laying the reflected copy, which lays exactly the
+diagram's arcs.  Its state is a pair of halves, the open ends of each
+copy in the diagram's own labels, and a node is absorbed in joint picks
+(s, t) that lay arc set s in the first half and arc set t in the second.
+_two_half_lands lays every distinct half's arc sets once per step, into
+a cache that lives for that step and link only and also keeps each pair
+of halves' landings, so a pick costs two lookups.  The loops laid before
+the sweep, L of them, are laid in each half, so the value of a closure
+is delta^(2L + m mod 2) times the one value left: the extra delta is the
+loop that an odd side's last points, left open in each half, close
+through the caps joining the copies.
 """
 
 from __future__ import annotations
@@ -329,112 +331,74 @@ def _kinks_and_bigons_removed(crossings, joins):
 
 
 _NO_VERTICES = 0
-# the score of an absorbed entry: below any gain, even after the updates
+# the score of an absorbed node: below any gain, even after the updates
 # that still reach it, so max never picks it again
 _ABSORBED = -(1 << 29)
+# what a vertex that a vertex node may leave matched ahead costs its gain,
+# in labels: it splits each state by whether it is matched, and where it
+# is, its partner's link has laid two of its labels open.  Of the weights
+# 1, 2, 3, 4, 6 and 8, 4 planned the fewest state steps over seeded split
+# braid graphs (BENCH_vertex_nodes.json, "planner")
+_MATCHED_AHEAD = 4
 
 
-def _absorption_order(nodes, vertices, options):
-    """(smoothings, cover, done) of every node and option, in contraction
-    order.
+def _absorption_order(nodes):
+    """The nodes, each a tuple (labels, ...), in contraction order.
 
-    Every entry is a tuple of owners, each owning the ends of its labels.
-    A node (labels, smoothings) is the entry (i,): it owns its own labels.
-    An option (u, v, smoothings) is a node that may be skipped, the entry
-    (u', v') of its two vertices: u and v index them in vertices, each a
-    tuple of labels, and a vertex owns its labels' ends jointly with its
-    other options, since whichever option covers it lays them; every
-    vertex has an option.  cover and done are bitmasks, bit u for vertex
-    index u: cover = 1 << u | 1 << v (None for a node), and done holds
-    the vertices whose last option this is (0 for a node).
+    Greedy: each step absorbs the node with the best gain, ties by list
+    order.  A node's gain counts the labels its absorption closes less
+    those it opens: a label whose other end a join laid closes at once, a
+    label with both ends at the node neither opens nor closes, and a
+    label to another node opens, until that node is absorbed and it
+    closes.  So absorbing a node raises by 2 the gain of the node at the
+    far end of each label to another node.
 
-    Greedy: each step absorbs the entry with the best gain, ties by list
-    order (nodes, then options).  Touching an owner closes each of its
-    labels whose other end is touched (an end laid by a join counts as
-    touched) and opens the others; the gain counts closed labels less
-    opened ones.  A vertex between its first and its last option weighs
-    as if all its labels were open, since the covered set keeps the states
-    where it is covered apart from those where it is not: a vertex with
-    two or more options starts at minus its label count in each option's
-    score, and its remaining options gain that count back when it is first
-    touched, and once more when one option is left.  A node owner has one
-    entry, itself, so it never meets these terms.
-
-    Owners and entries are ints: node i is owner i and entry i, vertex u
-    is owner u' = n + u, and option k is entry n + k, n = len(nodes).
+    A vertex node (labels, links, bit) also counts its partners.  A
+    vertex is seen once it or a partner is absorbed, since from then on a
+    state may hold it matched ahead.  A vertex node loses _MATCHED_AHEAD
+    for each partner not yet seen, which its absorption would make seen,
+    and gains 1 once it is seen itself, since its absorption then settles
+    it.  Plain nodes have no partners, so a sweep of plain nodes only is
+    planned by labels alone.
     """
-    n = len(nodes)
-    labels_of = [labels for labels, _ in nodes]
-    labels_of += vertices
-    entries = [(i,) for i in range(n)]
-    entries += [(n + u, n + v) for u, v, _ in options]
-    holders: list[list[int]] = [[] for _ in labels_of]
-    for j, owners in enumerate(entries):
-        for owner in owners:
-            holders[owner].append(j)
-    # far_of[owner]: the owner at the other end of each of its labels, None
-    # where a join laid that end (the scores need no label order); a label
-    # with both ends at one owner neither opens nor closes, and is left out
-    far_of: list[list] = [[] for _ in labels_of]
+    far_of: list[list[int]] = [[] for _ in nodes]
     unpaired: dict[int, int] = {}
-    for owner, labels in enumerate(labels_of):
-        for lab in labels:
-            other = unpaired.pop(lab, None)
-            if other is None:
-                unpaired[lab] = owner
-            elif other != owner:
-                far_of[owner].append(other)
-                far_of[other].append(owner)
-    for owner in unpaired.values():
-        far_of[owner].append(None)
-    left = [len(h) for h in holders]  # unabsorbed entries per owner
-    touched = [False] * len(labels_of)
-    # a label scores +1 when a join laid its far end, 0 when the entry owns
-    # both its ends and -1 when it opens
-    score = []
-    for owners in entries:
-        gain = 0
-        for owner in owners:
-            far = far_of[owner]
-            gain += 2 * far.count(None) - len(far)
-            for o in owners:
-                gain += far.count(o)
-            if left[owner] > 1:
-                gain -= len(labels_of[owner])
-        score.append(gain)
+    for i, node in enumerate(nodes):
+        for lab in node[0]:
+            j = unpaired.pop(lab, None)
+            if j is None:
+                unpaired[lab] = i
+            elif j != i:
+                far_of[i].append(j)
+                far_of[j].append(i)
+    vertex_at = {node[2]: i for i, node in enumerate(nodes) if len(node) == 3}
+    partners = [{vertex_at[bit] for bit, _ in node[1]} if len(node) == 3
+                else () for node in nodes]
+    score = [-len(far) - _MATCHED_AHEAD * len(near)
+             for far, near in zip(far_of, partners)]
+    for i in unpaired.values():
+        score[i] += 1
+    seen = [False] * len(nodes)
+
+    def see(j):
+        seen[j] = True
+        for k in partners[j]:
+            score[k] += _MATCHED_AHEAD
+
     plan = []
-    for _ in score:
+    for _ in nodes:
         # index keeps the first of equal scores
-        j = score.index(max(score))
-        score[j] = _ABSORBED
-        owners = entries[j]
-        for owner in owners:
-            left[owner] -= 1
-            first = not touched[owner]
-            touched[owner] = True
-            opened = 0
-            if first:
-                for far in far_of[owner]:
-                    if far is not None and not touched[far]:  # the label opens
-                        opened += 1
-                        # the entries at its far end now close it: -1 turns
-                        # into +1, or 0 into +1 where an entry owns both ends
-                        for h in holders[far]:
-                            score[h] += 1 if owner in entries[h] else 2
-            if left[owner]:  # else all its entries are absorbed
-                # its own entries: +1 per label opened and -1 per label
-                # closed, and its label count back when first touched and
-                # when one entry is left
-                mine = 2 * opened - len(far_of[owner]) if first else 0
-                mine += len(labels_of[owner]) * (first + (left[owner] == 1))
-                for h in holders[owner]:
-                    score[h] += mine
-        if j < n:
-            plan.append((nodes[j][1], None, _NO_VERTICES))
-            continue
-        u, v, smoothings = options[j - n]
-        plan.append((smoothings, 1 << u | 1 << v,
-                     (not left[n + u]) << u | (not left[n + v]) << v))
+        i = score.index(max(score))
+        score[i] = _ABSORBED
+        if not seen[i]:
+            see(i)
+        for j in far_of[i]:
+            score[j] += 2
+        for j in partners[i]:
+            if not seen[j]:
+                see(j)
+                score[j] += 1
+        plan.append(nodes[i])
     return plan
 
 
@@ -497,15 +461,16 @@ def _laid(half, arc_sets) -> list[tuple[frozenset, int]]:
     return out
 
 
-def _two_half_lands(node, halves, cache):
+def _two_half_lands(smoothings, halves, cache):
     """{(new h1, new h2): summed weights} of one state of a two-half
-    sweep, in the node's joint picks.  The step's cache keeps each half's
-    _laid results and each pair's map, so a half lays its arc sets once
-    per step and states with equal halves share one map."""
+    sweep, in the node's joint picks.  The cache, one per step and link,
+    keeps each half's _laid results and each pair's map, so a half lays
+    its arc sets once per step and states with equal halves share one
+    map."""
     landed = cache.get(halves)
     if landed is not None:
         return landed
-    arc_sets, picks = node
+    arc_sets, picks = smoothings
     h1, h2 = halves
     first = cache.get(h1)
     if first is None:
@@ -526,67 +491,68 @@ def _two_half_lands(node, halves, cache):
     return landed
 
 
-def _step(states, node, cover, done, lands):
+def _step(states, vertex, links, lands):
     """The next table, before its zero terms are dropped: each state
-    absorbs a node, or an option over the vertices of the mask cover,
-    landing where lands(node, half, cache) sends its half
-    (_frontier_states)."""
-    cache: dict = {}
+    absorbs a node, landing where lands(smoothings, half, cache) sends its
+    half (_frontier_states).  A plain node has vertex 0 and the one link
+    (0, smoothings); a vertex node has its own bit and its links to the
+    partners that are still unabsorbed."""
+    caches = [{} for _ in links]
     nxt: dict[tuple, dict[int, int]] = {}
     for key, coeff in states.items():
         half, covered = key
-        if cover is not None:
-            # skipped, the state is kept only with its done vertices
-            # covered; taken, it needs cover uncovered
-            if covered & done == done:
-                key = (half, covered ^ done)
-                acc = nxt.get(key)
-                if acc is None:
-                    nxt[key] = coeff  # no state reads it after this one
-                else:
-                    for e, c in coeff.items():
-                        acc[e] = acc.get(e, 0) + c
-            if covered & cover:
-                continue
-            covered = (covered | cover) ^ done
-        for new, w in lands(node, half, cache).items():
-            new = (new, covered)
-            acc = nxt.get(new)
+        if covered & vertex:
+            # matched ahead: passes on with its bit cleared
+            key = (half, covered ^ vertex)
+            acc = nxt.get(key)
             if acc is None:
-                acc = nxt[new] = {}
-            for e2, c2 in w.items():
-                if c2:
-                    for e1, c1 in coeff.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + c1 * c2
+                nxt[key] = coeff  # no state reads it after this one
+            else:
+                for e, c in coeff.items():
+                    acc[e] = acc.get(e, 0) + c
+            continue
+        for (partner, smoothings), cache in zip(links, caches):
+            if covered & partner:
+                continue
+            for new, w in lands(smoothings, half, cache).items():
+                new = (new, covered | partner)
+                acc = nxt.get(new)
+                if acc is None:
+                    acc = nxt[new] = {}
+                for e2, c2 in w.items():
+                    if c2:
+                        for e1, c1 in coeff.items():
+                            e = e1 + e2
+                            acc[e] = acc.get(e, 0) + c1 * c2
     return nxt
 
 
 def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
-                     vertices=(), options=(), halves: int = 1
-                     ) -> tuple[dict, int]:
+                     halves: int = 1) -> tuple[dict, int]:
     """(states, laid): the final state table of the frontier contraction,
     zeros dropped, and the number of loops laid before it.
 
     The diagram is given by its parts: its crossings, its number of free
     circles, and joins, arcs (x, y) each connecting an end of edge x to an
     end of edge y (or a boundary end -p to edge y), laid before any node is
-    absorbed.  The nodes absorbed are the crossings, the given nodes, each
-    a pair (labels, smoothings), and the given options over the given
-    vertices (see _absorption_order): every smoothing is (arcs, weights),
-    and weights[k], a term map {exponent: coefficient} from _loop_weights,
-    is its weight when its arcs close k loops.
+    absorbed.  The nodes absorbed are the crossings and the given nodes,
+    in the order _absorption_order plans.  A plain node is a pair
+    (labels, smoothings): every smoothing is (arcs, weights), and
+    weights[k], a term map {exponent: coefficient} from _loop_weights, is
+    its weight when its arcs close k loops.
 
-    An option is either skipped, with weight 1 and no arcs, or taken in
-    its smoothings, which needs both its vertices uncovered.  A state is
-    a pair (ends, covered): the frozenset of (end, partner) items over the
-    open ends, and the bitmask of the covered vertices that have options
-    left, bit u for vertex index u.  The step of a vertex's last option
-    (its bit in the step's done mask) drops it where a state lands: a
-    skipped state is carried only when it covers every done vertex, with
-    their bits cleared, and a taken one lands at (covered | cover) ^ done.
-    So the options sum over the perfect matchings of their vertices by
-    options.
+    A vertex node (labels, links, 1 << u) is trivalent vertex u of a
+    graph, which picks its thick edge: each link (1 << v, smoothings) is a
+    thick edge to vertex v, and takes the smoothings of the 4-valent
+    vertex its contraction makes.  A state is a pair (ends, covered): the
+    frozenset of (end, partner) items over the open ends, and the bitmask
+    of the vertices matched ahead, bit v for a vertex v that an earlier
+    vertex took a link to.  At vertex u's node, a state that covers u
+    passes on with u's bit cleared and nothing laid; any other state takes
+    each link whose partner is neither absorbed nor covered, and covers
+    the partner.  A state whose vertex has no such link dies.  So the
+    vertex nodes sum over the perfect matchings of their vertices by
+    links, and every state left at the end covers nothing.
 
     With halves=2 the sweep is a two-half sweep (see the module
     docstring): a state is ((h1, h2), covered), each half a frozenset of
@@ -596,7 +562,7 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     weights[k] is its weight when the two close k loops between them.
     The crossings are nodes with the picks _CROSSING_PICKS, the reflection
     barring the second half's weights.  At each step every distinct half
-    lays each arc set once, into a cache kept for that step only
+    lays each arc set once, into a cache kept for that step and link only
     (_two_half_lands), so a pick costs two lookups and no join, and
     states with equal halves share one landing map.  Both halves start
     from the same end map, and the kinks' unit u of the first meets
@@ -611,11 +577,11 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     summed per state they land in, and each sum is convolved with the
     state's map straight into the map of the state it lands in, so a state
     pays one product per distinct state it reaches and allocates no
-    polynomial for it.  A skipped option moves its map to the next table,
-    where later products may add into it.  Zero terms and empty maps are
-    dropped once, at the end of the step.  No weight map and no unit is
-    ever written to, and no map is written to while a state still reads
-    it.
+    polynomial for it.  A state that passes a vertex moves its map to the
+    next table, where later products may add into it.  Zero terms and
+    empty maps are dropped once, at the end of the step.  No weight map
+    and no unit is ever written to, and no map is written to while a
+    state still reads it.
 
     Before any of this, the crossings' kinks and bigons are removed
     (_kinks_and_bigons_removed); a join between two labels that each
@@ -644,9 +610,15 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
         all_nodes = [_paired_node(t, _CROSSING_PICKS) for t in crossings]
         lands = _two_half_lands
     all_nodes += nodes
-    for smoothings, cover, done in _absorption_order(all_nodes, vertices,
-                                                     options):
-        nxt = _step(states, smoothings, cover, done, lands)
+    absorbed = _NO_VERTICES
+    for node in _absorption_order(all_nodes):
+        if len(node) == 2:  # a plain node
+            vertex, links = _NO_VERTICES, ((_NO_VERTICES, node[1]),)
+        else:
+            _, links, vertex = node
+            absorbed |= vertex
+            links = [link for link in links if not link[0] & absorbed]
+        nxt = _step(states, vertex, links, lands)
         states = {}
         for key, acc in nxt.items():
             if 0 in acc.values():

@@ -380,7 +380,12 @@ def _count_sweeps(monkeypatch):
     original = enhanced._frontier_states
 
     def counted(*args, **kwargs):
-        sweeps.append(len(kwargs.get("options", ())))
+        nodes = kwargs.get("nodes", ())
+        vertex_nodes = [node for node in nodes if len(node) == 3]
+        # (plain nodes, links): the nodes of F vertices and forced links,
+        # and the links of the vertex nodes, each held at both its ends
+        sweeps.append((len(nodes) - len(vertex_nodes),
+                       sum(len(node[1]) for node in vertex_nodes) // 2))
         return original(*args, **kwargs)
 
     def refuse(*args):
@@ -394,10 +399,10 @@ def _count_sweeps(monkeypatch):
 
 
 def _plan(monkeypatch, compute, d):
-    """The one sweep's absorbed entries, in order: each entry's labels (its
-    first smoothing's arcs, or a two-half node's first arc set, flattened),
-    its cover and its done set, each a bitmask decoded into its vertex
-    indices (None for a node)."""
+    """The one sweep's absorbed nodes, in order: each node's labels, then
+    None and [] for a plain node, and for a vertex node its vertex index
+    and the partners of the links it keeps, those not absorbed before it.
+    """
     plans = []
     original = skein._absorption_order
 
@@ -409,80 +414,82 @@ def _plan(monkeypatch, compute, d):
         patch.setattr(skein, "_absorption_order", recorded)
         compute(d)
     (plan,) = plans
-
-    def indices(mask):
-        return [u for u in range(mask.bit_length()) if mask >> u & 1]
-
-    return [(tuple(x for arc in smoothings[0][0] for x in arc),
-             None if cover is None else indices(cover), indices(done))
-            for smoothings, cover, done in plan]
+    out, absorbed = [], 0
+    for node in plan:
+        if len(node) == 2:
+            out.append((tuple(node[0]), None, []))
+            continue
+        labels, links, vertex = node
+        absorbed |= vertex
+        out.append((labels, vertex.bit_length() - 1,
+                    [v.bit_length() - 1 for v, _ in links
+                     if not v & absorbed]))
+    return out
 
 
 # The greedy order sets the sweep's width, and a change to it can widen
 # the sweep, so it must be deliberate: these plans are frozen.
 PINNED_PLANS = {
+    # a vertex node keeps its links to the vertices still unabsorbed, a
+    # doubled rung twice; vertex 3 comes last, with no link left, so only
+    # the states that matched it ahead pass it
     "ladder": [
-        ((5, 11, 11, 8), [0, 1], []),
-        ((1, 5, 8, 1), [0, 1], []),
-        ((11, 1, 2, 6), [0, 4], [0]),
-        ((1, 11, 9, 2), [1, 5], [1]),
-        ((6, 5, 8, 9), [4, 5], []),
-        ((5, 2, 3, 7), [4, 6], [4]),
-        ((2, 8, 10, 3), [5, 7], [5]),
-        ((7, 6, 9, 10), [6, 7], []),
-        ((4, 12, 6, 3), [2, 6], [6]),
-        ((12, 4, 3, 9), [3, 7], [7]),
-        ((12, 7, 10, 12), [2, 3], []),
-        ((7, 4, 4, 10), [2, 3], [2, 3]),
+        ((1, 5, 11), 0, [1, 4, 1]),
+        ((1, 11, 8), 1, [5]),
+        ((2, 6, 5), 4, [5, 6]),
+        ((2, 8, 9), 5, [7]),
+        ((3, 7, 6), 6, [2, 7]),
+        ((3, 9, 10), 7, [3]),
+        ((4, 12, 7), 2, [3, 3]),
+        ((4, 10, 12), 3, []),
     ],
     "trefoil": [
         ((2, 4, 3, 1), None, []),
         ((4, 6, 5, 3), None, []),
         ((1, 5, 6, 2), None, []),
     ],
+    # the loop at vertex 5 forces its link to vertex 4, which is the plain
+    # node of the 4-valent vertex its contraction makes
     "random": [
-        ((11, 6, 13, 13), [4, 5], [4, 5]),
-        ((3, 6, 11, 10), [1, 3], []),
-        ((1, 4, 6, 5), [0, 1], [1]),
-        ((4, 1, 5, 11), [2, 3], [3]),
-        ((4, 3, 10, 4), [0, 2], []),
-        ((3, 1, 1, 10), [0, 2], [0, 2]),
+        ((11, 6, 13, 13), None, []),
+        ((3, 6, 5), 1, [0, 3]),
+        ((5, 11, 10), 3, [2]),
+        ((1, 4, 3), 0, [2, 2]),
+        ((1, 10, 4), 2, []),
     ],
     # the crossing's label 4 is a self-loop: the kink is removed before
-    # the planner
+    # the planner, and the forced thick edge is a plain node
     "kink": [
-        ((5, 1, 3, 3), [0, 1], [0, 1]),
+        ((5, 1, 3, 3), None, []),
     ],
     # an F vertex's node, with its four joint picks, shares the sweep with
-    # the options
+    # the node of the forced thick edge
     "twin": [
         ((4, 5, 5, 3), None, []),
-        ((1, 1, 3, 4), [0, 1], [0, 1]),
+        ((1, 1, 3, 4), None, []),
     ],
-    # the count sweep: options that lay no arcs
+    # the count sweep: the same vertex nodes, whose links lay no arcs
     "count": [
-        ((), [0, 1], []),
-        ((), [0, 1], []),
-        ((), [0, 4], [0]),
-        ((), [1, 5], [1]),
-        ((), [4, 5], []),
-        ((), [4, 6], [4]),
-        ((), [5, 7], [5]),
-        ((), [6, 7], []),
-        ((), [2, 6], [6]),
-        ((), [3, 7], [7]),
-        ((), [2, 3], []),
-        ((), [2, 3], [2, 3]),
+        ((1, 5, 11), 0, [1, 4, 1]),
+        ((1, 11, 8), 1, [5]),
+        ((2, 6, 5), 4, [5, 6]),
+        ((2, 8, 9), 5, [7]),
+        ((3, 7, 6), 6, [2, 7]),
+        ((3, 9, 10), 7, [3]),
+        ((4, 12, 7), 2, [3, 3]),
+        ((4, 10, 12), 3, []),
     ],
-    # a label opened between two vertices gains +1 for the options over
-    # both and +2 for the other options at its far end
+    # unpeeled, vertex 0's one link is no forced node, since vertex 2 at
+    # its far end keeps two more: it stays a vertex node with one link.
+    # Once vertex 3 is absorbed, 5's only partner 4 may be matched ahead,
+    # so 5 comes before 4
     "shared": [
-        ((), [0, 2], [0]),
-        ((), [1, 3], [1]),
-        ((), [2, 3], []),
-        ((), [2, 4], [2]),
-        ((), [3, 4], [3]),
-        ((), [4, 5], [4, 5]),
+        ((1, 1, 2), 0, [2]),
+        ((3, 3, 4), 1, [3]),
+        ((2, 6, 5), 2, [3, 4]),
+        ((4, 7, 6), 3, [4]),
+        ((9, 10, 10), 5, [4]),
+        ((5, 7, 9), 4, []),
     ],
 }
 
@@ -513,14 +520,16 @@ def test_the_sweep_plans_are_pinned(monkeypatch):
 def test_kinks_and_bigons_of_a_graph_reach_no_planner(monkeypatch):
     # a kink on the handcuff's loop 1, and a bigon spliced across that
     # loop and the other one: I(G) is exact, and the planner gets only
-    # the thick edge's option
+    # the node of the forced thick edge
     d = insert_kink(handcuff(), 1)
     d = splice_22(d, SpliceSite(1, 0, 3, 1), braid_pattern(1, -1))
     assert len(d.crossings) == 3
     rhos = enumerate_enhancements(d)
     expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
-    ((_, cover, _),) = _plan(monkeypatch, invariant_total_poly, d)
-    assert cover is not None  # an option, not a crossing
+    ((label, _, _),) = enhanced._peeled_links(d)
+    ((labels, _, _),) = _plan(monkeypatch, invariant_total_poly, d)
+    # the 4-valent vertex the thick edge contracts to, not a crossing
+    assert labels == enhanced._contracted_vertex(d, label)
     assert invariant_total_poly(d) == expected
 
 
@@ -541,8 +550,8 @@ def test_the_plan_is_built_once_per_graph(monkeypatch):
     expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
     sweeps = _count_sweeps(monkeypatch)
     assert invariant_total_poly(d) == expected
-    # one sweep, every direct edge of the ladder an option
-    assert sweeps == [3 * 4]
+    # one sweep, every direct edge of the ladder a link
+    assert sweeps == [(0, 3 * 4)]
 
 
 def test_a_state_is_a_pair_of_halves_in_the_graphs_own_labels(monkeypatch):
@@ -591,7 +600,7 @@ def test_a_rho_sweep_is_the_sweep_of_the_contracted_graph(monkeypatch):
     plan = _plan(monkeypatch, lambda g: invariant_rho_poly(g, rho), d)
     assert contracted == [(d, rho)]
     assert len(plan) == len(rho)
-    assert all(cover is None for _, cover, _ in plan)
+    assert all(vertex is None for _, vertex, _ in plan)
     assert invariant_rho_poly(d, rho) == _oracle_rho_poly(d, rho)
 
 
@@ -604,7 +613,7 @@ def test_a_ten_rung_ladder_is_one_sweep(monkeypatch):
     expected = sum((invariant_rho_poly(d, rho) for rho in rhos), ZERO)
     sweeps = _count_sweeps(monkeypatch)
     assert invariant_total_poly(d) == expected
-    assert sweeps == [3 * 10]
+    assert sweeps == [(0, 3 * 10)]
 
 
 def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
@@ -617,7 +626,118 @@ def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
     expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
     sweeps = _count_sweeps(monkeypatch)
     assert invariant_total_poly(d) == expected
-    assert sweeps == [3]
+    # edge 7 is forced, a plain node; 2 and 3 are the links
+    assert sweeps == [(1, 2)]
+
+
+def _shuffled(vertices, seed):
+    """A closed graph of the trivalent vertices, listed in a seeded order
+    and each turned by a seeded rotation."""
+    rng = random.Random(seed)
+    vertices = list(vertices)
+    rng.shuffle(vertices)
+    turned = []
+    for v in vertices:
+        k = rng.randrange(3)
+        turned.append(v[k:] + v[:k])
+    return ensure_valid(D(trivalent=tuple(turned)))
+
+
+def _circular_ladder(rungs, seed):
+    """The prism on 2 * rungs vertices, shuffled by seed: an outer and an
+    inner cycle, vertex i of each joined by rung i.  Any order of its
+    vertices cuts both cycles, so its sweeps are wider than a ladder's."""
+    outer = [1 + i for i in range(rungs)]
+    inner = [1 + rungs + i for i in range(rungs)]
+    rung = [1 + 2 * rungs + i for i in range(rungs)]
+    vertices = []
+    for i in range(rungs):
+        vertices += [(outer[i], rung[i], outer[i - 1]),
+                     (inner[i], inner[i - 1], rung[i])]
+    return _shuffled(vertices, seed)
+
+
+def _split_braid_graph(seed, strands, boundary, length):
+    """_braid_graph with every node a 4-valent vertex, each split into two
+    trivalent vertices joined by a new edge, in the seeded one of the two
+    ways whose contraction gives it back."""
+    d = _braid_graph(seed, strands, boundary, length, length)
+    rng = random.Random(seed)
+    new = max_label(d)
+    vertices = []
+    for a, b, c, dd in d.fourvalent:
+        new += 1
+        if rng.random() < 0.5:
+            vertices += [(new, a, b), (new, c, dd)]
+        else:
+            vertices += [(new, b, c), (new, dd, a)]
+    return ensure_valid(replace(d, trivalent=tuple(vertices), fourvalent=()))
+
+
+def _peak_table(monkeypatch, compute, d):
+    """(compute(d), the largest table any of its sweep steps reads)."""
+    widths = []
+    step = skein._step
+
+    def measured(states, *args):
+        widths.append(len(states))
+        return step(states, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skein, "_step", measured)
+        out = compute(d)
+    return out, max(widths)
+
+
+# Graphs whose I(G) sweeps read two-half tables wider than 16 states:
+# each with its recorded peak table, so the family cannot narrow unseen,
+# and the oracles that finish on it within about half a second: "states"
+# sums state_polys over its enhancements, "subsets" lists them by
+# enhancements_by_vertex_sums.
+WIDE_GRAPHS = {
+    "circular 4/0": (lambda: _circular_ladder(4, 0), 84,
+                     ("states", "subsets")),
+    "circular 5/1": (lambda: _circular_ladder(5, 1), 84,
+                     ("states", "subsets")),
+    "circular 8/3": (lambda: _circular_ladder(8, 3), 90, ()),
+    "braid 6/0/5/4": (lambda: _split_braid_graph(4, 6, 0, 5), 21,
+                      ("states", "subsets")),
+    "braid 6/2/5/1": (lambda: _split_braid_graph(1, 6, 2, 5), 33,
+                      ("states", "subsets")),
+    "braid 6/0/8/3": (lambda: _split_braid_graph(3, 6, 0, 8), 72, ()),
+    "braid 8/2/10/5": (lambda: _split_braid_graph(5, 8, 2, 10), 24, ()),
+    "braid 10/0/12/2": (lambda: _split_braid_graph(2, 10, 0, 12), 72, ()),
+    "braid 12/0/14/5": (lambda: _split_braid_graph(5, 12, 0, 14), 72, ()),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDE_GRAPHS))
+def test_a_wide_sweep_sums_its_node_only_sweeps(name, monkeypatch):
+    # the total's vertex nodes pick the thick edges in one sweep; each
+    # rho sweep, of the contracted graph, has plain nodes only
+    build, peak, oracles = WIDE_GRAPHS[name]
+    d = build()
+    monkeypatch.setattr(enhanced, "MAX_STATE_VERTICES", 14)
+    total, widest = _peak_table(monkeypatch, invariant_total_poly, d)
+    assert widest == peak
+    rhos = enumerate_enhancements(d)
+    assert total == sum((invariant_rho_poly(d, rho) for rho in rhos), ZERO)
+    if "states" in oracles:
+        assert total == sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
+    if "subsets" in oracles:
+        assert rhos == enhancements_by_vertex_sums(d)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_shuffled_ladder_is_swept_as_narrow_as_the_ladder(seed,
+                                                            monkeypatch):
+    # the planner counts the partners a vertex node may leave matched
+    # ahead; on labels alone, list order led most of these 8-rung ladders
+    # along one rail, to peak tables of up to 912 states
+    d = _shuffled(_ladder(8).trivalent, seed)
+    total, widest = _peak_table(monkeypatch, invariant_total_poly, d)
+    assert widest == 5
+    assert total == invariant_total_poly(ensure_valid(_ladder(8)))
 
 
 @pytest.mark.parametrize("d", [

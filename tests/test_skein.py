@@ -228,50 +228,64 @@ def test_products_that_cancel_across_states_leave_no_state():
 
 
 def _checked_steps(monkeypatch, compute, *args, **kwargs):
-    """(compute(*args, **kwargs), uncovered), every sweep step checked
-    against the done rule at landing; uncovered counts the states that met
-    a step with one of its done vertices uncovered."""
+    """(compute(*args, **kwargs), passed, died), every sweep step checked
+    against the matched-ahead rule: passed counts the states that met
+    their vertex's node matched ahead, and died those that met it with no
+    link left to take."""
     step = skein._step
-    uncovered = 0
+    passed = died = absorbed = 0
 
-    def checked(states, node, cover, done, lands):
-        nonlocal uncovered
-        nxt = step(states, node, cover, done, lands)
-        # a done vertex leaves the covered set where a state lands
-        assert all(not covered & done for _, covered in nxt)
-        if cover is None:
-            return nxt
-        for (half, covered), coeff in states.items():
-            if covered & done == done:
-                assert (half, covered ^ done) in nxt  # skipped, carried
-            else:
-                # a done vertex left uncovered: the state is not carried
-                assert all(acc is not coeff for acc in nxt.values())
-                uncovered += 1
+    def checked(states, vertex, links, lands):
+        nonlocal passed, died, absorbed
+        absorbed |= vertex
+        # no link is kept to a partner absorbed before, or at, this node
+        assert not any(partner & absorbed for partner, _ in links)
+        nxt = step(states, vertex, links, lands)
+        # a covered mask holds only the vertices matched ahead
+        assert all(not covered & absorbed for _, covered in nxt)
+        for half, covered in states:
+            if covered & vertex:
+                assert (half, covered ^ vertex) in nxt  # passed, bit cleared
+                passed += 1
+            elif all(covered & partner for partner, _ in links):
+                died += 1
         return nxt
 
     with monkeypatch.context() as patch:
         patch.setattr(skein, "_step", checked)
-        return compute(*args, **kwargs), uncovered
+        return compute(*args, **kwargs), passed, died
 
 
-def test_done_vertices_are_dropped_where_a_state_lands(monkeypatch):
-    _, uncovered = _checked_steps(monkeypatch, invariant_total_poly,
+def test_a_vertex_matched_ahead_passes_its_node(monkeypatch):
+    _, passed, _ = _checked_steps(monkeypatch, invariant_total_poly,
                                   _ladder(6))
-    assert uncovered
-    # the count sweep: options that lay no arcs
-    _, uncovered = _checked_steps(monkeypatch, enumerate_enhancements,
+    assert passed
+    # the count sweep: links that lay no arcs
+    _, passed, _ = _checked_steps(monkeypatch, enumerate_enhancements,
                                   _ladder(4))
-    assert uncovered
-    # a 4-cycle, each edge an option that lays no arcs: its two perfect
-    # matchings are all that is left
+    assert passed
+    # a 4-cycle, each vertex a node whose links to its two neighbours lay
+    # no arcs: its two perfect matchings are all that is left
     take = (((), skein._loop_weights(1, 0)),)
-    vertices = ((1, 2, 5), (1, 3, 6), (3, 4, 7), (2, 4, 8))
-    options = [(0, 1, take), (1, 2, take), (2, 3, take), (0, 3, take)]
-    out, uncovered = _checked_steps(monkeypatch, skein._frontier_states, (),
-                                    vertices=vertices, options=options)
-    assert uncovered
+
+    def nodes(vertices, partners):
+        return [(labels, tuple((1 << v, take) for v in near), 1 << u)
+                for u, (labels, near) in enumerate(zip(vertices, partners))]
+
+    out, passed, _ = _checked_steps(
+        monkeypatch, skein._frontier_states, (), nodes=nodes(
+            ((1, 2, 5), (1, 3, 6), (3, 4, 7), (2, 4, 8)),
+            ((1, 3), (0, 2), (1, 3), (0, 2))))
+    assert passed
     assert out == ({(frozenset(), 0): LaurentPoly({0: 2})}, 0)
+    # a claw has no perfect matching: once a leaf takes the centre, the
+    # next leaf finds it covered, and the state dies
+    out, _, died = _checked_steps(
+        monkeypatch, skein._frontier_states, (), nodes=nodes(
+            ((1, 2, 3), (1, 5, 6), (2, 7, 8), (3, 9, 10)),
+            ((1, 2, 3), (0,), (0,), (0,))))
+    assert died
+    assert out == ({}, 0)
 
 
 def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
