@@ -37,8 +37,13 @@ graph itself, in which each trivalent vertex is a node that picks its
 thick edge.  Its links are the direct edges at it that forced-edge
 peeling keeps, and a link absorbs the node of the 4-valent vertex its
 contraction makes; a link whose two ends keep no other is forced, and
-is that node.  Each frontier state keeps, beside its halves, the
-vertices matched ahead: those that an earlier vertex took a link to.
+is that node.  A graph's links are one table, built once per call: an
+entry of (label, partner) pairs per trivalent vertex, traced and then
+peeled in place (_traced_vertex_links, _peeled_links), which the vertex
+nodes, the enhancement count and the listing all read.  Every node,
+plain or not, has the one shape (labels, links, vertex) of
+skein._frontier_states.  Each frontier state keeps, beside its halves,
+the vertices matched ahead: those that an earlier vertex took a link to.
 Such a vertex passes its own node and lays nothing, and any other takes
 a link to a later vertex not yet matched, so only the states that match
 every vertex once survive.  Its cost follows the frontier width, not
@@ -70,7 +75,8 @@ from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
 from .errors import DomainError, InvalidDiagramError
 from .laurent import DELTA, ZERO, LaurentPoly, delta_power
 from .pairing import _caps, p_poly
-from .skein import _frontier_states, _loop_weights, _paired_node, _picks
+from .skein import (_frontier_states, _loop_weights, _node, _picks,
+                    _smoothings)
 
 Enhancement = frozenset[int]
 
@@ -81,16 +87,17 @@ STATE_PATTERNS = ("T-", "T+", "T0", "Tinf")
 # in each half, close k loops; s and t are 0 for T0, 1 for Tinf
 _TWIN_WEIGHTS = tuple(tuple(_loop_weights(w, 4) for w in row)
                      for row in ((3, -DELTA), (-DELTA, 3)))
+# the joint picks (s, t, _TWIN_WEIGHTS[s][t]) of a 4-valent vertex
+_TWIN_PICKS = _picks(_TWIN_WEIGHTS)
 
 #: Largest number n of 4-valent vertices after contraction (the diagram's
 #: own plus one per thick edge, the same for every enhancement) that the
 #: state sums accept.  All enhancements are summed in one frontier sweep,
-#: whose cost follows the frontier width rather than n: on a 2-core Xeon
-#: with Python 3.11, a closed chain of 10 takes about 0.6 ms and a closed
-#: 10-rung ladder (233 enhancements) about 1.3 ms, 40 rungs about 11 ms
-#: (in-process, least of 12 calls).  So this bound is a proxy that refuses
-#: work which would finish; it is kept until a limit on the sweep's own
-#: width replaces it.
+#: whose cost follows the frontier width rather than n: on a 2-core AMD
+#: EPYC with Python 3.11.7, a closed 10-rung ladder (233 enhancements)
+#: takes about 0.5 ms and 40 rungs about 4.4 ms (in-process, least of 12
+#: calls).  So this bound is a proxy that refuses work which would
+#: finish; it is kept until a limit on the sweep's own width replaces it.
 MAX_STATE_VERTICES = 10
 
 #: Largest n the `states` listing accepts.  It expands and prints all 4^n
@@ -100,19 +107,23 @@ MAX_STATE_VERTICES = 10
 MAX_LISTED_STATE_VERTICES = 7
 
 
-def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
-    """Direct vertex-to-vertex edges: (label, vertex index, vertex index).
+def _traced_vertex_links(d: TangleDiagram) -> list[list[tuple[int, int]]]:
+    """The link table of d: entry u lists the direct edges from trivalent
+    vertex u to another one, each as (label, partner).
 
     Starting from every trivalent-vertex slot, follows the strand through
     crossings (a crossing is entered at one slot and left two slots later),
     reading each label's other end off edge_occurrences(d).  Strands
     reaching the boundary, a 4-valent vertex, or their own vertex are thin
-    by force and dropped.  A strand that joins two distinct trivalent
-    vertices but passes through a crossing cannot be drawn thick in this
-    encoding, so it is rejected rather than silently thinned.
+    by force and dropped.  A link is added to the entries of both its
+    vertices when it is met from its lower slot, so each entry lists its
+    links in the order of those slots.  A strand that joins two distinct
+    trivalent vertices but passes through a crossing cannot be drawn
+    thick in this encoding, so it is rejected rather than silently
+    thinned.
     """
     occ = edge_occurrences(d)
-    links: list[tuple[int, int, int]] = []
+    links: list[list[tuple[int, int]]] = [[] for _ in d.trivalent]
     for vi, t in enumerate(d.trivalent):
         for slot, start_label in enumerate(t):
             label = start_label
@@ -133,52 +144,40 @@ def _traced_vertex_links(d: TangleDiagram) -> list[tuple[int, int, int]]:
                             "cannot enumerate enhancements: a strand through "
                             "crossings joins two trivalent vertices")
                     if (vi, slot) < (idx, s):
-                        links.append((start_label, vi, idx))
+                        links[vi].append((start_label, idx))
+                        links[idx].append((start_label, vi))
                 break
     return links
 
 
-def _links_by_vertex(nv: int, links) -> list[list[tuple[int, int]]]:
-    by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
-    for label, u, v in links:
-        by_vertex[u].append((label, v))
-        by_vertex[v].append((label, u))
-    return by_vertex
-
-
-def _peeled_links(d: TangleDiagram) -> list[tuple[int, int, int]] | None:
-    """The traced links in traced order, less those forced-edge peeling
-    shows to lie in no perfect matching; None if a vertex is left without
-    links.  A vertex with one link takes it, so its partner's other links
-    die and may force more; a kept link in no matching is a harmless link
-    of the sweep, which keeps only perfect matchings."""
+def _peeled_links(d: TangleDiagram) -> list[list[tuple[int, int]]] | None:
+    """The link table of d, less the links that forced-edge peeling shows
+    to lie in no perfect matching, each dropped from both its entries;
+    None if a vertex is left without links.  A vertex with one link takes
+    it, so its partner's other links die and may force more; a kept link
+    in no matching is a harmless link of the sweep, which keeps only
+    perfect matchings."""
     links = _traced_vertex_links(d)
-    by_vertex = _links_by_vertex(len(d.trivalent), links)
-    dead: set[int] = set()
-
-    def live(u):
-        return [link for link in by_vertex[u] if link[0] not in dead]
-
-    forced = [u for u, at in enumerate(by_vertex) if len(at) < 2]
+    forced = [u for u, at in enumerate(links) if len(at) < 2]
     while forced:
-        for label, v in live(forced.pop()):  # its one link, if any
-            for other, w in live(v):
+        u = forced.pop()
+        for label, v in links[u]:  # its one link, if any
+            for other, w in links[v]:
                 if other != label:
-                    dead.add(other)
-                    if len(live(w)) < 2:
+                    links[w].remove((other, v))
+                    if len(links[w]) < 2:
                         forced.append(w)
-    if all(map(live, range(len(by_vertex)))):
-        return [link for link in links if link[0] not in dead]
-    return None
+            links[v] = [(label, u)]
+    return links if all(links) else None
 
 
-def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
-    """Yield every perfect matching by links that extends chosen, whose
-    vertices are the matched ones, as a thick set.  Depth-first: the first
-    unmatched vertex is tried with each of its links in turn.  Each
-    partial matching on the stack is its own copy, so nothing is undone,
-    the arguments stay untouched and the depth is not bounded by the
-    recursion limit."""
+def _matchings(links, matched: list[bool], chosen: list[int]):
+    """Yield every perfect matching by the link table links that extends
+    chosen, whose vertices are the matched ones, as a thick set.
+    Depth-first: the first unmatched vertex is tried with each of its
+    links in turn.  Each partial matching on the stack is its own copy,
+    so nothing is undone, the arguments stay untouched and the depth is
+    not bounded by the recursion limit."""
     stack = [(matched, chosen, 0)]
     while stack:
         # every vertex before start is matched
@@ -189,7 +188,7 @@ def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
             yield frozenset(chosen)
             continue
         # pushed in reverse, so the links are popped in their own order
-        for label, v in reversed(by_vertex[u]):
+        for label, v in reversed(links[u]):
             if not matched[v]:
                 grown = matched.copy()
                 grown[u] = grown[v] = True
@@ -198,44 +197,43 @@ def _matchings(by_vertex, matched: list[bool], chosen: list[int]):
 
 #: Largest number of enhancements `rho`, and `--rho` in `states` and
 #: `invariant`, list.  The listing holds and sorts them all: a closed
-#: 22-rung ladder has 75025, listed by `rho` in about 2.3 s on a 2-core
-#: Xeon with Python 3.11, and the count grows by a factor of about 1.6 per
-#: rung.  The count comes first, from a sweep that lays no arcs: `rho`
-#: refuses a 1200-rung ladder (about 10^251 enhancements) in about 0.12 s
-#: end to end on a 2-core AMD EPYC with Python 3.11.7.
+#: 22-rung ladder has 75025, listed by `rho` in about 0.5 s end to end on
+#: a 2-core AMD EPYC with Python 3.11.7, and the count grows by a factor
+#: of about 1.6 per rung.  The count comes first, from a sweep that lays
+#: no arcs: `rho` refuses a 1200-rung ladder (about 10^251 enhancements)
+#: in about 0.11 s end to end on the same host.
 MAX_LISTED_ENHANCEMENTS = 100000
 
 
 def _vertex_nodes(d: TangleDiagram, links, smoothings_of) -> list:
-    """The sweep's nodes for d's trivalent vertices, linked as links gives
-    them (every vertex has one).  A link takes smoothings_of(t), t the
+    """The sweep's nodes for d's trivalent vertices, from the link table
+    links (every vertex has a link).  A link takes smoothings_of(t), t the
     4-valent vertex its contraction makes.  A link whose two ends keep no
-    other link is forced, and is the plain node (t, smoothings_of(t));
+    other link is forced, and is the plain node (t, ((0, smoothings),), 0);
     every other vertex u is the vertex node (its labels, its links, 1 << u)
     of skein._frontier_states, each link (1 << v, smoothings) to partner v.
     """
-    by_vertex = _links_by_vertex(len(d.trivalent), links)
-    nodes, taken = [], {}
-    for label, u, v in links:
-        t = _contracted_vertex(d, label)
-        if len(by_vertex[u]) == len(by_vertex[v]) == 1:
-            nodes.append((t, smoothings_of(t)))
-        else:
-            taken[label] = smoothings_of(t)
-    for u, at in enumerate(by_vertex):
-        if at[0][0] in taken:  # else its one link is forced
-            nodes.append((d.trivalent[u],
-                          tuple((1 << v, taken[label]) for label, v in at),
-                          1 << u))
-    return nodes
+    nodes, vertex_nodes = [], []
+    for u, at in enumerate(links):
+        label, v = at[0]
+        if len(at) == len(links[v]) == 1:
+            if u < v:
+                t = _contracted_vertex(d, label)
+                nodes.append((t, ((0, smoothings_of(t)),), 0))
+            continue
+        vertex_nodes.append((d.trivalent[u], tuple(
+            (1 << v, smoothings_of(_contracted_vertex(d, label)))
+            for label, v in at), 1 << u))
+    return nodes + vertex_nodes
 
 
 def _count_matchings(d: TangleDiagram, links) -> int:
-    """Number of perfect matchings of d's trivalent vertices by links, as
-    _peeled_links gives them (every vertex has one): the frontier sweep of
-    d's vertex nodes, whose links lay no arcs, so each state's ends stay
-    empty and only its matched-ahead vertices tell it apart."""
-    take = (((), _loop_weights(1, 0)),)  # one smoothing: no arcs, weight 1
+    """Number of perfect matchings of d's trivalent vertices by the link
+    table links, as _peeled_links gives it (every vertex has a link): the
+    frontier sweep of d's vertex nodes, whose links lay no arcs, so each
+    state's ends stay empty and only its matched-ahead vertices tell it
+    apart."""
+    take = (((),), ((0, _loop_weights(1, 0)),))  # one pick: no arcs, weight 1
     states, _ = _frontier_states((), nodes=_vertex_nodes(d, links,
                                                          lambda t: take))
     return next(iter(states.values()), ZERO).terms.get(0, 0)
@@ -258,9 +256,8 @@ def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
         return ()
     # each thick set comes once: where two search paths part, each takes
     # a link at one vertex that the other does not
-    nv = len(d.trivalent)
-    return tuple(sorted(_matchings(_links_by_vertex(nv, links),
-                                   [False] * nv, []), key=sorted))
+    return tuple(sorted(_matchings(links, [False] * len(links), []),
+                        key=sorted))
 
 
 def enhancements_by_vertex_sums(d: TangleDiagram) -> tuple[Enhancement, ...]:
@@ -411,9 +408,8 @@ def _state_sum(d: TangleDiagram) -> LaurentPoly:
     links = _peeled_links(d)
     if links is None:
         return ZERO
-    picks = _picks(_TWIN_WEIGHTS)
-    nodes = [_paired_node(v, picks) for v in d.fourvalent]
-    nodes += _vertex_nodes(d, links, lambda t: _paired_node(t, picks)[1])
+    nodes = [_node(v, _TWIN_PICKS) for v in d.fourvalent]
+    nodes += _vertex_nodes(d, links, lambda t: _smoothings(t, _TWIN_PICKS))
     states, loops = _frontier_states(d.crossings, len(d.circles),
                                      _caps(d.bottom, d.top), nodes=nodes,
                                      halves=2)

@@ -33,6 +33,14 @@ the crossings here and for enhanced's twin and take weights.  A table
 coefficient is a term map the sweep owns and adds products into in place,
 one per surviving state; LaurentPoly wraps only what the sweep returns.
 
+Every node of a sweep has one shape, (labels, links, vertex).  A plain
+node (a crossing, a 4-valent vertex or a forced thick edge) has vertex 0
+and the one link (0, smoothings); a graph's trivalent vertex u has
+vertex 1 << u and a link (1 << v, smoothings) to each partner v.  Every
+smoothings is (arc sets, picks), and one builder, _node(t, picks), makes
+the plain node of a crossing or 4-valent vertex t for either kind of
+sweep below, from its picks.
+
 A sweep has one half or two, and one step loop (_step) serves both: it
 convolves each state's coefficient with the weights summed per state it
 lands in.  At a trivalent vertex's node it takes each link to a partner
@@ -41,17 +49,21 @@ matched (_frontier_states).  Where a state's half lands is all that the
 two kinds of sweep do differently, and a landing function for each kind
 gives it.  A one-half sweep (bracket, p_poly and the enhancement count)
 keys a state by the open ends of its half: the frozenset of (end,
-partner) items; _one_half_lands lays each smoothing on a copy of them.
-A two-half sweep (enhanced's state sums) contracts a diagram beside its
-reflection without laying the reflected copy, which lays exactly the
-diagram's arcs.  Its state is a pair of halves, the open ends of each
-copy in the diagram's own labels, and a node is absorbed in joint picks
-(s, t) that lay arc set s in the first half and arc set t in the second.
-_two_half_lands lays every distinct half's arc sets once per step, into
-a cache that lives for that step and link only and also keeps each pair
-of halves' landings, so a pick costs two lookups.  The loops laid before
-the sweep, L of them, are laid in each half, so the value of a closure
-is delta^(2L + m mod 2) times the one value left: the extra delta is the
+partner) items.  Its picks are (s, weights), and _one_half_lands lays
+each pick's arc set s on a copy of them.  A two-half sweep (enhanced's
+state sums) contracts a diagram beside its reflection without laying the
+reflected copy, which lays exactly the diagram's arcs.  Its state is a
+pair of halves, the open ends of each copy in the diagram's own labels,
+and a node is absorbed in joint picks (s, t, weights) that lay arc set s
+in the first half and arc set t in the second.  _two_half_lands lays
+every distinct half's arc sets once per step, into a cache that lives
+for that step and link only, so a pick costs two lookups.  It keeps
+nothing per pair of halves, since no two states of a table share them: a
+vertex is matched ahead exactly when the label of its link to an
+absorbed partner is missing from the halves, so a state's matched
+vertices follow from its halves.  The loops laid before the sweep, L of
+them, are laid in each half, so the value of a closure is
+delta^(2L + m mod 2) times the one value left: the extra delta is the
 loop that an odd side's last points, left open in each half, close
 through the caps joining the copies.
 """
@@ -213,13 +225,6 @@ def _join(ends: dict[int, int], arcs) -> int:
     return loops
 
 
-def _crossing_node(t):
-    """A crossing (a,b,c,d) as a frontier node: A joins (a,b),(c,d) with
-    weight q, B joins (a,d),(b,c) with weight q^-1."""
-    a, b, c, dd = t
-    return t, ((((a, b), (c, dd)), _WEIGHTS[0]), (((a, dd), (b, c)), _WEIGHTS[1]))
-
-
 def _picks(weights):
     """The joint picks (s, t, weights[s][t]) of a node of a two-half sweep,
     from its 2x2 matrix of weights: the first half lays arc set s and the
@@ -228,6 +233,8 @@ def _picks(weights):
                  for t, w in enumerate(row))
 
 
+# a crossing's picks in a one-half sweep, (s, _WEIGHTS[s]) for A and B
+_ONE_HALF_PICKS = tuple(enumerate(_WEIGHTS))
 # a crossing's picks in a two-half sweep, up to four loops: the second
 # half is the reflected copy, whose weights are barred, so pick (s, t)
 # weighs w_s * bar(w_t)
@@ -235,12 +242,21 @@ _CROSSING_PICKS = _picks([[_loop_weights(a * b.bar(), 4) for b in (Q, Q.bar())]
                           for a in (Q, Q.bar())])
 
 
-def _paired_node(t, picks):
-    """A crossing or 4-valent vertex (a,b,c,d) as a node of a two-half
-    sweep: its arc sets (a,b),(c,d) (A, or T0) and (a,d),(b,c) (B, or
-    Tinf), and its picks over them."""
+def _smoothings(t, picks):
+    """The smoothings of a crossing or 4-valent vertex (a,b,c,d): its arc
+    sets (a,b),(c,d) (A, or T0) and (a,d),(b,c) (B, or Tinf), and its
+    picks over them."""
     a, b, c, dd = t
-    return t, ((((a, b), (c, dd)), ((a, dd), (b, c))), picks)
+    return (((a, b), (c, dd)), ((a, dd), (b, c))), picks
+
+
+_NO_VERTICES = 0
+
+
+def _node(t, picks):
+    """A crossing or 4-valent vertex t as a plain node of either kind of
+    sweep: vertex 0 and the one link (0, _smoothings(t, picks))."""
+    return t, ((_NO_VERTICES, _smoothings(t, picks)),), _NO_VERTICES
 
 
 def _kinks_and_bigons_removed(crossings, joins):
@@ -330,7 +346,6 @@ def _kinks_and_bigons_removed(crossings, joins):
     return left, loops, arcs, unit
 
 
-_NO_VERTICES = 0
 # the score of an absorbed node: below any gain, even after the updates
 # that still reach it, so max never picks it again
 _ABSORBED = -(1 << 29)
@@ -343,7 +358,8 @@ _MATCHED_AHEAD = 4
 
 
 def _absorption_order(nodes):
-    """The nodes, each a tuple (labels, ...), in contraction order.
+    """The nodes, each a triple (labels, links, vertex), in contraction
+    order.
 
     Greedy: each step absorbs the node with the best gain, ties by list
     order.  A node's gain counts the labels its absorption closes less
@@ -353,13 +369,13 @@ def _absorption_order(nodes):
     closes.  So absorbing a node raises by 2 the gain of the node at the
     far end of each label to another node.
 
-    A vertex node (labels, links, bit) also counts its partners.  A
+    A vertex node, whose vertex is not 0, also counts its partners.  A
     vertex is seen once it or a partner is absorbed, since from then on a
     state may hold it matched ahead.  A vertex node loses _MATCHED_AHEAD
     for each partner not yet seen, which its absorption would make seen,
     and gains 1 once it is seen itself, since its absorption then settles
-    it.  Plain nodes have no partners, so a sweep of plain nodes only is
-    planned by labels alone.
+    it.  A plain node's one link has no partner, so a sweep of plain
+    nodes only is planned by labels alone.
     """
     far_of: list[list[int]] = [[] for _ in nodes]
     unpaired: dict[int, int] = {}
@@ -371,9 +387,10 @@ def _absorption_order(nodes):
             elif j != i:
                 far_of[i].append(j)
                 far_of[j].append(i)
-    vertex_at = {node[2]: i for i, node in enumerate(nodes) if len(node) == 3}
-    partners = [{vertex_at[bit] for bit, _ in node[1]} if len(node) == 3
-                else () for node in nodes]
+    vertex_at = {vertex: i for i, (_, _, vertex) in enumerate(nodes)
+                 if vertex}
+    partners = [{vertex_at[v] for v, _ in links if v}
+                for _, links, _ in nodes]
     score = [-len(far) - _MATCHED_AHEAD * len(near)
              for far, near in zip(far_of, partners)]
     for i in unpaired.values():
@@ -435,13 +452,14 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
 
 def _one_half_lands(smoothings, ends, cache):
     """{new ends: summed weights} of one state of a one-half sweep, its
-    ends laid in each smoothing.  Each state has its own ends, so this
-    keeps nothing in the step's cache."""
+    ends laid in the arc set of each pick (s, weights).  Each state has
+    its own ends, so this keeps nothing in the step's cache."""
+    arc_sets, picks = smoothings
     base = dict(ends)
     landed: dict[frozenset, dict[int, int]] = {}
-    for arcs, weights in smoothings:
+    for s, weights in picks:
         cur = base.copy()
-        w = weights[_join(cur, arcs)]
+        w = weights[_join(cur, arc_sets[s])]
         new = frozenset(cur.items())
         prev = landed.get(new)
         if prev is not None:
@@ -463,13 +481,12 @@ def _laid(half, arc_sets) -> list[tuple[frozenset, int]]:
 
 def _two_half_lands(smoothings, halves, cache):
     """{(new h1, new h2): summed weights} of one state of a two-half
-    sweep, in the node's joint picks.  The cache, one per step and link,
-    keeps each half's _laid results and each pair's map, so a half lays
-    its arc sets once per step and states with equal halves share one
-    map."""
-    landed = cache.get(halves)
-    if landed is not None:
-        return landed
+    sweep, in the node's joint picks (s, t, weights).  The cache, one per
+    step and link, keeps each half's _laid results, so a half lays its arc
+    sets once per step.  It keeps no map per pair of halves: a state's
+    covered mask is a function of its halves, since a vertex is matched
+    ahead exactly when the label of its link to an absorbed partner is
+    missing from them, so no two states of a table share their halves."""
     arc_sets, picks = smoothings
     h1, h2 = halves
     first = cache.get(h1)
@@ -478,7 +495,7 @@ def _two_half_lands(smoothings, halves, cache):
     second = cache.get(h2)
     if second is None:
         second = cache[h2] = _laid(h2, arc_sets)
-    landed = cache[halves] = {}
+    landed = {}
     for s, t, weights in picks:
         new1, loops1 = first[s]
         new2, loops2 = second[t]
@@ -493,10 +510,10 @@ def _two_half_lands(smoothings, halves, cache):
 
 def _step(states, vertex, links, lands):
     """The next table, before its zero terms are dropped: each state
-    absorbs a node, landing where lands(smoothings, half, cache) sends its
-    half (_frontier_states).  A plain node has vertex 0 and the one link
-    (0, smoothings); a vertex node has its own bit and its links to the
-    partners that are still unabsorbed."""
+    absorbs a node (labels, links, vertex), landing where lands(smoothings,
+    half, cache) sends its half (_frontier_states).  links are the node's
+    links to the partners still unabsorbed; a plain node's one link
+    (0, smoothings) has no partner, so every state takes it."""
     caches = [{} for _ in links]
     nxt: dict[tuple, dict[int, int]] = {}
     for key, coeff in states.items():
@@ -536,10 +553,14 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     circles, and joins, arcs (x, y) each connecting an end of edge x to an
     end of edge y (or a boundary end -p to edge y), laid before any node is
     absorbed.  The nodes absorbed are the crossings and the given nodes,
-    in the order _absorption_order plans.  A plain node is a pair
-    (labels, smoothings): every smoothing is (arcs, weights), and
-    weights[k], a term map {exponent: coefficient} from _loop_weights, is
-    its weight when its arcs close k loops.
+    in the order _absorption_order plans.  Every node is a triple
+    (labels, links, vertex), each link a pair (partner, smoothings), and
+    every smoothings a pair (arc sets, picks).  In a one-half sweep a pick
+    (s, weights) lays arc set s, and weights[k], a term map {exponent:
+    coefficient} from _loop_weights, is its weight when its arcs close k
+    loops.  A plain node has vertex 0 and the one link (0, smoothings),
+    which every state takes; the crossings are the plain nodes
+    _node(t, _ONE_HALF_PICKS).
 
     A vertex node (labels, links, 1 << u) is trivalent vertex u of a
     graph, which picks its thick edge: each link (1 << v, smoothings) is a
@@ -556,17 +577,17 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
 
     With halves=2 the sweep is a two-half sweep (see the module
     docstring): a state is ((h1, h2), covered), each half a frozenset of
-    open ends as above, in the diagram's own labels, and every node's
-    smoothings are (arc sets, picks) (_paired_node).  A pick
+    open ends as above, in the diagram's own labels.  A pick
     (s, t, weights) lays arc set s in h1 and arc set t in h2, and
     weights[k] is its weight when the two close k loops between them.
-    The crossings are nodes with the picks _CROSSING_PICKS, the reflection
-    barring the second half's weights.  At each step every distinct half
-    lays each arc set once, into a cache kept for that step and link only
-    (_two_half_lands), so a pick costs two lookups and no join, and
-    states with equal halves share one landing map.  Both halves start
-    from the same end map, and the kinks' unit u of the first meets
-    bar(u) in the second, so the table starts at 1.
+    The crossings are the plain nodes _node(t, _CROSSING_PICKS), the
+    reflection barring the second half's weights.  At each step every
+    distinct half lays each arc set once, into a cache kept for that step
+    and link only (_two_half_lands), so a pick costs two lookups and no
+    join.  A state's covered mask follows from its halves, so no two
+    states of a table share them and nothing is kept per pair of halves.
+    Both halves start from the same end map, and the kinks' unit u of the
+    first meets bar(u) in the second, so the table starts at 1.
 
     A closure, its caps laid as joins, leaves at most one state, whose
     ends are not empty when an odd side's last point is left open.
@@ -603,21 +624,16 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     ends = frozenset(start.items())
     if halves == 1:
         states = {(ends, _NO_VERTICES): unit.terms}
-        all_nodes = [_crossing_node(t) for t in crossings]
-        lands = _one_half_lands
+        picks, lands = _ONE_HALF_PICKS, _one_half_lands
     else:
         states = {((ends, ends), _NO_VERTICES): {0: 1}}  # u * bar(u) = 1
-        all_nodes = [_paired_node(t, _CROSSING_PICKS) for t in crossings]
-        lands = _two_half_lands
+        picks, lands = _CROSSING_PICKS, _two_half_lands
+    all_nodes = [_node(t, picks) for t in crossings]
     all_nodes += nodes
     absorbed = _NO_VERTICES
-    for node in _absorption_order(all_nodes):
-        if len(node) == 2:  # a plain node
-            vertex, links = _NO_VERTICES, ((_NO_VERTICES, node[1]),)
-        else:
-            _, links, vertex = node
-            absorbed |= vertex
-            links = [link for link in links if not link[0] & absorbed]
+    for _, links, vertex in _absorption_order(all_nodes):
+        absorbed |= vertex
+        links = [link for link in links if not link[0] & absorbed]
         nxt = _step(states, vertex, links, lands)
         states = {}
         for key, acc in nxt.items():

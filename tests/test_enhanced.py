@@ -381,7 +381,7 @@ def _count_sweeps(monkeypatch):
 
     def counted(*args, **kwargs):
         nodes = kwargs.get("nodes", ())
-        vertex_nodes = [node for node in nodes if len(node) == 3]
+        vertex_nodes = [node for node in nodes if node[2]]
         # (plain nodes, links): the nodes of F vertices and forced links,
         # and the links of the vertex nodes, each held at both its ends
         sweeps.append((len(nodes) - len(vertex_nodes),
@@ -415,11 +415,10 @@ def _plan(monkeypatch, compute, d):
         compute(d)
     (plan,) = plans
     out, absorbed = [], 0
-    for node in plan:
-        if len(node) == 2:
-            out.append((tuple(node[0]), None, []))
+    for labels, links, vertex in plan:
+        if not vertex:
+            out.append((tuple(labels), None, []))
             continue
-        labels, links, vertex = node
         absorbed |= vertex
         out.append((labels, vertex.bit_length() - 1,
                     [v.bit_length() - 1 for v, _ in links
@@ -526,7 +525,7 @@ def test_kinks_and_bigons_of_a_graph_reach_no_planner(monkeypatch):
     assert len(d.crossings) == 3
     rhos = enumerate_enhancements(d)
     expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
-    ((label, _, _),) = enhanced._peeled_links(d)
+    ([(label, _)], [_]) = enhanced._peeled_links(d)
     ((labels, _, _),) = _plan(monkeypatch, invariant_total_poly, d)
     # the 4-valent vertex the thick edge contracts to, not a crossing
     assert labels == enhanced._contracted_vertex(d, label)
@@ -535,7 +534,8 @@ def test_kinks_and_bigons_of_a_graph_reach_no_planner(monkeypatch):
 
 def test_peeling_takes_the_forced_edges_only():
     # the loops force edges 2 and 4, which kill 5, 6 and 7 and force 9
-    assert [link[0] for link in enhanced._peeled_links(SHARED)] == [2, 4, 9]
+    assert enhanced._peeled_links(SHARED) == [
+        [(2, 2)], [(4, 3)], [(2, 0)], [(4, 1)], [(9, 5)], [(9, 4)]]
     assert enumerate_enhancements(SHARED) == (frozenset({2, 4, 9}),)
     # nothing forced: a ladder's links all stay
     ladder = _ladder(4)
@@ -577,8 +577,8 @@ def test_a_state_is_a_pair_of_halves_in_the_graphs_own_labels(monkeypatch):
             return tuple.__getitem__(self, k)
 
     monkeypatch.setattr(skein, "_join", recorded)
-    monkeypatch.setattr(enhanced, "_TWIN_WEIGHTS", tuple(
-        tuple(map(Counted, row)) for row in enhanced._TWIN_WEIGHTS))
+    monkeypatch.setattr(enhanced, "_TWIN_PICKS", tuple(
+        (s, t, Counted(w)) for s, t, w in enhanced._TWIN_PICKS))
     assert invariant_total_poly(d) == expected
     assert 0 < len(joins) < len(picks)
     assert max(joins) <= max_label(d)
@@ -619,8 +619,11 @@ def test_a_ten_rung_ladder_is_one_sweep(monkeypatch):
 def test_an_edge_in_no_perfect_matching_is_no_option(monkeypatch):
     # edge 7 must be thick, so edges 4 and 5 never are
     d = ensure_valid(D(trivalent=((2, 4, 3), (2, 3, 5), (4, 7, 5), (6, 6, 7))))
-    assert len(enhanced._traced_vertex_links(d)) == 5
-    assert [link[0] for link in enhanced._peeled_links(d)] == [2, 3, 7]
+    assert enhanced._traced_vertex_links(d) == [
+        [(2, 1), (4, 2), (3, 1)], [(2, 0), (3, 0), (5, 2)],
+        [(4, 0), (5, 1), (7, 3)], [(7, 2)]]
+    assert enhanced._peeled_links(d) == [
+        [(2, 1), (3, 1)], [(2, 0), (3, 0)], [(7, 3)], [(7, 2)]]
     rhos = enumerate_enhancements(d)
     assert rhos == (frozenset({2, 7}), frozenset({3, 7}))
     expected = sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
@@ -728,6 +731,38 @@ def test_a_wide_sweep_sums_its_node_only_sweeps(name, monkeypatch):
         assert rhos == enhancements_by_vertex_sums(d)
 
 
+def test_no_two_half_table_holds_two_states_with_equal_halves(monkeypatch):
+    # a vertex is matched ahead exactly when the label of its link to an
+    # absorbed partner is missing from the halves, so a state's covered
+    # mask follows from its halves, and _two_half_lands keeps no landing
+    # map per pair of halves: none could be read twice in a step
+    step = skein._step
+    covered_states = 0
+
+    def checked(states, vertex, links, lands):
+        nonlocal covered_states
+        nxt = step(states, vertex, links, lands)
+        if lands is skein._two_half_lands:
+            halves = [half for half, _ in nxt]
+            assert len(set(halves)) == len(halves)
+            covered_states += sum(1 for _, covered in nxt if covered)
+        return nxt
+
+    paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
+                   + glob.glob(str(FIXTURES / "pairs" / "*.tng")))
+    graphs = [d for d in map(load_tng, paths) if d.trivalent]
+    graphs += [build() for build, _, _ in WIDE_GRAPHS.values()]
+    graphs += [_split_braid_graph(seed, 6, 2 * (seed % 2), 5)
+               for seed in range(20)]
+    with monkeypatch.context() as patch:
+        patch.setattr(skein, "_step", checked)
+        patch.setattr(enhanced, "MAX_STATE_VERTICES", 14)
+        for d in graphs:
+            invariant_total_poly(d)
+    # states were matched ahead beside others in the same tables
+    assert covered_states > 0
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_a_shuffled_ladder_is_swept_as_narrow_as_the_ladder(seed,
                                                             monkeypatch):
@@ -781,8 +816,8 @@ def test_the_total_sweep_sums_the_restricted_sweeps_on_random_graphs(seed):
     # the listing and the total both read the peeled links, so the oracle
     # searches every traced link, unpeeled
     nv = len(d.trivalent)
-    by_vertex = enhanced._links_by_vertex(nv, enhanced._traced_vertex_links(d))
-    assert set(rhos) == set(enhanced._matchings(by_vertex, [False] * nv, []))
+    assert set(rhos) == set(enhanced._matchings(
+        enhanced._traced_vertex_links(d), [False] * nv, []))
     assert invariant_total_poly(d) == sum(
         (invariant_rho_poly(d, rho) for rho in rhos), ZERO)
 

@@ -244,7 +244,7 @@ def sweeps(monkeypatch):
     plan, sweep = skein._absorption_order, pairing._frontier_states
 
     def recorded_plan(nodes, *args):
-        planned.append([labels for labels, _ in nodes])
+        planned.append([labels for labels, _, _ in nodes])
         return plan(nodes, *args)
 
     def recording(*args):

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 from test_cli import _ladder
+from test_enhanced import _peak_table
 from tanglepoly import enhanced, skein
 from tanglepoly.diagram import TangleDiagram, load_tng
 from tanglepoly.enhanced import enumerate_enhancements, invariant_total_poly
 from tanglepoly.errors import DomainError, InvalidDiagramError
-from tanglepoly.generate import mirror, random_tangle
+from tanglepoly.generate import _MorseBuilder, mirror, random_tangle
 from tanglepoly.laurent import DELTA, LaurentPoly, ONE, Q, delta_power
-from tanglepoly.pairing import p_poly
+from tanglepoly.pairing import p_poly, pair
 from tanglepoly.skein import (CoordinateVector, bracket, bracket_oracle,
                               circular_position, enumerate_basis,
                               format_matching, is_noncrossing, resolve_flat,
@@ -197,11 +198,41 @@ def test_closed_diagram_coordinates_are_scalars():
         assert abs(squared.eval_root(k) - 9.0) < 1e-9
 
 
+def _positive_braid(strands, letters, seed):
+    """The braid tangle of a seeded word of letters positive generators
+    on strands strands: no kink and no bigon, so bracket sweeps every
+    crossing."""
+    rng = random.Random(seed)
+    b = _MorseBuilder(strands)
+    for _ in range(letters):
+        b.cross(rng.randrange(strands - 1), 1)
+    return b.finish()
+
+
+# Positive braid tangles (strands, letters, seed) whose bracket sweeps
+# read one-half tables wider than 130 states, each with its recorded peak
+# table, so the family cannot narrow unseen.  Each has at most 16
+# crossings, within bracket_oracle's 2^c reach, and (m+n)/2 <= 7, within
+# pairing_matrix's.
+WIDE_BRAIDS = {(6, 14, 23): 288, (7, 16, 6): 502}
+
+
+@pytest.mark.parametrize("shape", list(WIDE_BRAIDS), ids=str)
+def test_a_wide_one_half_sweep_matches_its_oracles(shape, monkeypatch):
+    d = _positive_braid(*shape)
+    v, widest = _peak_table(monkeypatch, bracket, d)
+    assert widest == WIDE_BRAIDS[shape]
+    assert v == bracket_oracle(d)
+    assert p_poly(d) == pair(v, vector_bar(v))
+
+
 def _node(labels, *smoothings):
-    """A frontier node: smoothings are (arcs, weight) pairs, each weight
-    taken up to two loops."""
-    return labels, tuple((arcs, skein._loop_weights(w, 2))
-                         for arcs, w in smoothings)
+    """A plain frontier node: smoothings are (arcs, weight) pairs, one
+    pick each, each weight taken up to two loops."""
+    arc_sets = tuple(arcs for arcs, _ in smoothings)
+    picks = tuple((s, skein._loop_weights(w, 2))
+                  for s, (_, w) in enumerate(smoothings))
+    return labels, ((0, (arc_sets, picks)),), 0
 
 
 def test_smoothings_that_cancel_in_one_state_leave_no_state():
@@ -266,7 +297,7 @@ def test_a_vertex_matched_ahead_passes_its_node(monkeypatch):
     assert passed
     # a 4-cycle, each vertex a node whose links to its two neighbours lay
     # no arcs: its two perfect matchings are all that is left
-    take = (((), skein._loop_weights(1, 0)),)
+    take = (((),), ((0, skein._loop_weights(1, 0)),))
 
     def nodes(vertices, partners):
         return [(labels, tuple((1 << v, take) for v in near), 1 << u)
