@@ -87,15 +87,16 @@ STATE_PATTERNS = ("T-", "T+", "T0", "Tinf")
 # in each half, close k loops; s and t are 0 for T0, 1 for Tinf
 _TWIN_WEIGHTS = tuple(tuple(_loop_weights(w, 4) for w in row)
                      for row in ((3, -DELTA), (-DELTA, 3)))
-# the joint picks (s, t, _TWIN_WEIGHTS[s][t]) of a 4-valent vertex
+# the joint picks (s, t, _TWIN_WEIGHTS[s][t]) of a 4-valent vertex, and
+# their landing table
 _TWIN_PICKS = _picks(_TWIN_WEIGHTS)
 
 #: Largest number n of 4-valent vertices after contraction (the diagram's
 #: own plus one per thick edge, the same for every enhancement) that the
 #: state sums accept.  All enhancements are summed in one frontier sweep,
-#: whose cost follows the frontier width rather than n: on a 2-core AMD
-#: EPYC with Python 3.11.7, a closed 10-rung ladder (233 enhancements)
-#: takes about 0.5 ms and 40 rungs about 4.4 ms (in-process, least of 12
+#: whose cost follows the frontier width rather than n: on a 2-core Intel
+#: Xeon with Python 3.11.7, a closed 10-rung ladder (233 enhancements)
+#: takes about 0.8 ms and 40 rungs about 8 ms (in-process, least of 12
 #: calls).  So this bound is a proxy that refuses work which would
 #: finish; it is kept until a limit on the sweep's own width replaces it.
 MAX_STATE_VERTICES = 10
@@ -212,18 +213,24 @@ def _vertex_nodes(d: TangleDiagram, links, smoothings_of) -> list:
     other link is forced, and is the plain node (t, ((0, smoothings),), 0);
     every other vertex u is the vertex node (its labels, its links, 1 << u)
     of skein._frontier_states, each link (1 << v, smoothings) to partner v.
+    Each link's vertex and smoothings are built once, for both its ends.
     """
+    built = {}  # label -> (t, smoothings_of(t)) of each link
+    for at in links:
+        for label, _ in at:
+            if label not in built:
+                t = _contracted_vertex(d, label)
+                built[label] = t, smoothings_of(t)
     nodes, vertex_nodes = [], []
     for u, at in enumerate(links):
         label, v = at[0]
         if len(at) == len(links[v]) == 1:
             if u < v:
-                t = _contracted_vertex(d, label)
-                nodes.append((t, ((0, smoothings_of(t)),), 0))
+                t, smoothings = built[label]
+                nodes.append((t, ((0, smoothings),), 0))
             continue
         vertex_nodes.append((d.trivalent[u], tuple(
-            (1 << v, smoothings_of(_contracted_vertex(d, label)))
-            for label, v in at), 1 << u))
+            (1 << v, built[label][1]) for label, v in at), 1 << u))
     return nodes + vertex_nodes
 
 

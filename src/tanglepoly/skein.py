@@ -57,12 +57,19 @@ pair of halves, the open ends of each copy in the diagram's own labels,
 and a node is absorbed in joint picks (s, t, weights) that lay arc set s
 in the first half and arc set t in the second.  _two_half_lands lays
 every distinct half's arc sets once per step, into a cache that lives
-for that step and link only, so a pick costs two lookups.  It keeps
-nothing per pair of halves, since no two states of a table share them: a
-vertex is matched ahead exactly when the label of its link to an
-absorbed partner is missing from the halves, so a state's matched
-vertices follow from its halves.  The loops laid before the sweep, L of
-them, are laid in each half, so the value of a closure is
+for that step and link only.  What a half's arc sets do is its landing
+pattern: for each arc set, which of the half's distinct new halves it
+lands on and how many loops it closes.  A node's two arc sets of two
+arcs each allow 18 patterns, and the weights a state's picks sum to per
+landing depend on its two halves' patterns alone, so each two-half pick
+table keeps a landing table beside it (_picks): the summed weights per
+pair of patterns, at most 324 entries, each filled at its first use and
+never written to after.  A state's landings are one lookup in it.
+Nothing is kept per pair of halves, since no two states of a table
+share them: a vertex is matched ahead exactly when the label of its
+link to an absorbed partner is missing from the halves, so a state's
+matched vertices follow from its halves.  The loops laid before the
+sweep, L of them, are laid in each half, so the value of a closure is
 delta^(2L + m mod 2) times the one value left: the extra delta is the
 loop that an odd side's last points, left open in each half, close
 through the caps joining the copies.
@@ -226,18 +233,20 @@ def _join(ends: dict[int, int], arcs) -> int:
 
 
 def _picks(weights):
-    """The joint picks (s, t, weights[s][t]) of a node of a two-half sweep,
-    from its 2x2 matrix of weights: the first half lays arc set s and the
-    second arc set t."""
+    """(joint picks, landing table) of a node of a two-half sweep, from
+    its 2x2 matrix of weights.  A joint pick (s, t, weights[s][t]) lays
+    arc set s in the first half and arc set t in the second.  The landing
+    table starts empty and fills as _two_half_lands first meets each pair
+    of landing patterns."""
     return tuple((s, t, w) for s, row in enumerate(weights)
-                 for t, w in enumerate(row))
+                 for t, w in enumerate(row)), {}
 
 
 # a crossing's picks in a one-half sweep, (s, _WEIGHTS[s]) for A and B
 _ONE_HALF_PICKS = tuple(enumerate(_WEIGHTS))
 # a crossing's picks in a two-half sweep, up to four loops: the second
 # half is the reflected copy, whose weights are barred, so pick (s, t)
-# weighs w_s * bar(w_t)
+# weighs w_s * bar(w_t); with their landing table
 _CROSSING_PICKS = _picks([[_loop_weights(a * b.bar(), 4) for b in (Q, Q.bar())]
                           for a in (Q, Q.bar())])
 
@@ -451,7 +460,7 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
 
 
 def _one_half_lands(smoothings, ends, cache):
-    """{new ends: summed weights} of one state of a one-half sweep, its
+    """(new ends, summed weights) of one state of a one-half sweep, its
     ends laid in the arc set of each pick (s, weights).  Each state has
     its own ends, so this keeps nothing in the step's cache."""
     arc_sets, picks = smoothings
@@ -465,29 +474,59 @@ def _one_half_lands(smoothings, ends, cache):
         if prev is not None:
             w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
         landed[new] = w
-    return landed
+    return landed.items()
 
 
-def _laid(half, arc_sets) -> list[tuple[frozenset, int]]:
-    """(new half, loops) of a half with each arc set laid."""
+def _laid(half, arc_sets) -> tuple[list[frozenset], tuple]:
+    """(news, pattern) of a half with each arc set laid: news its distinct
+    new halves, in order, and pattern its landing pattern, for each arc
+    set the pair (index in news of the half it lands on, loops it
+    closes)."""
     base = dict(half)
-    out = []
+    news: list[frozenset] = []
+    pattern = []
     for arcs in arc_sets:
         cur = base.copy()
         loops = _join(cur, arcs)
-        out.append((frozenset(cur.items()), loops))
-    return out
+        new = frozenset(cur.items())
+        if new not in news:
+            news.append(new)
+        pattern.append((news.index(new), loops))
+    return news, tuple(pattern)
+
+
+def _landings(picks, pattern1, pattern2):
+    """The landings of a pair of landing patterns: ((i, j), summed weights)
+    for each pair of indices of distinct new halves that a joint pick
+    (s, t, weights) lands on, in the order the picks first reach it."""
+    landed = {}
+    for s, t, weights in picks:
+        i, loops1 = pattern1[s]
+        j, loops2 = pattern2[t]
+        w = weights[loops1 + loops2]
+        prev = landed.get((i, j))
+        if prev is not None:
+            w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
+        landed[i, j] = w
+    return tuple(landed.items())
 
 
 def _two_half_lands(smoothings, halves, cache):
-    """{(new h1, new h2): summed weights} of one state of a two-half
-    sweep, in the node's joint picks (s, t, weights).  The cache, one per
-    step and link, keeps each half's _laid results, so a half lays its arc
-    sets once per step.  It keeps no map per pair of halves: a state's
-    covered mask is a function of its halves, since a vertex is matched
-    ahead exactly when the label of its link to an absorbed partner is
-    missing from them, so no two states of a table share their halves."""
-    arc_sets, picks = smoothings
+    """((new h1, new h2), summed weights) of one state of a two-half
+    sweep, its picks (joint picks, landing table) as _picks builds them.
+    The cache, one per step and link, keeps each half's _laid results, so
+    a half lays its arc sets once per step.  The summed weights depend on
+    the two halves' landing patterns only, so the landing table keeps
+    them per pair of patterns, filled at its first use and read ever
+    after.  A node has two arc sets of two arcs each, so a pattern is one
+    of 2 * 3 * 3 = 18 (the second arc set lands on the first's half or a
+    new one; each closes 0 to 2 loops), and a table holds at most 324
+    entries.  No sweep writes into an entry.  Nothing is kept per pair of
+    halves: a state's covered mask is a function of its halves, since a
+    vertex is matched ahead exactly when the label of its link to an
+    absorbed partner is missing from them, so no two states of a table
+    share their halves."""
+    arc_sets, (picks, table) = smoothings
     h1, h2 = halves
     first = cache.get(h1)
     if first is None:
@@ -495,17 +534,13 @@ def _two_half_lands(smoothings, halves, cache):
     second = cache.get(h2)
     if second is None:
         second = cache[h2] = _laid(h2, arc_sets)
-    landed = {}
-    for s, t, weights in picks:
-        new1, loops1 = first[s]
-        new2, loops2 = second[t]
-        w = weights[loops1 + loops2]
-        new = (new1, new2)
-        prev = landed.get(new)
-        if prev is not None:
-            w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
-        landed[new] = w
-    return landed
+    news1, pattern1 = first
+    news2, pattern2 = second
+    patterns = pattern1, pattern2
+    landings = table.get(patterns)
+    if landings is None:
+        landings = table[patterns] = _landings(picks, pattern1, pattern2)
+    return [((news1[i], news2[j]), w) for (i, j), w in landings]
 
 
 def _step(states, vertex, links, lands):
@@ -531,7 +566,7 @@ def _step(states, vertex, links, lands):
         for (partner, smoothings), cache in zip(links, caches):
             if covered & partner:
                 continue
-            for new, w in lands(smoothings, half, cache).items():
+            for new, w in lands(smoothings, half, cache):
                 new = (new, covered | partner)
                 acc = nxt.get(new)
                 if acc is None:
@@ -583,9 +618,11 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     The crossings are the plain nodes _node(t, _CROSSING_PICKS), the
     reflection barring the second half's weights.  At each step every
     distinct half lays each arc set once, into a cache kept for that step
-    and link only (_two_half_lands), so a pick costs two lookups and no
-    join.  A state's covered mask follows from its halves, so no two
-    states of a table share them and nothing is kept per pair of halves.
+    and link only, and a state reads its landings, the summed weights per
+    pair of new halves, off the landing table of its two halves' landing
+    patterns (_two_half_lands), so a state costs no join and one lookup.
+    A state's covered mask follows from its halves, so no two states of a
+    table share them and nothing is kept per pair of halves.
     Both halves start from the same end map, and the kinks' unit u of the
     first meets bar(u) in the second, so the table starts at 1.
 

@@ -555,13 +555,14 @@ def test_the_plan_is_built_once_per_graph(monkeypatch):
 
 
 def test_a_state_is_a_pair_of_halves_in_the_graphs_own_labels(monkeypatch):
-    # each distinct half lays its two arc sets once per step, and each of
-    # a state's four joint picks reads the pair of halves it lands on: so
-    # the picks outnumber the joins, and no end map, from which every
-    # state key is frozen, holds a label past max_label(d)
+    # each distinct half lays its two arc sets once per step, and each
+    # state looks its pair of landing patterns up once, landing on up to
+    # four pairs of halves: so the landings outnumber the joins, and no
+    # end map, from which every state key is frozen, holds a label past
+    # max_label(d)
     d = ensure_valid(_ladder(6))
     expected = invariant_total_poly(d)
-    joins, picks = [], []
+    joins, lookups = [], []
     join = skein._join
 
     def recorded(ends, arcs):
@@ -571,16 +572,18 @@ def test_a_state_is_a_pair_of_halves_in_the_graphs_own_labels(monkeypatch):
                              *(x for arc in arcs for x in arc)))
         return loops
 
-    class Counted(tuple):
-        def __getitem__(self, k):
-            picks.append(k)
-            return tuple.__getitem__(self, k)
+    class Counted(dict):
+        def get(self, patterns):
+            lookups.append(patterns)
+            return dict.get(self, patterns)
 
+    table = Counted()
     monkeypatch.setattr(skein, "_join", recorded)
-    monkeypatch.setattr(enhanced, "_TWIN_PICKS", tuple(
-        (s, t, Counted(w)) for s, t, w in enhanced._TWIN_PICKS))
+    monkeypatch.setattr(enhanced, "_TWIN_PICKS",
+                        (enhanced._TWIN_PICKS[0], table))
     assert invariant_total_poly(d) == expected
-    assert 0 < len(joins) < len(picks)
+    landings = sum(len(table[patterns]) for patterns in lookups)
+    assert 0 < len(joins) < landings
     assert max(joins) <= max_label(d)
 
 
@@ -761,6 +764,33 @@ def test_no_two_half_table_holds_two_states_with_equal_halves(monkeypatch):
             invariant_total_poly(d)
     # states were matched ahead beside others in the same tables
     assert covered_states > 0
+
+
+def test_a_landing_table_holds_each_pair_of_patterns_summed_once(
+        monkeypatch):
+    # a landing pattern is, per arc set, the distinct new half it lands
+    # on and the loops it closes: 18 per half, 324 per pair.  Each entry
+    # must be the per-pick sum it stands for, however often it was read.
+    # The strand fixtures' crossings fill the crossings' table
+    paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
+                   + glob.glob(str(FIXTURES / "pairs" / "*.tng")))
+    diagrams = [load_tng(path) for path in paths]
+    diagrams += [build() for build, _, _ in WIDE_GRAPHS.values()]
+    monkeypatch.setattr(enhanced, "MAX_STATE_VERTICES", 14)
+    for d in diagrams:
+        invariant_total_poly(d)
+    patterns = {((0, a), (i, b)) for i in (0, 1) for a in range(3)
+                for b in range(3)}
+    for picks, table in (skein._CROSSING_PICKS, enhanced._TWIN_PICKS):
+        assert 0 < len(table) <= 324
+        for (first, second), landings in table.items():
+            assert first in patterns and second in patterns
+            summed = {}
+            for s, t, weights in picks:
+                (i, k1), (j, k2) = first[s], second[t]
+                summed[i, j] = (summed.get((i, j), ZERO)
+                                + LaurentPoly(weights[k1 + k2]))
+            assert {at: LaurentPoly(w) for at, w in landings} == summed
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -333,14 +333,25 @@ def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
         return out
 
     monkeypatch.setattr(skein, "_kinks_and_bigons_removed", recorded)
-    for path in sorted(fixtures_dir.rglob("*.tng")):
-        if path.parent.name == "bad":
-            continue
-        d = load_tng(path)
-        if not (d.trivalent or d.fourvalent):
-            p_poly(d)
-            bracket(d)
-        invariant_total_poly(d)
+    diagrams = [load_tng(path) for path in sorted(fixtures_dir.rglob("*.tng"))
+                if path.parent.name != "bad"]
+
+    def sweep_all():
+        for d in diagrams:
+            if not (d.trivalent or d.fourvalent):
+                p_poly(d)
+                bracket(d)
+            invariant_total_poly(d)
+
+    # a landing table fills on first use and is only read after it: the
+    # second round meets no pair of patterns the first did not, and an
+    # entry added into would show here
+    sweep_all()
+    tables = [skein._CROSSING_PICKS[1], enhanced._TWIN_PICKS[1]]
+    filled = copy.deepcopy(tables)
+    sweep_all()
+    assert all(filled)
+    assert tables == filled
     assert (skein._WEIGHTS, enhanced._TWIN_WEIGHTS) == weights
     assert any(terms != {0: 1} for _, terms in units)
     assert all(unit.terms == terms for unit, terms in units)
