@@ -31,23 +31,29 @@ weight W[s][t]; each crossing is a node with picks of weight
 w_s * bar(w_t), the reflection barring the second half.  As in p_poly,
 an odd side's last point is left open in each half; its cap to its
 mirror closes one more loop, so the sum is delta^(2L + m mod 2) times
-the sweep's one value, L the loops laid in each half.  The enhancements
-differ only in their thick edges, so the total is one such sweep of the
-graph itself, in which each trivalent vertex is a node that picks its
-thick edge.  Its links are the direct edges at it that forced-edge
-peeling keeps, and a link absorbs the node of the 4-valent vertex its
-contraction makes; a link whose two ends keep no other is forced, and
-is that node.  A graph's links are one table, built once per call: an
-entry of (label, partner) pairs per trivalent vertex, traced and then
-peeled in place (_traced_vertex_links, _peeled_links), which the vertex
-nodes, the enhancement count and the listing all read.  Every node,
-plain or not, has the one shape (labels, links, vertex) of
+the sweep's one value, L the loops laid in each half.  A diagram
+without vertices has one enhancement, the empty thick set, and one
+state, itself, so its sum is P(D), which _state_sum reads off p_poly's
+one-half sweep: with no twin weight to couple them, the two halves are
+independent, and their table would be the square of that sweep's.  The
+two-half sweep runs only where W couples the halves.
+
+The enhancements differ only in their thick edges, so the total is one
+such sweep of the graph itself, in which each trivalent vertex is a node
+that picks its thick edge.  Its links are the direct edges at it that
+forced-edge peeling keeps, and a link absorbs the node of the 4-valent
+vertex its contraction makes; a link whose two ends keep no other is
+forced, and is that node.  A graph's links are one table, built once per
+call: an entry of (label, partner) pairs per trivalent vertex, traced
+and then peeled in place (_traced_vertex_links, _peeled_links), which
+the vertex nodes, the enhancement count and the listing all read.  Every
+node, plain or not, has the one shape (labels, links, vertex) of
 skein._frontier_states.  Each frontier state keeps, beside its halves,
 the vertices matched ahead: those that an earlier vertex took a link to.
 Such a vertex passes its own node and lays nothing, and any other takes
 a link to a later vertex not yet matched, so only the states that match
-every vertex once survive.  Its cost follows the frontier width, not
-the enhancement count.  The per-enhancement invariant is
+every vertex once survive.  Its cost follows the frontier width, not the
+enhancement count.  The per-enhancement invariant is
 I_rho(G) = I(G/rho), the same sweep of contract(d, rho): its thick edges
 are 4-valent vertices, so it has plain nodes only.  contract is the one
 place a thick set becomes 4-valent vertices, for that sweep and for
@@ -208,11 +214,13 @@ MAX_LISTED_ENHANCEMENTS = 100000
 
 def _vertex_nodes(d: TangleDiagram, links, smoothings_of) -> list:
     """The sweep's nodes for d's trivalent vertices, from the link table
-    links (every vertex has a link).  A link takes smoothings_of(t), t the
-    4-valent vertex its contraction makes.  A link whose two ends keep no
-    other link is forced, and is the plain node (t, ((0, smoothings),), 0);
-    every other vertex u is the vertex node (its labels, its links, 1 << u)
-    of skein._frontier_states, each link (1 << v, smoothings) to partner v.
+    links as _peeled_links gives it: every vertex has a link, and one
+    with a single link is its partner's single link.  A link takes
+    smoothings_of(t), t the 4-valent vertex its contraction makes.  A
+    link whose two ends keep no other link is forced, and is the plain
+    node (t, ((0, smoothings),), 0), built at its lower end; every other
+    vertex u is the vertex node (its labels, its links, 1 << u) of
+    skein._frontier_states, each link (1 << v, smoothings) to partner v.
     Each link's vertex and smoothings are built once, for both its ends.
     """
     built = {}  # label -> (t, smoothings_of(t)) of each link
@@ -224,7 +232,7 @@ def _vertex_nodes(d: TangleDiagram, links, smoothings_of) -> list:
     nodes, vertex_nodes = [], []
     for u, at in enumerate(links):
         label, v = at[0]
-        if len(at) == len(links[v]) == 1:
+        if len(at) == 1:
             if u < v:
                 t, smoothings = built[label]
                 nodes.append((t, ((0, smoothings),), 0))
@@ -410,8 +418,13 @@ def _state_sum(d: TangleDiagram) -> LaurentPoly:
     once, so the sweep sums over the perfect matchings by links.  The
     result is delta^(2L + m mod 2) times the one value left, L the loops
     laid in each half.  A contracted diagram has no links, so its sweep
-    is the state sum of its one enhancement, the empty thick set.
+    is the state sum of its one enhancement, the empty thick set.  A
+    diagram without vertices has one state, itself, so its sum is P(d),
+    read off p_poly's one-half sweep before any link is traced: the
+    two-half table would hold the square of that sweep's.
     """
+    if not (d.trivalent or d.fourvalent):
+        return p_poly(d)
     links = _peeled_links(d)
     if links is None:
         return ZERO

@@ -11,9 +11,10 @@ where expected is "exact" (the comparison polynomial must match term for
 term) or "root" (the values at the admissible roots must agree, which holds
 exactly when the polynomials have equal residues modulo q^8 - q^4 + 1, so
 no tolerance is needed; a failure shows both exact texts at one root).  The
-comparison polynomial is the pairing polynomial for strand diagrams, the
-per-enhancement invariant when the files declare thick sets, and the total
-invariant for other graph diagrams.
+comparison polynomial is the per-enhancement invariant when the files
+declare thick sets, and the total invariant otherwise.  A strand diagram
+needs no case of its own: its one state is itself, so the state sum
+returns its pairing polynomial, from the same one-half sweep as `p`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .enhanced import invariant_rho_poly, invariant_total_poly
 from .errors import DomainError, ParseError
 from .laurent import (ROOT_INDICES, LaurentPoly, complex_text,
                       ensure_root_index)
-from .pairing import p_poly
+# bench/tracing.py patches moves.p_poly by attribute
+from .pairing import p_poly  # noqa: F401
 
 
 class MovePair(NamedTuple):
@@ -63,12 +65,12 @@ def parse_manifest(text: str) -> tuple[MovePair, ...]:
 
 
 def comparison_poly(d: TangleDiagram) -> LaurentPoly:
-    """The polynomial a fixture pair is compared by (see module docstring)."""
-    if d.trivalent or d.fourvalent:
-        if d.thick:
-            return invariant_rho_poly(d, frozenset(d.thick))
-        return invariant_total_poly(d)
-    return p_poly(d)
+    """The polynomial a fixture pair is compared by (see module docstring):
+    I_rho of a declared thick set rho, else the total invariant, which is
+    P(d) for a strand diagram."""
+    if d.thick:
+        return invariant_rho_poly(d, frozenset(d.thick))
+    return invariant_total_poly(d)
 
 
 def pair_mismatch(expected: str, pa: LaurentPoly, pb: LaurentPoly,

@@ -24,6 +24,7 @@ from tanglepoly.generate import (MAX_ACTIVE, SpliceSite, _MorseBuilder,
                                  random_trivalent, relabeled, splice_22,
                                  tensor)
 from tanglepoly.laurent import LaurentPoly, ROOT_INDICES, ZERO, delta_power
+from tanglepoly.moves import comparison_poly
 from tanglepoly.pairing import p_poly
 from test_cli import _ladder, _ladder_and_claws
 
@@ -224,11 +225,22 @@ def test_invariant_functions_validate_the_root_index():
         invariant_rho_poly(d, frozenset()).eval_root(4)
 
 
+def _two_half_sum(d):
+    """The state sum of a strand diagram d by the two-half sweep of its
+    crossings, circles and plat caps, each crossing pick (s, t) of weight
+    w_s * bar(w_t), with the extra delta of an odd boundary."""
+    states, loops = skein._frontier_states(
+        d.crossings, len(d.circles), pairing._caps(d.bottom, d.top),
+        halves=2)
+    return delta_power(2 * loops + d.m % 2) * next(iter(states.values()),
+                                                   ZERO)
+
+
 def test_invariant_of_pure_strand_diagram_is_its_pairing():
     # a strand diagram has the one enhancement, the empty thick set, and
-    # its one state is itself: the two-half sweep of its crossings, each
-    # pick (s, t) of weight w_s * bar(w_t), is P(D), with the extra delta
-    # of an odd boundary
+    # its one state is itself: the two-half sweep of its crossings is
+    # P(D).  The state sum reads P(D) off p_poly's one half, so the
+    # crossings' two-half picks are checked here, swept directly
     paths = sorted(FIXTURES.glob("*.tng")) + sorted(FIXTURES.glob("pairs/*.tng"))
     diagrams = [d for d in map(load_tng, map(str, paths))
                 if not (d.trivalent or d.fourvalent)]
@@ -237,7 +249,43 @@ def test_invariant_of_pure_strand_diagram_is_its_pairing():
     assert len(diagrams) == 321
     assert sum(d.m % 2 for d in diagrams) == 154
     for d in diagrams:
-        assert invariant_total_poly(d) == p_poly(d), d
+        assert _two_half_sum(d) == p_poly(d), d
+
+
+def _closure(strands, vertices=0):
+    """The (strands, strands) tangle of 10 * strands positive crossings,
+    each on a seeded pair of neighbouring strands, which p_poly closes by
+    its plat caps; the seeded `vertices` of its crossings are made
+    4-valent vertices."""
+    rng = random.Random(0)
+    b = _MorseBuilder(strands)
+    for _ in range(10 * strands):
+        b.cross(rng.randrange(strands - 1), 1)
+    d = b.finish()
+    picks = set(random.Random(1).sample(range(len(d.crossings)), vertices))
+    return ensure_valid(replace(
+        d, crossings=tuple(t for k, t in enumerate(d.crossings)
+                           if k not in picks),
+        fourvalent=tuple(t for k, t in enumerate(d.crossings) if k in picks)))
+
+
+@pytest.mark.parametrize("strands, peak", [(8, 14), (10, 42), (12, 132)])
+def test_a_vertex_free_diagram_is_swept_in_one_half(strands, peak,
+                                                    monkeypatch):
+    # its one state is itself, so every route reads P(D) off p_poly's
+    # one-half sweep, whose widest table is Catalan(strands / 2); two
+    # halves would read its square, 17424 states at 12 strands
+    d = _closure(strands)
+
+    def refuse(*args):
+        raise AssertionError("a two-half step ran")
+
+    expected, widest = _peak_table(monkeypatch, p_poly, d)
+    assert widest == peak
+    monkeypatch.setattr(skein, "_two_half_lands", refuse)
+    for compute in (invariant_total_poly, comparison_poly,
+                    lambda d: invariant_rho_poly(d, frozenset())):
+        assert _peak_table(monkeypatch, compute, d) == (expected, peak)
 
 
 def test_fourvalent_diagrams_have_the_empty_enhancement():
@@ -478,8 +526,8 @@ PINNED_PLANS = {
         ((4, 12, 7), 2, [3, 3]),
         ((4, 10, 12), 3, []),
     ],
-    # unpeeled, vertex 0's one link is no forced node, since vertex 2 at
-    # its far end keeps two more: it stays a vertex node with one link.
+    # unpeeled, every vertex is a vertex node, so vertex 0 is one with
+    # one link, although its partner, vertex 2, keeps two more.
     # Once vertex 3 is absorbed, 5's only partner 4 may be matched ahead,
     # so 5 comes before 4
     "shared": [
@@ -498,6 +546,17 @@ SHARED = D(trivalent=((1, 1, 2), (3, 3, 4), (2, 6, 5), (4, 7, 6), (5, 7, 9),
                       (9, 10, 10)))
 
 
+def _unpeeled_count(d):
+    """The count sweep of d as one vertex node per trivalent vertex, each
+    with every traced link, none peeled and none made a forced node."""
+    take = (((),), ((0, skein._loop_weights(1, 0)),))
+    nodes = [(t, tuple((1 << v, take) for _, v in at), 1 << u)
+             for u, (t, at) in enumerate(zip(
+                 d.trivalent, enhanced._traced_vertex_links(d)))]
+    states, _ = skein._frontier_states((), nodes=nodes)
+    assert next(iter(states.values())) == LaurentPoly({0: 1})
+
+
 def test_the_sweep_plans_are_pinned(monkeypatch):
     graph = random_trivalent(random.Random(5), max_vertices=6)
     assert len(graph.trivalent) == 6
@@ -510,8 +569,7 @@ def test_the_sweep_plans_are_pinned(monkeypatch):
                         fourvalent=((4, 5, 5, 3),))),
              "count": (enumerate_enhancements, _ladder(4)),
              # every traced link: peeling would force this graph's matching
-             "shared": (lambda d: enhanced._count_matchings(
-                 d, enhanced._traced_vertex_links(d)), SHARED)}
+             "shared": (_unpeeled_count, SHARED)}
     for name, (compute, d) in cases.items():
         assert _plan(monkeypatch, compute, d) == PINNED_PLANS[name], name
 
@@ -541,6 +599,37 @@ def test_peeling_takes_the_forced_edges_only():
     ladder = _ladder(4)
     assert enhanced._peeled_links(ladder) == \
         enhanced._traced_vertex_links(ladder)
+
+
+def test_a_peeled_one_link_vertex_is_its_partners_one_link():
+    # _vertex_nodes makes a vertex with one link a forced node, once, at
+    # the lower of its two ends: peeling leaves every link in both its
+    # entries, and the partner of a one-link vertex with that link alone
+    paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
+                   + glob.glob(str(FIXTURES / "pairs" / "*.tng")))
+    graphs = [d for d in map(load_tng, paths) if d.trivalent]
+    graphs += [build() for build, _, _ in WIDE_GRAPHS.values()]
+    graphs += [random_trivalent(random.Random(seed), max_vertices=12)
+               for seed in range(300)]
+    tables = []
+    for d in graphs:
+        try:
+            links = enhanced._peeled_links(d)
+        except DomainError:  # a strand through crossings joins two vertices
+            continue
+        if links is not None:
+            tables.append(links)
+    forced = 0
+    for links in tables:
+        held = sorted((label, u, v) for u, at in enumerate(links)
+                      for label, v in at)
+        assert held == sorted((label, v, u) for label, u, v in held)
+        for u, at in enumerate(links):
+            if len(at) == 1:
+                (label, v), = at
+                assert links[v] == [(label, u)]
+                forced += 1
+    assert (len(tables), forced) == (308, 454)
 
 
 def test_the_plan_is_built_once_per_graph(monkeypatch):
@@ -714,6 +803,9 @@ WIDE_GRAPHS = {
     "braid 8/2/10/5": (lambda: _split_braid_graph(5, 8, 2, 10), 24, ()),
     "braid 10/0/12/2": (lambda: _split_braid_graph(2, 10, 0, 12), 72, ()),
     "braid 12/0/14/5": (lambda: _split_braid_graph(5, 12, 0, 14), 72, ()),
+    # the one graph here that keeps crossings in its sweep: 78 of them,
+    # beside 2 4-valent vertices
+    "closure 8/2": (lambda: _closure(8, 2), 324, ("states", "subsets")),
 }
 
 
@@ -771,10 +863,18 @@ def test_a_landing_table_holds_each_pair_of_patterns_summed_once(
     # a landing pattern is, per arc set, the distinct new half it lands
     # on and the loops it closes: 18 per half, 324 per pair.  Each entry
     # must be the per-pick sum it stands for, however often it was read.
-    # The strand fixtures' crossings fill the crossings' table
+    # Both tables start empty here.  The strand fixtures' crossings,
+    # swept in two halves directly (the state sum reads their P(D) off
+    # one half), fill the crossings' table
+    for owner, name in ((skein, "_CROSSING_PICKS"), (enhanced, "_TWIN_PICKS")):
+        monkeypatch.setattr(owner, name, (getattr(owner, name)[0], {}))
     paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
                    + glob.glob(str(FIXTURES / "pairs" / "*.tng")))
     diagrams = [load_tng(path) for path in paths]
+    for d in diagrams:
+        if not (d.trivalent or d.fourvalent):
+            _two_half_sum(d)
+    assert skein._CROSSING_PICKS[1]
     diagrams += [build() for build, _, _ in WIDE_GRAPHS.values()]
     monkeypatch.setattr(enhanced, "MAX_STATE_VERTICES", 14)
     for d in diagrams:

@@ -298,7 +298,8 @@ def test_verify_pair_reports_root_failures(tmp_path):
 def test_verify_shows_root_failures_past_the_double_range_exactly(
         tmp_path, capsys, monkeypatch):
     values = {1: LaurentPoly({0: 3**700}), 2: LaurentPoly({0: 3**700, 3: 1})}
-    monkeypatch.setattr(moves, "p_poly", lambda d: values[len(d.circles)])
+    monkeypatch.setattr(moves, "comparison_poly",
+                        lambda d: values[len(d.circles)])
     manifest = tmp_path / "huge.manifest"
     manifest.write_text(f"pair huge {FIXTURES / 'circle.tng'} "
                         f"{FIXTURES / 'two_circles.tng'} M3 root\n")

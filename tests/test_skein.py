@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 from test_cli import _ladder
-from test_enhanced import _peak_table
+from test_enhanced import _peak_table, _two_half_sum
 from tanglepoly import enhanced, skein
 from tanglepoly.diagram import TangleDiagram, load_tng
 from tanglepoly.enhanced import enumerate_enhancements, invariant_total_poly
@@ -333,6 +333,8 @@ def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
         return out
 
     monkeypatch.setattr(skein, "_kinks_and_bigons_removed", recorded)
+    for owner, name in ((skein, "_CROSSING_PICKS"), (enhanced, "_TWIN_PICKS")):
+        monkeypatch.setattr(owner, name, (getattr(owner, name)[0], {}))
     diagrams = [load_tng(path) for path in sorted(fixtures_dir.rglob("*.tng"))
                 if path.parent.name != "bad"]
 
@@ -341,11 +343,14 @@ def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
             if not (d.trivalent or d.fourvalent):
                 p_poly(d)
                 bracket(d)
+                # the state sum reads P(D) off one half: the crossings'
+                # two-half picks are swept directly
+                _two_half_sum(d)
             invariant_total_poly(d)
 
     # a landing table fills on first use and is only read after it: the
     # second round meets no pair of patterns the first did not, and an
-    # entry added into would show here
+    # entry added into would show here.  Both start empty
     sweep_all()
     tables = [skein._CROSSING_PICKS[1], enhanced._TWIN_PICKS[1]]
     filled = copy.deepcopy(tables)
