@@ -96,6 +96,9 @@ _TWIN_WEIGHTS = tuple(tuple(_loop_weights(w, 4) for w in row)
 # the joint picks (s, t, _TWIN_WEIGHTS[s][t]) of a 4-valent vertex, and
 # their landing table
 _TWIN_PICKS = _picks(_TWIN_WEIGHTS)
+# the smoothings of a link of the enhancement count: one arc set, which
+# lays no arcs, and one pick of weight 1, with its landing table
+_TAKE = ((),), (((0, _loop_weights(1, 0)),), {})
 
 #: Largest number n of 4-valent vertices after contraction (the diagram's
 #: own plus one per thick edge, the same for every enhancement) that the
@@ -248,9 +251,8 @@ def _count_matchings(d: TangleDiagram, links) -> int:
     frontier sweep of d's vertex nodes, whose links lay no arcs, so each
     state's ends stay empty and only its matched-ahead vertices tell it
     apart."""
-    take = (((),), ((0, _loop_weights(1, 0)),))  # one pick: no arcs, weight 1
     states, _ = _frontier_states((), nodes=_vertex_nodes(d, links,
-                                                         lambda t: take))
+                                                         lambda t: _TAKE))
     return next(iter(states.values()), ZERO).terms.get(0, 0)
 
 

@@ -48,11 +48,16 @@ not yet matched, or passes on a state whose vertex an earlier partner
 matched (_frontier_states).  Where a state's half lands is all that the
 two kinds of sweep do differently, and a landing function for each kind
 gives it.  A one-half sweep (bracket, p_poly and the enhancement count)
-keys a state by the open ends of its half: the frozenset of (end,
-partner) items.  Its picks are (s, weights), and _one_half_lands lays
-each pick's arc set s on a copy of them.  A two-half sweep (enhanced's
-state sums) contracts a diagram beside its reflection without laying the
-reflected copy, which lays exactly the diagram's arcs.  Its state is a
+keys a state by a tuple of partner slots over its step's layout, the
+open labels in a fixed order; the states of one covered mask share one
+layout (_compiled).  A state's landings come from a table beside its
+picks that every one-half sweep shares: a label-free laying per link
+signature (_laying), and the landings of each narrow state
+(_one_half_lands).  _frontier_states reads its last table back into
+(frozenset of (end, partner) items, covered) keys.  A two-half sweep
+(enhanced's state sums) contracts a diagram beside its reflection
+without laying the reflected copy, which lays exactly the diagram's
+arcs.  Its state is a
 pair of halves, the open ends of each copy in the diagram's own labels,
 and a node is absorbed in joint picks (s, t, weights) that lay arc set s
 in the first half and arc set t in the second.  _two_half_lands lays
@@ -78,6 +83,7 @@ through the caps joining the copies.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .diagram import TangleDiagram, _Record, _root, _union, ensure_valid
 # bench/tracing.py patches skein.merge_edges by attribute
@@ -242,8 +248,16 @@ def _picks(weights):
                  for t, w in enumerate(row)), {}
 
 
-# a crossing's picks in a one-half sweep, (s, _WEIGHTS[s]) for A and B
-_ONE_HALF_PICKS = tuple(enumerate(_WEIGHTS))
+# a crossing's picks in a one-half sweep, (s, _WEIGHTS[s]) for A and B,
+# and the table that every one-half sweep of crossings shares
+_ONE_HALF_PICKS = tuple(enumerate(_WEIGHTS)), {}
+# the most open ends of a state whose landings a one-half table keeps: on
+# cold sweeps of 8- to 13-strand closures 6 was the fastest of 4, 6, 8
+# and 10 on the whole (BENCH_slot_states.json, "narrow")
+_NARROW = 6
+# the most entries a one-half table holds, about 0.9 KiB each; the tier-1
+# suite fills 1768 (BENCH_slot_states.json, "table")
+_TABLE_CAP = 1 << 12
 # a crossing's picks in a two-half sweep, up to four loops: the second
 # half is the reflected copy, whose weights are barred, so pick (s, t)
 # weighs w_s * bar(w_t); with their landing table
@@ -459,22 +473,109 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
-def _one_half_lands(smoothings, ends, cache):
-    """(new ends, summed weights) of one state of a one-half sweep, its
-    ends laid in the arc set of each pick (s, weights).  Each state has
-    its own ends, so this keeps nothing in the step's cache."""
-    arc_sets, picks = smoothings
-    base = dict(ends)
-    landed: dict[frozenset, dict[int, int]] = {}
+def _laying(sig, arc_sets, source, table):
+    """The laying of a link's signature (width, codes[, order]): (ident,
+    arc sets, order, olds), stored in table while it holds fewer than
+    _TABLE_CAP entries, its ident the table's size then.
+
+    source is the old layout followed by the ends of the link's first arc
+    set, and a label's key is its first place there; codes are those
+    ends' keys.  order lists the new layout's keys, by default the old
+    slots the arcs leave open, then the labels they open.  Each key is
+    named by its new slot, or past the new slots if its label closes, so
+    laying arc sets on olds, the old slots' names, leaves exactly the
+    new slots open."""
+    width, codes = sig[:2]
+    odd = {k for k in codes if codes.count(k) % 2}
+    order = sig[2] if len(sig) > 2 else tuple(
+        k for k in range(width) if k not in odd) + tuple(
+        sorted(k for k in odd if k >= width))
+    name = list(range(len(order), len(order) + len(source)))
+    for j, k in enumerate(order):
+        name[k] = j
+    arc_sets = tuple(tuple((name[source.index(x)], name[source.index(y)])
+                           for x, y in arcs) for arcs in arc_sets)
+    laying = len(table), arc_sets, order, tuple(name[:width])
+    if len(table) < _TABLE_CAP:
+        table[sig] = laying
+    return laying
+
+
+@lru_cache(maxsize=64)
+def _take(width):
+    """The tuple of a laid map's values at new slots 0..width-1; width is
+    even, and a map with no new slot left is empty, whose tuple is ().
+    The 64 latest widths are kept."""
+    return itemgetter(*range(width)) if width else tuple
+
+
+def _compiled(layouts, vertex, links):
+    """(links, layouts) for a step of a one-half sweep that reads a table
+    of the given layouts, one per covered mask: each link (partner,
+    smoothings) becomes (partner, {covered: (laying, take, picks,
+    table)}) for each mask that takes it (_laying, _take), and the
+    layouts are those of the table the step writes.
+
+    A link keeps the labels its arc sets leave open, in order, and
+    appends those it opens; each arc set of a link lays the same labels
+    an equal number of times mod 2, so the open labels depend only on
+    the step and the mask.  A state that passes the vertex keeps its
+    layout, and so does one that another link brings to the same mask:
+    that link's signature then names the layout's order.  A signature
+    reads the first arc set alone, since the links that share a picks
+    table lay their other arc sets as one rearrangement of the first's
+    ends, as _smoothings builds them."""
+    nxt = {covered ^ vertex: layout for covered, layout in layouts.items()
+           if covered & vertex} if vertex else {}
+    out = []
+    for partner, (arc_sets, (picks, table)) in links:
+        ends = sum(arc_sets[0], ())
+        by_mask = {}
+        for covered, layout in layouts.items():
+            if covered & (vertex | partner):
+                continue
+            source = layout + ends
+            sig = len(layout), tuple(map(source.index, ends))
+            laying = table.get(sig) or _laying(sig, arc_sets, source, table)
+            new = tuple(map(source.__getitem__, laying[2]))
+            target = nxt.setdefault(covered | partner, new)
+            if target != new:
+                sig += (tuple(map(source.index, target)),)
+                laying = (table.get(sig)
+                          or _laying(sig, arc_sets, source, table))
+            by_mask[covered] = laying, _take(len(new)), picks, table
+        out.append((partner, by_mask))
+    return out, nxt
+
+
+def _one_half_lands(by_mask, half, covered, cache):
+    """(new half, summed weights) of one state of a one-half sweep, its
+    slot tuple half laid in the arc set of each pick (s, weights) by the
+    laying of its link for its mask (_compiled).  A state of at most
+    _NARROW slots reads its landings from its picks' table under (half,
+    the laying's ident); a miss lays them with _join on a slot-keyed dict
+    and stores them while the table holds fewer than _TABLE_CAP entries,
+    and no entry is written to after.  A wider state is laid each time."""
+    (ident, arc_sets, _, olds), take, picks, table = by_mask[covered]
+    narrow = len(half) <= _NARROW
+    if narrow:
+        landed = table.get((half, ident))
+        if landed is not None:
+            return landed
+    base = dict(zip(olds, map(olds.__getitem__, half)))
+    landed = {}
     for s, weights in picks:
         cur = base.copy()
         w = weights[_join(cur, arc_sets[s])]
-        new = frozenset(cur.items())
+        new = take(cur)
         prev = landed.get(new)
         if prev is not None:
             w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
         landed[new] = w
-    return landed.items()
+    landed = tuple(landed.items())
+    if narrow and len(table) < _TABLE_CAP:
+        table[half, ident] = landed
+    return landed
 
 
 def _laid(half, arc_sets) -> tuple[list[frozenset], tuple]:
@@ -511,7 +612,7 @@ def _landings(picks, pattern1, pattern2):
     return tuple(landed.items())
 
 
-def _two_half_lands(smoothings, halves, cache):
+def _two_half_lands(smoothings, halves, covered, cache):
     """((new h1, new h2), summed weights) of one state of a two-half
     sweep, its picks (joint picks, landing table) as _picks builds them.
     The cache, one per step and link, keeps each half's _laid results, so
@@ -546,9 +647,9 @@ def _two_half_lands(smoothings, halves, cache):
 def _step(states, vertex, links, lands):
     """The next table, before its zero terms are dropped: each state
     absorbs a node (labels, links, vertex), landing where lands(smoothings,
-    half, cache) sends its half (_frontier_states).  links are the node's
-    links to the partners still unabsorbed; a plain node's one link
-    (0, smoothings) has no partner, so every state takes it."""
+    half, covered, cache) sends its half (_frontier_states).  links are
+    the node's links to the partners still unabsorbed; a plain node's one
+    link (0, smoothings) has no partner, so every state takes it."""
     caches = [{} for _ in links]
     nxt: dict[tuple, dict[int, int]] = {}
     for key, coeff in states.items():
@@ -566,7 +667,7 @@ def _step(states, vertex, links, lands):
         for (partner, smoothings), cache in zip(links, caches):
             if covered & partner:
                 continue
-            for new, w in lands(smoothings, half, cache):
+            for new, w in lands(smoothings, half, covered, cache):
                 new = (new, covered | partner)
                 acc = nxt.get(new)
                 if acc is None:
@@ -600,22 +701,28 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     A vertex node (labels, links, 1 << u) is trivalent vertex u of a
     graph, which picks its thick edge: each link (1 << v, smoothings) is a
     thick edge to vertex v, and takes the smoothings of the 4-valent
-    vertex its contraction makes.  A state is a pair (ends, covered): the
-    frozenset of (end, partner) items over the open ends, and the bitmask
-    of the vertices matched ahead, bit v for a vertex v that an earlier
-    vertex took a link to.  At vertex u's node, a state that covers u
-    passes on with u's bit cleared and nothing laid; any other state takes
-    each link whose partner is neither absorbed nor covered, and covers
-    the partner.  A state whose vertex has no such link dies.  So the
-    vertex nodes sum over the perfect matchings of their vertices by
-    links, and every state left at the end covers nothing.
+    vertex its contraction makes.  A state is a pair (half, covered): its
+    open ends, and the bitmask of the vertices matched ahead, bit v for a
+    vertex v that an earlier vertex took a link to.  At vertex u's node,
+    a state that covers u passes on with u's bit cleared and nothing
+    laid; any other state takes each link whose partner is neither
+    absorbed nor covered, and covers the partner.  A state whose vertex
+    has no such link dies.  So the vertex nodes sum over the perfect
+    matchings of their vertices by links, and every state left at the end
+    covers nothing.
+
+    In a one-half sweep a state's half is the tuple of its partner slots
+    over the layout of its mask (_compiled), and its landings come from
+    its picks' shared table (_one_half_lands).  The returned table is
+    keyed by (ends, covered), ends the frozenset of (end, partner) items
+    over the open ends, read off the last layouts.
 
     With halves=2 the sweep is a two-half sweep (see the module
-    docstring): a state is ((h1, h2), covered), each half a frozenset of
-    open ends as above, in the diagram's own labels.  A pick
-    (s, t, weights) lays arc set s in h1 and arc set t in h2, and
-    weights[k] is its weight when the two close k loops between them.
-    The crossings are the plain nodes _node(t, _CROSSING_PICKS), the
+    docstring): a state is ((h1, h2), covered), each half the frozenset
+    of (end, partner) items over its open ends, in the diagram's own
+    labels.  A pick (s, t, weights) lays arc set s in h1 and arc set t in
+    h2, and weights[k] is its weight when the two close k loops between
+    them.  The crossings are the plain nodes _node(t, _CROSSING_PICKS), the
     reflection barring the second half's weights.  At each step every
     distinct half lays each arc set once, into a cache kept for that step
     and link only, and a state reads its landings, the summed weights per
@@ -637,9 +744,9 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     pays one product per distinct state it reaches and allocates no
     polynomial for it.  A state that passes a vertex moves its map to the
     next table, where later products may add into it.  Zero terms and
-    empty maps are dropped once, at the end of the step.  No weight map
-    and no unit is ever written to, and no map is written to while a
-    state still reads it.
+    empty maps are dropped once, at the end of the step, the terms in
+    place.  No weight map and no unit is ever written to, and no map is
+    written to while a state still reads it.
 
     Before any of this, the crossings' kinks and bigons are removed
     (_kinks_and_bigons_removed); a join between two labels that each
@@ -658,26 +765,36 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     crossings, laid, joins, unit = _kinks_and_bigons_removed(crossings, joins)
     start: dict[int, int] = {}
     laid += circles + _join(start, joins)
-    ends = frozenset(start.items())
     if halves == 1:
-        states = {(ends, _NO_VERTICES): unit.terms}
+        layout = tuple(start)
+        layouts = {_NO_VERTICES: layout}
+        states = {(tuple(map(layout.index, start.values())), _NO_VERTICES):
+                  unit.terms}
         picks, lands = _ONE_HALF_PICKS, _one_half_lands
     else:
+        ends = frozenset(start.items())
         states = {((ends, ends), _NO_VERTICES): {0: 1}}  # u * bar(u) = 1
         picks, lands = _CROSSING_PICKS, _two_half_lands
     all_nodes = [_node(t, picks) for t in crossings]
     all_nodes += nodes
     absorbed = _NO_VERTICES
     for _, links, vertex in _absorption_order(all_nodes):
-        absorbed |= vertex
-        links = [link for link in links if not link[0] & absorbed]
-        nxt = _step(states, vertex, links, lands)
-        states = {}
-        for key, acc in nxt.items():
+        if vertex:
+            absorbed |= vertex
+            links = [link for link in links if not link[0] & absorbed]
+        if halves == 1:
+            links, layouts = _compiled(layouts, vertex, links)
+        states = _step(states, vertex, links, lands)
+        for acc in states.values():
             if 0 in acc.values():
-                acc = {e: c for e, c in acc.items() if c}
-            if acc:
-                states[key] = acc
+                for e in [e for e, c in acc.items() if not c]:
+                    del acc[e]
+        if not all(states.values()):
+            states = {key: acc for key, acc in states.items() if acc}
+    if halves == 1:
+        return {(frozenset(zip(layouts[covered], map(
+            layouts[covered].__getitem__, half))), covered): LaurentPoly(acc)
+            for (half, covered), acc in states.items()}, laid
     return {key: LaurentPoly(acc) for key, acc in states.items()}, laid
 
 

@@ -549,8 +549,7 @@ SHARED = D(trivalent=((1, 1, 2), (3, 3, 4), (2, 6, 5), (4, 7, 6), (5, 7, 9),
 def _unpeeled_count(d):
     """The count sweep of d as one vertex node per trivalent vertex, each
     with every traced link, none peeled and none made a forced node."""
-    take = (((),), ((0, skein._loop_weights(1, 0)),))
-    nodes = [(t, tuple((1 << v, take) for _, v in at), 1 << u)
+    nodes = [(t, tuple((1 << v, enhanced._TAKE) for _, v in at), 1 << u)
              for u, (t, at) in enumerate(zip(
                  d.trivalent, enhanced._traced_vertex_links(d)))]
     states, _ = skein._frontier_states((), nodes=nodes)
@@ -824,6 +823,54 @@ def test_a_wide_sweep_sums_its_node_only_sweeps(name, monkeypatch):
         assert total == sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
     if "subsets" in oracles:
         assert rhos == enhancements_by_vertex_sums(d)
+
+
+def _one_half_values(d, nodes):
+    """{ends: value} of the one-half sweep of d's crossings, circles and
+    plat caps and the given nodes: each final state's coefficient times
+    delta to the loops laid before the sweep."""
+    states, laid = skein._frontier_states(
+        d.crossings, len(d.circles), pairing._caps(d.bottom, d.top),
+        nodes=nodes)
+    assert all(not covered for _, covered in states)
+    return {ends: delta_power(laid) * c for (ends, _), c in states.items()}
+
+
+def test_a_one_half_sweep_of_vertex_nodes_sums_its_contractions():
+    # each link lays the crossing smoothings of the 4-valent vertex its
+    # contraction makes, in one half: the one one-half sweep whose states
+    # reach one covered mask by different links, so they must share that
+    # mask's layout.  Its value is the sum, over the enhancements, of the
+    # one-half sweeps of the contractions, their 4-valent vertices plain
+    # nodes
+    picks = skein._ONE_HALF_PICKS
+    paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
+                   + glob.glob(str(FIXTURES / "pairs" / "*.tng")))
+    graphs = [d for d in map(load_tng, paths) if d.trivalent and not d.thick]
+    graphs += [build() for build, _, _ in WIDE_GRAPHS.values()]
+    graphs += [random_trivalent(random.Random(seed), max_vertices=10)
+               for seed in range(40)]
+    checked = 0
+    for d in graphs:
+        try:
+            rhos = enumerate_enhancements(d)
+        except DomainError:
+            continue
+        links = enhanced._peeled_links(d)
+        nodes = [skein._node(v, picks) for v in d.fourvalent]
+        total = {}
+        if links is not None:
+            total = _one_half_values(d, nodes + enhanced._vertex_nodes(
+                d, links, lambda t: skein._smoothings(t, picks)))
+        expected = {}
+        for rho in rhos:
+            c = contract(d, rho)
+            for ends, value in _one_half_values(
+                    c, [skein._node(v, picks) for v in c.fourvalent]).items():
+                expected[ends] = expected.get(ends, ZERO) + value
+        assert total == {ends: v for ends, v in expected.items() if v}
+        checked += len(rhos)
+    assert checked == 341
 
 
 def test_no_two_half_table_holds_two_states_with_equal_halves(monkeypatch):

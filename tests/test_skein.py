@@ -12,7 +12,8 @@ from tanglepoly import enhanced, skein
 from tanglepoly.diagram import TangleDiagram, load_tng
 from tanglepoly.enhanced import enumerate_enhancements, invariant_total_poly
 from tanglepoly.errors import DomainError, InvalidDiagramError
-from tanglepoly.generate import _MorseBuilder, mirror, random_tangle
+from tanglepoly.generate import (_MorseBuilder, mirror, random_tangle,
+                                 relabeled)
 from tanglepoly.laurent import DELTA, LaurentPoly, ONE, Q, delta_power
 from tanglepoly.pairing import p_poly, pair
 from tanglepoly.skein import (CoordinateVector, bracket, bracket_oracle,
@@ -219,20 +220,77 @@ WIDE_BRAIDS = {(6, 14, 23): 288, (7, 16, 6): 502}
 
 @pytest.mark.parametrize("shape", list(WIDE_BRAIDS), ids=str)
 def test_a_wide_one_half_sweep_matches_its_oracles(shape, monkeypatch):
+    # the bracket sweep keeps the tangle's boundary ends open, so every
+    # state it reads is wider than the narrow bound and laid each time;
+    # the plat closure's sweep in p_poly reads only narrow states, whose
+    # landings the shared table keeps (none at all where the kinks and
+    # bigons pass leaves the closure no crossing).  Each is checked
+    # against an oracle
     d = _positive_braid(*shape)
-    v, widest = _peak_table(monkeypatch, bracket, d)
+    step = skein._step
+
+    def widths(compute):
+        seen = []
+
+        def measured(states, *args):
+            seen.append({len(half) for half, _ in states})
+            return step(states, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(skein, "_step", measured)
+            return compute(), seen
+
+    (v, widest), wide = widths(lambda: _peak_table(monkeypatch, bracket, d))
     assert widest == WIDE_BRAIDS[shape]
+    assert min(map(min, wide)) > skein._NARROW
     assert v == bracket_oracle(d)
-    assert p_poly(d) == pair(v, vector_bar(v))
+    p, narrow = widths(lambda: p_poly(d))
+    assert max(map(max, narrow), default=0) <= skein._NARROW
+    assert len(narrow) == {(6, 14, 23): 6, (7, 16, 6): 0}[shape]
+    assert p == pair(v, vector_bar(v))
+
+
+def test_the_shared_landing_table_holds_no_label_and_is_only_filled(
+        fixtures_dir, monkeypatch):
+    # every one-half sweep of crossings shares the table beside their
+    # picks: its keys are slot tuples and label-free signatures, and no
+    # entry is written to once filled.  A sweep of copies with every label
+    # shifted, then of the originals again, must leave it as it was
+    monkeypatch.setattr(skein, "_ONE_HALF_PICKS",
+                        (skein._ONE_HALF_PICKS[0], {}))
+    paths = [path for path in sorted(fixtures_dir.rglob("*.tng"))
+             if path.parent.name != "bad"]
+    diagrams = [d for d in map(load_tng, paths)
+                if not (d.trivalent or d.fourvalent or d.thick)]
+    diagrams += [_positive_braid(*shape) for shape in WIDE_BRAIDS]
+    values = [(p_poly(d), bracket(d)) for d in diagrams]
+    table = skein._ONE_HALF_PICKS[1]
+    assert table
+    filled = copy.deepcopy(table)
+    for d in diagrams:
+        labels = {x for t in d.crossings for x in t}
+        shifted = relabeled(d, {x: x + 1000 for x in labels.union(
+            d.bottom, d.top, d.circles)})
+        assert (p_poly(shifted), bracket(shifted).coords) == (
+            p_poly(d), bracket(d).coords)
+    assert [(p_poly(d), bracket(d)) for d in diagrams] == values
+    assert table == filled
+    # the table stops growing at its cap, and the sweeps stay exact
+    monkeypatch.setattr(skein, "_TABLE_CAP", 5)
+    monkeypatch.setattr(skein, "_ONE_HALF_PICKS",
+                        (skein._ONE_HALF_PICKS[0], {}))
+    assert [(p_poly(d), bracket(d)) for d in diagrams] == values
+    assert len(skein._ONE_HALF_PICKS[1]) == 5
 
 
 def _node(labels, *smoothings):
     """A plain frontier node: smoothings are (arcs, weight) pairs, one
-    pick each, each weight taken up to two loops."""
+    pick each, each weight taken up to two loops, with a landing table of
+    their own."""
     arc_sets = tuple(arcs for arcs, _ in smoothings)
     picks = tuple((s, skein._loop_weights(w, 2))
                   for s, (_, w) in enumerate(smoothings))
-    return labels, ((0, (arc_sets, picks)),), 0
+    return labels, ((0, (arc_sets, (picks, {}))),), 0
 
 
 def test_smoothings_that_cancel_in_one_state_leave_no_state():
@@ -297,7 +355,7 @@ def test_a_vertex_matched_ahead_passes_its_node(monkeypatch):
     assert passed
     # a 4-cycle, each vertex a node whose links to its two neighbours lay
     # no arcs: its two perfect matchings are all that is left
-    take = (((),), ((0, skein._loop_weights(1, 0)),))
+    take = enhanced._TAKE
 
     def nodes(vertices, partners):
         return [(labels, tuple((1 << v, take) for v in near), 1 << u)
