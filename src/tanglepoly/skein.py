@@ -45,36 +45,37 @@ A sweep has one half or two, and one step loop (_step) serves both: it
 convolves each state's coefficient with the weights summed per state it
 lands in.  At a trivalent vertex's node it takes each link to a partner
 not yet matched, or passes on a state whose vertex an earlier partner
-matched (_frontier_states).  Where a state's half lands is all that the
-two kinds of sweep do differently, and a landing function for each kind
-gives it.  A one-half sweep (bracket, p_poly and the enhancement count)
-keys a state by a tuple of partner slots over its step's layout, the
-open labels in a fixed order; the states of one covered mask share one
-layout (_compiled).  A state's landings come from a table beside its
-picks that every one-half sweep shares: a label-free laying per link
-signature (_laying), and the landings of each narrow state
-(_one_half_lands).  _frontier_states reads its last table back into
-(frozenset of (end, partner) items, covered) keys.  A two-half sweep
+matched (_frontier_states).  A one-half sweep (bracket, p_poly and the
+enhancement count) keys a state by a tuple of partner slots over its
+step's layout, the open labels in a fixed order.  A two-half sweep
 (enhanced's state sums) contracts a diagram beside its reflection
 without laying the reflected copy, which lays exactly the diagram's
-arcs.  Its state is a
-pair of halves, the open ends of each copy in the diagram's own labels,
-and a node is absorbed in joint picks (s, t, weights) that lay arc set s
-in the first half and arc set t in the second.  _two_half_lands lays
-every distinct half's arc sets once per step, into a cache that lives
-for that step and link only.  What a half's arc sets do is its landing
-pattern: for each arc set, which of the half's distinct new halves it
-lands on and how many loops it closes.  A node's two arc sets of two
-arcs each allow 18 patterns, and the weights a state's picks sum to per
-landing depend on its two halves' patterns alone, so each two-half pick
-table keeps a landing table beside it (_picks): the summed weights per
-pair of patterns, at most 324 entries, each filled at its first use and
-never written to after.  A state's landings are one lookup in it.
-Nothing is kept per pair of halves, since no two states of a table
-share them: a vertex is matched ahead exactly when the label of its
-link to an absorbed partner is missing from the halves, so a state's
-matched vertices follow from its halves.  The loops laid before the
-sweep, L of them, are laid in each half, so the value of a closure is
+arcs, so its state is a pair of such slot tuples over one layout, and a
+node is absorbed in joint picks (s, t, weights) that lay arc set s in
+the first half and arc set t in the second.  The states of one covered
+mask share one layout, and each step compiles its links against each
+layout once (_compiled), for both kinds of sweep.
+
+Where a state's halves land is all that the two kinds of sweep do
+differently, and a landing function for each kind gives it
+(_one_half_lands, _two_half_lands).  Each reads a table kept beside its
+picks, which every sweep with those picks shares.  Its keys are free of
+labels, in four shapes: a link's signature (the layout's width, the
+slots of its first arc set's ends[, the target layout's order]) holds
+its laying (_laying); a narrow one-half state's (slot tuple, laying
+ident) holds its landings; a narrow two-half state's ((h1, h2), laying
+ident) holds its whole landing list; and, in the two-half tables, a pair
+of landing patterns holds its picks' weights summed per landing.  A
+half's landing pattern is, for each arc set, which of its distinct new
+slot tuples it lands on and how many loops it closes: a node's two arc
+sets of two arcs each allow 18, so a table holds at most 324 pattern
+pairs.  A state is narrow when it has at most _NARROW open ends; a wider
+one is laid each time, a two-half one once per step, link and mask.
+Entries are filled at first use while the table holds fewer than
+_TABLE_CAP of them, and never written to after.  _frontier_states reads
+a one-half sweep's last table back into (frozenset of (end, partner)
+items, covered) keys.  The loops laid before a two-half sweep, L of
+them, are laid in each half, so the value of a closure is
 delta^(2L + m mod 2) times the one value left: the extra delta is the
 loop that an odd side's last points, left open in each half, close
 through the caps joining the copies.
@@ -239,11 +240,11 @@ def _join(ends: dict[int, int], arcs) -> int:
 
 
 def _picks(weights):
-    """(joint picks, landing table) of a node of a two-half sweep, from
-    its 2x2 matrix of weights.  A joint pick (s, t, weights[s][t]) lays
-    arc set s in the first half and arc set t in the second.  The landing
-    table starts empty and fills as _two_half_lands first meets each pair
-    of landing patterns."""
+    """(joint picks, table) of a node of a two-half sweep, from its 2x2
+    matrix of weights.  A joint pick (s, t, weights[s][t]) lays arc set s
+    in the first half and arc set t in the second.  The table starts
+    empty and fills as the sweeps first meet each link signature, narrow
+    state and pair of landing patterns (_compiled, _two_half_lands)."""
     return tuple((s, t, w) for s, row in enumerate(weights)
                  for t, w in enumerate(row)), {}
 
@@ -251,16 +252,20 @@ def _picks(weights):
 # a crossing's picks in a one-half sweep, (s, _WEIGHTS[s]) for A and B,
 # and the table that every one-half sweep of crossings shares
 _ONE_HALF_PICKS = tuple(enumerate(_WEIGHTS)), {}
-# the most open ends of a state whose landings a one-half table keeps: on
-# cold sweeps of 8- to 13-strand closures 6 was the fastest of 4, 6, 8
-# and 10 on the whole (BENCH_slot_states.json, "narrow")
+# the most open ends of a state whose landings a table keeps, in one half
+# or in each of two: on cold one-half sweeps of 8- to 13-strand closures
+# 6 was the fastest of 4, 6, 8 and 10 on the whole
+# (BENCH_slot_states.json, "narrow")
 _NARROW = 6
-# the most entries a one-half table holds, about 0.9 KiB each; the tier-1
-# suite fills 1768 (BENCH_slot_states.json, "table")
+# the most entries a pick table holds: a one-half entry takes about
+# 0.9 KiB and a two-half one about 0.45 KiB.  The tier-1 suite fills
+# about 1800 in the one-half table, and about 530 and 2790 in the
+# crossings' and the 4-valent vertices' two-half tables
+# (BENCH_two_half_slots.json, "table")
 _TABLE_CAP = 1 << 12
 # a crossing's picks in a two-half sweep, up to four loops: the second
 # half is the reflected copy, whose weights are barred, so pick (s, t)
-# weighs w_s * bar(w_t); with their landing table
+# weighs w_s * bar(w_t); with their table
 _CROSSING_PICKS = _picks([[_loop_weights(a * b.bar(), 4) for b in (Q, Q.bar())]
                           for a in (Q, Q.bar())])
 
@@ -509,12 +514,21 @@ def _take(width):
     return itemgetter(*range(width)) if width else tuple
 
 
+@lru_cache(maxsize=256)
+def _slots(order):
+    """The tuple of a layout's labels at the keys in order, which is not
+    empty and has an even length, as a laying lists them; the 256 latest
+    orders are kept."""
+    return itemgetter(*order)
+
+
 def _compiled(layouts, vertex, links):
-    """(links, layouts) for a step of a one-half sweep that reads a table
-    of the given layouts, one per covered mask: each link (partner,
-    smoothings) becomes (partner, {covered: (laying, take, picks,
-    table)}) for each mask that takes it (_laying, _take), and the
-    layouts are those of the table the step writes.
+    """(links, layouts) for a step of a sweep, of one half or two, that
+    reads a table of the given layouts, one per covered mask: each link
+    (partner, smoothings) becomes (partner, {covered: (laying, picks,
+    table, laid)}) for each mask that takes it (_laying), laid an empty
+    dict in which a two-half step keeps the halves it lays (_laid), and
+    the layouts are those of the table the step writes (_slots).
 
     A link keeps the labels its arc sets leave open, in order, and
     appends those it opens; each arc set of a link lays the same labels
@@ -524,31 +538,43 @@ def _compiled(layouts, vertex, links):
     that link's signature then names the layout's order.  A signature
     reads the first arc set alone, since the links that share a picks
     table lay their other arc sets as one rearrangement of the first's
-    ends, as _smoothings builds them."""
+    ends, as _smoothings builds them.  A link that lays nothing on an
+    empty layout, as the enhancement count's do, gives every mask the
+    one laying, looked up once per link."""
     nxt = {covered ^ vertex: layout for covered, layout in layouts.items()
            if covered & vertex} if vertex else {}
     out = []
     for partner, (arc_sets, (picks, table)) in links:
         ends = sum(arc_sets[0], ())
         by_mask = {}
+        kept = None
         for covered, layout in layouts.items():
             if covered & (vertex | partner):
+                continue
+            if not (ends or layout):
+                # nothing laid on nothing, as in the enhancement count:
+                # the state stays (), and every mask shares one laying
+                nxt[covered | partner] = ()
+                kept = kept or (table.get((0, ())) or _laying(
+                    (0, ()), arc_sets, (), table), picks, table, {})
+                by_mask[covered] = kept
                 continue
             source = layout + ends
             sig = len(layout), tuple(map(source.index, ends))
             laying = table.get(sig) or _laying(sig, arc_sets, source, table)
-            new = tuple(map(source.__getitem__, laying[2]))
+            order = laying[2]
+            new = _slots(order)(source) if order else ()
             target = nxt.setdefault(covered | partner, new)
             if target != new:
                 sig += (tuple(map(source.index, target)),)
                 laying = (table.get(sig)
                           or _laying(sig, arc_sets, source, table))
-            by_mask[covered] = laying, _take(len(new)), picks, table
+            by_mask[covered] = laying, picks, table, {}
         out.append((partner, by_mask))
     return out, nxt
 
 
-def _one_half_lands(by_mask, half, covered, cache):
+def _one_half_lands(by_mask, half, covered):
     """(new half, summed weights) of one state of a one-half sweep, its
     slot tuple half laid in the arc set of each pick (s, weights) by the
     laying of its link for its mask (_compiled).  A state of at most
@@ -556,12 +582,13 @@ def _one_half_lands(by_mask, half, covered, cache):
     the laying's ident); a miss lays them with _join on a slot-keyed dict
     and stores them while the table holds fewer than _TABLE_CAP entries,
     and no entry is written to after.  A wider state is laid each time."""
-    (ident, arc_sets, _, olds), take, picks, table = by_mask[covered]
+    (ident, arc_sets, order, olds), picks, table, _ = by_mask[covered]
     narrow = len(half) <= _NARROW
     if narrow:
         landed = table.get((half, ident))
         if landed is not None:
             return landed
+    take = _take(len(order))
     base = dict(zip(olds, map(olds.__getitem__, half)))
     landed = {}
     for s, weights in picks:
@@ -578,18 +605,20 @@ def _one_half_lands(by_mask, half, covered, cache):
     return landed
 
 
-def _laid(half, arc_sets) -> tuple[list[frozenset], tuple]:
-    """(news, pattern) of a half with each arc set laid: news its distinct
-    new halves, in order, and pattern its landing pattern, for each arc
-    set the pair (index in news of the half it lands on, loops it
-    closes)."""
-    base = dict(half)
-    news: list[frozenset] = []
+def _laid(half, laying) -> tuple[list[tuple], tuple]:
+    """(news, pattern) of a slot tuple half with each arc set of its
+    link's laying laid (_compiled): news its distinct new slot tuples, in
+    order, and pattern its landing pattern, for each arc set the pair
+    (index in news of the slot tuple it lands on, loops it closes)."""
+    _, arc_sets, order, olds = laying
+    take = _take(len(order))
+    base = dict(zip(olds, map(olds.__getitem__, half)))
+    news: list[tuple] = []
     pattern = []
     for arcs in arc_sets:
         cur = base.copy()
         loops = _join(cur, arcs)
-        new = frozenset(cur.items())
+        new = take(cur)
         if new not in news:
             news.append(new)
         pattern.append((news.index(new), loops))
@@ -612,45 +641,55 @@ def _landings(picks, pattern1, pattern2):
     return tuple(landed.items())
 
 
-def _two_half_lands(smoothings, halves, covered, cache):
-    """((new h1, new h2), summed weights) of one state of a two-half
-    sweep, its picks (joint picks, landing table) as _picks builds them.
-    The cache, one per step and link, keeps each half's _laid results, so
-    a half lays its arc sets once per step.  The summed weights depend on
-    the two halves' landing patterns only, so the landing table keeps
-    them per pair of patterns, filled at its first use and read ever
-    after.  A node has two arc sets of two arcs each, so a pattern is one
-    of 2 * 3 * 3 = 18 (the second arc set lands on the first's half or a
-    new one; each closes 0 to 2 loops), and a table holds at most 324
-    entries.  No sweep writes into an entry.  Nothing is kept per pair of
-    halves: a state's covered mask is a function of its halves, since a
-    vertex is matched ahead exactly when the label of its link to an
-    absorbed partner is missing from them, so no two states of a table
-    share their halves."""
-    arc_sets, (picks, table) = smoothings
+def _two_half_lands(by_mask, halves, covered):
+    """((new h1, new h2), summed weights) of one state of a two-half sweep,
+    its slot tuples h1 and h2 laid in the arc sets of each joint pick (s,
+    t, weights) by the laying of its link for its mask (_compiled): both
+    halves lay the same labels, so they share one layout.  A state of at
+    most _NARROW slots reads its whole landing list from its picks' table
+    under ((h1, h2), the laying's ident).  A miss lays each half once per
+    step, into the laid dict of its link and mask (_laid), and reads the
+    summed weights off the table's entry for its two halves' landing
+    patterns, filled at its first use (_landings).  A node has two arc
+    sets of two arcs each, so a pattern is one of 2 * 3 * 3 = 18 (the
+    second arc set lands on the first's slot tuple or a new one; each
+    closes 0 to 2 loops), and a table holds at most 324 pattern pairs.  A
+    narrow state's list is stored while the table holds fewer than
+    _TABLE_CAP entries, pattern pairs too, and no entry is written to
+    after."""
+    laying, picks, table, laid = by_mask[covered]
+    narrow = len(halves[0]) <= _NARROW
+    if narrow:
+        landed = table.get((halves, laying[0]))
+        if landed is not None:
+            return landed
     h1, h2 = halves
-    first = cache.get(h1)
+    first = laid.get(h1)
     if first is None:
-        first = cache[h1] = _laid(h1, arc_sets)
-    second = cache.get(h2)
+        first = laid[h1] = _laid(h1, laying)
+    second = laid.get(h2)
     if second is None:
-        second = cache[h2] = _laid(h2, arc_sets)
+        second = laid[h2] = _laid(h2, laying)
     news1, pattern1 = first
     news2, pattern2 = second
     patterns = pattern1, pattern2
     landings = table.get(patterns)
     if landings is None:
-        landings = table[patterns] = _landings(picks, pattern1, pattern2)
-    return [((news1[i], news2[j]), w) for (i, j), w in landings]
+        landings = _landings(picks, pattern1, pattern2)
+        if len(table) < _TABLE_CAP:
+            table[patterns] = landings
+    landed = tuple(((news1[i], news2[j]), w) for (i, j), w in landings)
+    if narrow and len(table) < _TABLE_CAP:
+        table[halves, laying[0]] = landed
+    return landed
 
 
 def _step(states, vertex, links, lands):
     """The next table, before its zero terms are dropped: each state
     absorbs a node (labels, links, vertex), landing where lands(smoothings,
-    half, covered, cache) sends its half (_frontier_states).  links are
-    the node's links to the partners still unabsorbed; a plain node's one
+    half, covered) sends its half (_frontier_states).  links are the
+    node's links to the partners still unabsorbed; a plain node's one
     link (0, smoothings) has no partner, so every state takes it."""
-    caches = [{} for _ in links]
     nxt: dict[tuple, dict[int, int]] = {}
     for key, coeff in states.items():
         half, covered = key
@@ -664,10 +703,10 @@ def _step(states, vertex, links, lands):
                 for e, c in coeff.items():
                     acc[e] = acc.get(e, 0) + c
             continue
-        for (partner, smoothings), cache in zip(links, caches):
+        for partner, smoothings in links:
             if covered & partner:
                 continue
-            for new, w in lands(smoothings, half, covered, cache):
+            for new, w in lands(smoothings, half, covered):
                 new = (new, covered | partner)
                 acc = nxt.get(new)
                 if acc is None:
@@ -711,27 +750,27 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     matchings of their vertices by links, and every state left at the end
     covers nothing.
 
-    In a one-half sweep a state's half is the tuple of its partner slots
-    over the layout of its mask (_compiled), and its landings come from
-    its picks' shared table (_one_half_lands).  The returned table is
-    keyed by (ends, covered), ends the frozenset of (end, partner) items
-    over the open ends, read off the last layouts.
+    A state's half is the tuple of its partner slots over the layout of
+    its mask, and each step compiles its links against those layouts
+    (_compiled); its landings come from its picks' shared table
+    (_one_half_lands).  The returned table is keyed by (ends, covered),
+    ends the frozenset of (end, partner) items over the open ends, read
+    off the last layouts.
 
     With halves=2 the sweep is a two-half sweep (see the module
-    docstring): a state is ((h1, h2), covered), each half the frozenset
-    of (end, partner) items over its open ends, in the diagram's own
+    docstring): a state is ((h1, h2), covered), two slot tuples over the
+    one layout of its mask, since both halves lay the diagram's own
     labels.  A pick (s, t, weights) lays arc set s in h1 and arc set t in
     h2, and weights[k] is its weight when the two close k loops between
     them.  The crossings are the plain nodes _node(t, _CROSSING_PICKS), the
-    reflection barring the second half's weights.  At each step every
-    distinct half lays each arc set once, into a cache kept for that step
-    and link only, and a state reads its landings, the summed weights per
-    pair of new halves, off the landing table of its two halves' landing
-    patterns (_two_half_lands), so a state costs no join and one lookup.
-    A state's covered mask follows from its halves, so no two states of a
-    table share them and nothing is kept per pair of halves.
-    Both halves start from the same end map, and the kinks' unit u of the
-    first meets bar(u) in the second, so the table starts at 1.
+    reflection barring the second half's weights.  A narrow state reads
+    its whole landing list, the summed weights per pair of new slot
+    tuples, in one lookup of its picks' shared table; a miss lays each
+    half once per step and sums the picks per pair of landing patterns
+    (_two_half_lands).  The returned table keeps these keys, since the
+    state sums read only the value a closure leaves.  Both halves start
+    from the same slot tuple, and the kinks' unit u of the first meets
+    bar(u) in the second, so the table starts at 1.
 
     A closure, its caps laid as joins, leaves at most one state, whose
     ends are not empty when an odd side's last point is left open.
@@ -765,15 +804,14 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     crossings, laid, joins, unit = _kinks_and_bigons_removed(crossings, joins)
     start: dict[int, int] = {}
     laid += circles + _join(start, joins)
+    layout = tuple(start)
+    layouts = {_NO_VERTICES: layout}
+    half = tuple(map(layout.index, start.values()))
     if halves == 1:
-        layout = tuple(start)
-        layouts = {_NO_VERTICES: layout}
-        states = {(tuple(map(layout.index, start.values())), _NO_VERTICES):
-                  unit.terms}
+        states = {(half, _NO_VERTICES): unit.terms}
         picks, lands = _ONE_HALF_PICKS, _one_half_lands
     else:
-        ends = frozenset(start.items())
-        states = {((ends, ends), _NO_VERTICES): {0: 1}}  # u * bar(u) = 1
+        states = {((half, half), _NO_VERTICES): {0: 1}}  # u * bar(u) = 1
         picks, lands = _CROSSING_PICKS, _two_half_lands
     all_nodes = [_node(t, picks) for t in crossings]
     all_nodes += nodes
@@ -782,8 +820,7 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
         if vertex:
             absorbed |= vertex
             links = [link for link in links if not link[0] & absorbed]
-        if halves == 1:
-            links, layouts = _compiled(layouts, vertex, links)
+        links, layouts = _compiled(layouts, vertex, links)
         states = _step(states, vertex, links, lands)
         for acc in states.values():
             if 0 in acc.values():
@@ -791,11 +828,11 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
                     del acc[e]
         if not all(states.values()):
             states = {key: acc for key, acc in states.items() if acc}
-    if halves == 1:
-        return {(frozenset(zip(layouts[covered], map(
-            layouts[covered].__getitem__, half))), covered): LaurentPoly(acc)
-            for (half, covered), acc in states.items()}, laid
-    return {key: LaurentPoly(acc) for key, acc in states.items()}, laid
+    if halves == 2:  # its callers read only the one value it leaves
+        return {key: LaurentPoly(acc) for key, acc in states.items()}, laid
+    return {(frozenset(zip(layouts[covered], map(
+        layouts[covered].__getitem__, half))), covered): LaurentPoly(acc)
+        for (half, covered), acc in states.items()}, laid
 
 
 def bracket_oracle(d: TangleDiagram) -> CoordinateVector:

@@ -1,3 +1,4 @@
+import copy
 import glob
 import random
 import re
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path
 from tanglepoly import enhanced, pairing, skein
-from tanglepoly.diagram import (TangleDiagram, edge_occurrences, ensure_valid,
-                                load_tng, max_label, merge_edges, parse_tng,
-                                read_text, replace)
+from tanglepoly.diagram import (TangleDiagram, all_labels, edge_occurrences,
+                                ensure_valid, load_tng, max_label,
+                                merge_edges, parse_tng, read_text, replace)
 from tanglepoly.enhanced import (STATE_PATTERNS, check_enhancement, contract,
                                  enhancements_by_vertex_sums,
                                  enumerate_enhancements, expand_states,
@@ -643,36 +644,44 @@ def test_the_plan_is_built_once_per_graph(monkeypatch):
 
 
 def test_a_state_is_a_pair_of_halves_in_the_graphs_own_labels(monkeypatch):
-    # each distinct half lays its two arc sets once per step, and each
-    # state looks its pair of landing patterns up once, landing on up to
-    # four pairs of halves: so the landings outnumber the joins, and no
-    # end map, from which every state key is frozen, holds a label past
-    # max_label(d)
+    # both halves are slot tuples over one layout of the graph's own
+    # labels: the reflected copy is never built, so no layout holds a
+    # label past max_label(d).  From an empty table each distinct half
+    # lays its two arc sets once per step and each state lands on up to
+    # four pairs of halves, so the landings outnumber the joins; once
+    # the table holds them, each narrow state's landings are one lookup
+    # and the sweep joins nothing
     d = ensure_valid(_ladder(6))
     expected = invariant_total_poly(d)
-    joins, lookups = [], []
-    join = skein._join
+    joins, labels, landings = [], [], []
+    join, compiled, lands = skein._join, skein._compiled, skein._two_half_lands
 
-    def recorded(ends, arcs):
-        loops = join(ends, arcs)
+    def joined(ends, arcs):
         if arcs:  # a closed ladder has no caps: every join is a step's
-            joins.append(max(*ends, *ends.values(),
-                             *(x for arc in arcs for x in arc)))
-        return loops
+            joins.append(arcs)
+        return join(ends, arcs)
 
-    class Counted(dict):
-        def get(self, patterns):
-            lookups.append(patterns)
-            return dict.get(self, patterns)
+    def laid_out(*args):
+        links, layouts = compiled(*args)
+        labels.extend(x for layout in layouts.values() for x in layout)
+        return links, layouts
 
-    table = Counted()
-    monkeypatch.setattr(skein, "_join", recorded)
-    monkeypatch.setattr(enhanced, "_TWIN_PICKS",
-                        (enhanced._TWIN_PICKS[0], table))
+    def landed(*args):
+        out = lands(*args)
+        landings.append(len(out))
+        return out
+
+    monkeypatch.setattr(enhanced, "_TWIN_PICKS", (enhanced._TWIN_PICKS[0], {}))
+    monkeypatch.setattr(skein, "_join", joined)
+    monkeypatch.setattr(skein, "_compiled", laid_out)
+    monkeypatch.setattr(skein, "_two_half_lands", landed)
     assert invariant_total_poly(d) == expected
-    landings = sum(len(table[patterns]) for patterns in lookups)
-    assert 0 < len(joins) < landings
-    assert max(joins) <= max_label(d)
+    assert 0 < len(joins) < sum(landings)
+    assert labels and max(labels) <= max_label(d)
+    joins.clear()
+    landings.clear()
+    assert invariant_total_poly(d) == expected
+    assert not joins and sum(landings) > 0
 
 
 def test_a_rho_sweep_is_the_sweep_of_the_contracted_graph(monkeypatch):
@@ -873,30 +882,46 @@ def test_a_one_half_sweep_of_vertex_nodes_sums_its_contractions():
     assert checked == 341
 
 
+def _graph_fixtures():
+    """Every fixture with a trivalent or 4-valent vertex."""
+    paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
+                   + glob.glob(str(FIXTURES / "pairs" / "*.tng")))
+    return [d for d in map(load_tng, paths) if d.trivalent or d.fourvalent]
+
+
 def test_no_two_half_table_holds_two_states_with_equal_halves(monkeypatch):
     # a vertex is matched ahead exactly when the label of its link to an
     # absorbed partner is missing from the halves, so a state's covered
-    # mask follows from its halves, and _two_half_lands keeps no landing
-    # map per pair of halves: none could be read twice in a step
-    step = skein._step
+    # mask follows from its halves: read in labels, off the layouts that
+    # _compiled gives the table a step writes, no two states of a table
+    # share their halves
+    step, compiled = skein._step, skein._compiled
+    written = []
     covered_states = 0
+
+    def recorded(*args):
+        links, layouts = compiled(*args)
+        written[:] = [layouts]
+        return links, layouts
 
     def checked(states, vertex, links, lands):
         nonlocal covered_states
         nxt = step(states, vertex, links, lands)
         if lands is skein._two_half_lands:
-            halves = [half for half, _ in nxt]
+            layouts = written[0]
+            halves = [tuple(frozenset(zip(layouts[covered], map(
+                layouts[covered].__getitem__, half))) for half in pair)
+                for pair, covered in nxt]
             assert len(set(halves)) == len(halves)
             covered_states += sum(1 for _, covered in nxt if covered)
         return nxt
 
-    paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
-                   + glob.glob(str(FIXTURES / "pairs" / "*.tng")))
-    graphs = [d for d in map(load_tng, paths) if d.trivalent]
+    graphs = [d for d in _graph_fixtures() if d.trivalent]
     graphs += [build() for build, _, _ in WIDE_GRAPHS.values()]
     graphs += [_split_braid_graph(seed, 6, 2 * (seed % 2), 5)
                for seed in range(20)]
     with monkeypatch.context() as patch:
+        patch.setattr(skein, "_compiled", recorded)
         patch.setattr(skein, "_step", checked)
         patch.setattr(enhanced, "MAX_STATE_VERTICES", 14)
         for d in graphs:
@@ -905,14 +930,27 @@ def test_no_two_half_table_holds_two_states_with_equal_halves(monkeypatch):
     assert covered_states > 0
 
 
+def _lay(half, laying, arcs):
+    """(new slot tuple, loops) of a slot tuple half with arcs laid by
+    laying, straight from its slots' names."""
+    _, _, order, olds = laying
+    ends = {olds[i]: olds[j] for i, j in enumerate(half)}
+    loops = skein._join(ends, arcs)
+    return tuple(ends[k] for k in range(len(order))), loops
+
+
 def test_a_landing_table_holds_each_pair_of_patterns_summed_once(
         monkeypatch):
-    # a landing pattern is, per arc set, the distinct new half it lands
-    # on and the loops it closes: 18 per half, 324 per pair.  Each entry
-    # must be the per-pick sum it stands for, however often it was read.
-    # Both tables start empty here.  The strand fixtures' crossings,
-    # swept in two halves directly (the state sum reads their P(D) off
-    # one half), fill the crossings' table
+    # a two-half table holds three shapes of key: a link's label-free
+    # signature (width, codes[, order]) and its laying; a pair of landing
+    # patterns (per arc set, the distinct new slot tuple it lands on and
+    # the loops it closes: 18 per half, 324 per pair) and the weights of
+    # its picks summed per landing; and a narrow state's (halves, the
+    # laying's ident) and its whole landing list.  Each entry must be the
+    # per-pick sum it stands for, however often it was read.  Both tables
+    # start empty here.  The strand fixtures' crossings, swept in two
+    # halves directly (the state sum reads their P(D) off one half), fill
+    # the crossings' table
     for owner, name in ((skein, "_CROSSING_PICKS"), (enhanced, "_TWIN_PICKS")):
         monkeypatch.setattr(owner, name, (getattr(owner, name)[0], {}))
     paths = sorted(glob.glob(str(FIXTURES / "*.tng"))
@@ -929,8 +967,19 @@ def test_a_landing_table_holds_each_pair_of_patterns_summed_once(
     patterns = {((0, a), (i, b)) for i in (0, 1) for a in range(3)
                 for b in range(3)}
     for picks, table in (skein._CROSSING_PICKS, enhanced._TWIN_PICKS):
-        assert 0 < len(table) <= 324
-        for (first, second), landings in table.items():
+        # a signature starts with its width, a landing list's key ends
+        # with its laying's ident, and a pair of patterns is neither
+        layings, pairs, lists = {}, {}, {}
+        for key, value in table.items():
+            if isinstance(key[0], int):
+                layings[value[0]] = value
+            elif isinstance(key[1], int):
+                lists[key] = value
+            else:
+                pairs[key] = value
+        assert layings and pairs and lists
+        assert len(pairs) <= 324
+        for (first, second), landings in pairs.items():
             assert first in patterns and second in patterns
             summed = {}
             for s, t, weights in picks:
@@ -938,6 +987,70 @@ def test_a_landing_table_holds_each_pair_of_patterns_summed_once(
                 summed[i, j] = (summed.get((i, j), ZERO)
                                 + LaurentPoly(weights[k1 + k2]))
             assert {at: LaurentPoly(w) for at, w in landings} == summed
+        for ((h1, h2), ident), landed in lists.items():
+            laying = layings[ident]
+            assert len(h1) == len(h2) <= skein._NARROW
+            summed = {}
+            for s, t, weights in picks:
+                new1, k1 = _lay(h1, laying, laying[1][s])
+                new2, k2 = _lay(h2, laying, laying[1][t])
+                summed[new1, new2] = (summed.get((new1, new2), ZERO)
+                                      + LaurentPoly(weights[k1 + k2]))
+            assert {at: LaurentPoly(w) for at, w in landed} == summed
+
+
+def test_the_two_half_tables_hold_no_label_and_are_only_filled(monkeypatch):
+    # the two-half pick tables, the crossings' and the 4-valent
+    # vertices', are shared by every state sum: their keys are slot
+    # tuples, landing patterns and label-free signatures, and no entry is
+    # written to once filled.  A sweep of copies with every label
+    # shifted, then of the originals again, must leave them as they were
+    def emptied():
+        for owner, name in ((skein, "_CROSSING_PICKS"),
+                            (enhanced, "_TWIN_PICKS")):
+            monkeypatch.setattr(owner, name, (getattr(owner, name)[0], {}))
+        return skein._CROSSING_PICKS[1], enhanced._TWIN_PICKS[1]
+
+    monkeypatch.setattr(enhanced, "MAX_STATE_VERTICES", 14)
+    graphs = _graph_fixtures()
+    graphs += [build() for build, _, _ in WIDE_GRAPHS.values()]
+    tables = emptied()
+    values = [invariant_total_poly(d) for d in graphs]
+    assert all(tables)
+    filled = copy.deepcopy(tables)
+    for d, value in zip(graphs, values):
+        shifted = relabeled(d, {x: x + 1000 for x in all_labels(d)})
+        assert invariant_total_poly(shifted) == value
+    assert [invariant_total_poly(d) for d in graphs] == values
+    assert tables == filled
+    # each table stops growing at its cap, and the sums stay exact
+    monkeypatch.setattr(skein, "_TABLE_CAP", 5)
+    tables = emptied()
+    assert [invariant_total_poly(d) for d in graphs] == values
+    assert list(map(len, tables)) == [5, 5]
+
+
+def test_narrow_and_wide_two_half_states_meet_the_state_oracle(monkeypatch):
+    # the 8-strand closure with 2 4-valent vertices sweeps states of at
+    # most _NARROW open ends, whose landing lists the table keeps, and
+    # wider ones, laid through the cache of their step and link; both
+    # kinds of step are pinned, and the sum meets the state oracle
+    d = WIDE_GRAPHS["closure 8/2"][0]()
+    step = skein._step
+    widths = []
+
+    def measured(states, *args):
+        widths.append({len(h1) for (h1, _), _ in states})
+        return step(states, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skein, "_step", measured)
+        total = invariant_total_poly(d)
+    narrow = sum(1 for seen in widths if min(seen) <= skein._NARROW)
+    wide = sum(1 for seen in widths if max(seen) > skein._NARROW)
+    assert (narrow, wide) == (30, 37)
+    rhos = enumerate_enhancements(d)
+    assert total == sum((_oracle_rho_poly(d, rho) for rho in rhos), ZERO)
 
 
 @pytest.mark.parametrize("seed", range(10))

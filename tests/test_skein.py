@@ -250,6 +250,32 @@ def test_a_wide_one_half_sweep_matches_its_oracles(shape, monkeypatch):
     assert p == pair(v, vector_bar(v))
 
 
+def test_a_wide_plat_closure_sweep_matches_its_oracles(monkeypatch):
+    # this 7-strand positive braid keeps all 12 crossings through the
+    # kinks and bigons pass, so p_poly's closure sweep reads states both
+    # within the narrow bound, whose landings the shared table keeps, and
+    # beyond it, laid each time: both kinds of step are pinned, and P(D)
+    # meets the matrix route over the bracket, itself checked against
+    # bracket_oracle
+    d = _positive_braid(7, 12, 21)
+    step = skein._step
+    widths = []
+
+    def measured(states, *args):
+        widths.append({len(half) for half, _ in states})
+        return step(states, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(skein, "_step", measured)
+        p = p_poly(d)
+    narrow = sum(1 for seen in widths if max(seen) <= skein._NARROW)
+    wide = sum(1 for seen in widths if min(seen) > skein._NARROW)
+    assert (narrow, wide) == (5, 5)
+    v = bracket(d)
+    assert v == bracket_oracle(d)
+    assert p == pair(v, vector_bar(v))
+
+
 def test_the_shared_landing_table_holds_no_label_and_is_only_filled(
         fixtures_dir, monkeypatch):
     # every one-half sweep of crossings shares the table beside their
