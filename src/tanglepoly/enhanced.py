@@ -44,9 +44,13 @@ that picks its thick edge.  Its links are the direct edges at it that
 forced-edge peeling keeps, and a link absorbs the node of the 4-valent
 vertex its contraction makes; a link whose two ends keep no other is
 forced, and is that node.  A graph's links are one table, built once per
-call: an entry of (label, partner) pairs per trivalent vertex, traced
-and then peeled in place (_traced_vertex_links, _peeled_links), which
-the vertex nodes, the enhancement count and the listing all read.  Every
+call: an entry of (label, partner) pairs per trivalent vertex, read in
+one pass over the label index, where a direct edge between two
+trivalent slots is a link as it stands and only the strands into
+crossings are walked, and then peeled in place (_traced_vertex_links,
+_peeled_links); the vertex nodes, the enhancement count and the listing
+all read it, and the vertex nodes take each link's contracted vertex
+from its pair of occurrences in that index (_contracted_vertex).  Every
 node, plain or not, has the one shape (labels, links, vertex) of
 skein._frontier_states.  Each frontier state keeps, beside its halves,
 the vertices matched ahead: those that an earlier vertex took a link to.
@@ -79,8 +83,8 @@ from itertools import product
 from .diagram import (TangleDiagram, edge_occurrences, ensure_valid,
                       merge_edges, replace)
 from .errors import DomainError, InvalidDiagramError
-from .laurent import DELTA, ZERO, LaurentPoly, delta_power
-from .pairing import _caps, p_poly
+from .laurent import DELTA, ZERO, LaurentPoly
+from .pairing import _caps, _closure_value, p_poly
 from .skein import (_frontier_states, _loop_weights, _node, _picks,
                     _smoothings)
 
@@ -121,42 +125,40 @@ def _traced_vertex_links(d: TangleDiagram) -> list[list[tuple[int, int]]]:
     """The link table of d: entry u lists the direct edges from trivalent
     vertex u to another one, each as (label, partner).
 
-    Starting from every trivalent-vertex slot, follows the strand through
-    crossings (a crossing is entered at one slot and left two slots later),
-    reading each label's other end off edge_occurrences(d).  Strands
-    reaching the boundary, a 4-valent vertex, or their own vertex are thin
-    by force and dropped.  A link is added to the entries of both its
-    vertices when it is met from its lower slot, so each entry lists its
-    links in the order of those slots.  A strand that joins two distinct
-    trivalent vertices but passes through a crossing cannot be drawn
-    thick in this encoding, so it is rejected rather than silently
-    thinned.
+    One pass over edge_occurrences(d), which lists the crossings' slots
+    first and then the trivalent vertices', each in slot order: a label
+    whose two ends are slots of distinct trivalent vertices is a link,
+    added to the entries of both, so each entry lists its links in the
+    order of their lower slots.  A label from a crossing to a trivalent
+    slot starts a strand that is followed back through the crossings (a
+    crossing is entered at one slot and left two slots later); if it
+    reaches another trivalent vertex it cannot be drawn thick in this
+    encoding, and is rejected rather than silently thinned.  Every other
+    edge at a trivalent vertex, to the boundary, to a 4-valent vertex or
+    back to its own vertex, is thin by force and dropped.
     """
     occ = edge_occurrences(d)
     links: list[list[tuple[int, int]]] = [[] for _ in d.trivalent]
-    for vi, t in enumerate(d.trivalent):
-        for slot, start_label in enumerate(t):
-            label = start_label
-            prev = ("V", vi, slot)
-            hops = 0
-            while True:
-                near, far = occ[label]
-                kind, idx, s = near if far == prev else far
-                if kind == "X":
-                    hops += 1
-                    s2 = (s + 2) % 4
-                    label = d.crossings[idx][s2]
-                    prev = ("X", idx, s2)
-                    continue
-                if kind == "V" and idx != vi:
-                    if hops:
-                        raise DomainError(
-                            "cannot enumerate enhancements: a strand through "
-                            "crossings joins two trivalent vertices")
-                    if (vi, slot) < (idx, s):
-                        links[vi].append((start_label, idx))
-                        links[idx].append((start_label, vi))
-                break
+    for label, (near, far) in occ.items():
+        # a trivalent end comes second unless the other end is a 4-valent
+        # vertex or the boundary, which leaves the edge thin
+        if far[0] != "V":
+            continue
+        kind, u, s = near
+        v = far[1]
+        if kind == "V":
+            if u != v:
+                links[u].append((label, v))
+                links[v].append((label, u))
+            continue
+        while kind == "X":  # leave crossing u two slots on
+            s = s + 2 & 3
+            one, other = occ[d.crossings[u][s]]
+            kind, u, s = other if one == ("X", u, s) else one
+        if kind == "V" and u != v:
+            raise DomainError(
+                "cannot enumerate enhancements: a strand through "
+                "crossings joins two trivalent vertices")
     return links
 
 
@@ -224,14 +226,14 @@ def _vertex_nodes(d: TangleDiagram, links, smoothings_of) -> list:
     node (t, ((0, smoothings),), 0), built at its lower end; every other
     vertex u is the vertex node (its labels, its links, 1 << u) of
     skein._frontier_states, each link (1 << v, smoothings) to partner v.
-    Each link's vertex and smoothings are built once, for both its ends.
+    Each link's vertex and smoothings are built once, for both its ends,
+    the vertex from the link's pair of occurrences in edge_occurrences(d).
     """
-    built = {}  # label -> (t, smoothings_of(t)) of each link
-    for at in links:
-        for label, _ in at:
-            if label not in built:
-                t = _contracted_vertex(d, label)
-                built[label] = t, smoothings_of(t)
+    occ = edge_occurrences(d)
+    # label -> (t, smoothings_of(t)) of each link, met at its lower end
+    built = {label: (t, smoothings_of(t)) for u, at in enumerate(links)
+             for label, v in at if u < v
+             for t in (_contracted_vertex(d.trivalent, occ[label]),)}
     nodes, vertex_nodes = [], []
     for u, at in enumerate(links):
         label, v = at[0]
@@ -253,7 +255,7 @@ def _count_matchings(d: TangleDiagram, links) -> int:
     apart."""
     states, _ = _frontier_states((), nodes=_vertex_nodes(d, links,
                                                          lambda t: _TAKE))
-    return next(iter(states.values()), ZERO).terms.get(0, 0)
+    return next(iter(states.values()), ZERO)._terms.get(0, 0)
 
 
 def enumerate_enhancements(d: TangleDiagram) -> tuple[Enhancement, ...]:
@@ -327,11 +329,12 @@ def check_enhancement(d: TangleDiagram, rho: Enhancement) -> None:
             "invalid enhancement: a vertex carries no thick edge")
 
 
-def _contracted_vertex(d: TangleDiagram, label: int):
-    """The 4-valent vertex (a,b,c,d) a thick edge contracts to, from its
-    endpoint rotations (label,a,b) and (label,c,d)."""
-    (_, ui, s), (_, vi, t) = edge_occurrences(d)[label]
-    u, v = d.trivalent[ui], d.trivalent[vi]
+def _contracted_vertex(trivalent, ends):
+    """The 4-valent vertex (a,b,c,d) a thick edge contracts to, from the
+    pair ends of its label's occurrences (edge_occurrences) at its
+    endpoint rotations (label,a,b) and (label,c,d) among trivalent."""
+    (_, ui, s), (_, vi, t) = ends
+    u, v = trivalent[ui], trivalent[vi]
     return u[s - 2], u[s - 1], v[t - 2], v[t - 1]
 
 
@@ -344,9 +347,11 @@ def contract(d: TangleDiagram, rho: Enhancement) -> TangleDiagram:
     """
     ensure_valid(d)
     check_enhancement(d, rho)
+    occ = edge_occurrences(d)
     return replace(d, trivalent=(), thick=frozenset(),
                    fourvalent=d.fourvalent + tuple(
-                       _contracted_vertex(d, label) for label in sorted(rho)))
+                       _contracted_vertex(d.trivalent, occ[label])
+                       for label in sorted(rho)))
 
 
 def expand_states(d: TangleDiagram):
@@ -435,7 +440,7 @@ def _state_sum(d: TangleDiagram) -> LaurentPoly:
     states, loops = _frontier_states(d.crossings, len(d.circles),
                                      _caps(d.bottom, d.top), nodes=nodes,
                                      halves=2)
-    return delta_power(2 * loops + d.m % 2) * next(iter(states.values()), ZERO)
+    return _closure_value(d, loops, next(iter(states.values()), ZERO))
 
 
 def invariant_rho_poly(d: TangleDiagram, rho: Enhancement) -> LaurentPoly:

@@ -359,8 +359,8 @@ def ih_rewrite(d: TangleDiagram, edge: int) -> TangleDiagram:
     """
     if edge not in d.thick:
         raise DomainError(f"edge {edge} is not thick")
-    (_, ui, _), (_, vi, _) = edge_occurrences(d)[edge]
-    a, b, c, dd = _contracted_vertex(d, edge)
+    (_, ui, _), (_, vi, _) = ends = edge_occurrences(d)[edge]
+    a, b, c, dd = _contracted_vertex(d.trivalent, ends)
     new_tri = list(d.trivalent)
     new_tri[ui] = (edge, b, c)
     new_tri[vi] = (edge, dd, a)

@@ -122,13 +122,18 @@ class LaurentPoly:
     __slots__ = ("_terms", "_residue")
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        data = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    data[int(e)] = int(c)
-        self._terms = data
+        self._terms = {int(e): int(c) for e, c in terms.items()
+                       if c} if terms else {}
         self._residue: tuple[int, ...] | None = None
+
+    @classmethod
+    def _adopt(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """The polynomial whose term map is terms itself, not a copy: its
+        keys and values are ints, none of them zero, and no one writes to
+        it after."""
+        res = object.__new__(cls)
+        res._terms, res._residue = terms, None
+        return res
 
     @classmethod
     def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
@@ -171,16 +176,12 @@ class LaurentPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly()
-        res._terms = out
-        return res
+        return LaurentPoly._adopt(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly()
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
+        return LaurentPoly._adopt({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -194,9 +195,8 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return LaurentPoly()
-            res = LaurentPoly()
-            res._terms = {e: c * other for e, c in self._terms.items()}
-            return res
+            return LaurentPoly._adopt(
+                {e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -208,17 +208,25 @@ class LaurentPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = LaurentPoly()
-        res._terms = out
-        return res
+        return LaurentPoly._adopt(out)
 
     __rmul__ = __mul__
 
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^-1 (negate every exponent)."""
-        res = LaurentPoly()
-        res._terms = {-e: c for e, c in self._terms.items()}
-        return res
+        return LaurentPoly._adopt({-e: c for e, c in self._terms.items()})
+
+    def norm(self) -> "LaurentPoly":
+        """self * self.bar(), whose coefficients at k and -k are equal: each
+        unordered pair of terms is multiplied once, about half the products
+        of the product itself."""
+        items = sorted(self._terms.items())
+        half: dict[int, int] = {}  # the coefficients at k >= 0
+        for i, (e1, c1) in enumerate(items):
+            for e2, c2 in items[:i + 1]:
+                half[e1 - e2] = half.get(e1 - e2, 0) + c1 * c2
+        half = {k: c for k, c in half.items() if c}
+        return LaurentPoly._adopt(half | {-k: c for k, c in half.items()})
 
     def eval_root(self, k: int) -> complex:
         """Value at q = exp(k*pi*i/12) for an admissible root index k,

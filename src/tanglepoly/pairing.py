@@ -29,7 +29,10 @@ Free circles, and the loops the caps close before any crossing is
 resolved, are one scalar delta^L that the sweep leaves out of its table
 (skein._frontier_states).  p_poly applies it once: bar fixes delta, so
 P(D) = delta^(2L + m mod 2) * b0 * bar(b0) for the table's one value b0,
-and no product carries a loop factor.
+and no product carries a loop factor.  b0 * bar(b0) is b0's norm
+(LaurentPoly.norm), whose coefficients at k and -k are equal, so each
+unordered pair of b0's terms is multiplied once; the loop factor
+multiplies it only when its power is not 0 (_closure_value).
 
 p_poly passes D's own crossings, circles and caps.  The sweep removes
 every Reidemeister I kink and II bigon of the closure, the caps included,
@@ -141,14 +144,23 @@ def _caps(bottom, top) -> list[tuple[int, int]]:
     return list(zip(bottom[::2], bottom[1::2])) + list(zip(top[::2], top[1::2]))
 
 
+def _closure_value(d: TangleDiagram, loops: int, value: LaurentPoly):
+    """delta^(2 loops + m mod 2) * value, the value of d's doubled plat
+    closure from the value left by a sweep that laid loops in each half:
+    value itself when that power is 0."""
+    loops = 2 * loops + d.m % 2
+    return delta_power(loops) * value if loops else value
+
+
 def p_poly(d: TangleDiagram) -> LaurentPoly:
     """Exact P(d) = delta^(2L + m mod 2) * b0 * bar(b0), from one sweep of
     d's plat closure with an odd side's last point left open: there one
     cap pair joins the copies of d (x) reflect(d) and closes one more
-    loop.  b0 is the sweep's one value, L the loops laid before it."""
+    loop.  b0 is the sweep's one value, L the loops laid before it;
+    b0 * bar(b0) is b0.norm(), and a loop factor of delta^0 is no
+    product."""
     ensure_valid(d)
     _check_strand_diagram(d)
     states, loops = _frontier_states(d.crossings, len(d.circles),
                                      _caps(d.bottom, d.top))
-    b0 = next(iter(states.values()), ZERO)
-    return delta_power(2 * loops + d.m % 2) * (b0 * b0.bar())
+    return _closure_value(d, loops, next(iter(states.values()), ZERO).norm())

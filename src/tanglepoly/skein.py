@@ -31,7 +31,8 @@ weight is a tuple of such maps, entry k the smoothing's weight when its
 arcs close k loops; _loop_weights is the one place that builds them, for
 the crossings here and for enhanced's twin and take weights.  A table
 coefficient is a term map the sweep owns and adds products into in place,
-one per surviving state; LaurentPoly wraps only what the sweep returns.
+one per surviving state; the returned table adopts each last map as its
+LaurentPoly's own (LaurentPoly._adopt), with no copy and no second pass.
 
 Every node of a sweep has one shape, (labels, links, vertex).  A plain
 node (a crossing, a 4-valent vertex or a forced thick edge) has vertex 0
@@ -402,8 +403,9 @@ def _absorption_order(nodes):
     state may hold it matched ahead.  A vertex node loses _MATCHED_AHEAD
     for each partner not yet seen, which its absorption would make seen,
     and gains 1 once it is seen itself, since its absorption then settles
-    it.  A plain node's one link has no partner, so a sweep of plain
-    nodes only is planned by labels alone.
+    it.  A plain node's one link has no partner, so when no node has a
+    vertex no partner set is built, and the sweep is planned by labels
+    alone.
     """
     far_of: list[list[int]] = [[] for _ in nodes]
     unpaired: dict[int, int] = {}
@@ -415,34 +417,33 @@ def _absorption_order(nodes):
             elif j != i:
                 far_of[i].append(j)
                 far_of[j].append(i)
-    vertex_at = {vertex: i for i, (_, _, vertex) in enumerate(nodes)
-                 if vertex}
-    partners = [{vertex_at[v] for v, _ in links if v}
-                for _, links, _ in nodes]
-    score = [-len(far) - _MATCHED_AHEAD * len(near)
-             for far, near in zip(far_of, partners)]
+    score = [-len(far) for far in far_of]
     for i in unpaired.values():
         score[i] += 1
-    seen = [False] * len(nodes)
-
-    def see(j):
-        seen[j] = True
-        for k in partners[j]:
-            score[k] += _MATCHED_AHEAD
-
+    vertex_at = {vertex: i for i, (_, _, vertex) in enumerate(nodes)
+                 if vertex}
+    if vertex_at:
+        partners = [{vertex_at[v] for v, _ in links if v}
+                    for _, links, _ in nodes]
+        for i, near in enumerate(partners):
+            score[i] -= _MATCHED_AHEAD * len(near)
+        seen = [False] * len(nodes)
     plan = []
     for _ in nodes:
         # index keeps the first of equal scores
         i = score.index(max(score))
         score[i] = _ABSORBED
-        if not seen[i]:
-            see(i)
         for j in far_of[i]:
             score[j] += 2
-        for j in partners[i]:
-            if not seen[j]:
-                see(j)
-                score[j] += 1
+        if vertex_at:
+            # i and its partners are seen now; a partner seen now gains 1,
+            # and so does i, which max no longer picks
+            for j in (i, *partners[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    score[j] += 1
+                    for k in partners[j]:
+                        score[k] += _MATCHED_AHEAD
         plan.append(nodes[i])
     return plan
 
@@ -473,7 +474,8 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     states, loops = _frontier_states(d.crossings, len(d.circles),
                                      _boundary_arcs(d))
     factor = delta_power(loops)
-    acc = {tuple(sorted((-u, -v) for u, v in ends if u > v)): factor * coeff
+    acc = {tuple(sorted((-u, -v) for u, v in ends if u > v)):
+           factor * coeff if loops else coeff
            for (ends, _), coeff in states.items()}
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
@@ -776,8 +778,10 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     ends are not empty when an odd side's last point is left open.
 
     A state's coefficient in the table is a term map the sweep owns, one
-    per state; only the table that is returned wraps each in a
-    LaurentPoly.  At each step the weights of one state's smoothings are
+    per state; the table that is returned adopts each last map as its
+    LaurentPoly's own, uncopied (LaurentPoly._adopt): the step's zero
+    drop leaves only nonzero ints, and no weight or unit map is ever a
+    state's.  At each step the weights of one state's smoothings are
     summed per state they land in, and each sum is convolved with the
     state's map straight into the map of the state it lands in, so a state
     pays one product per distinct state it reaches and allocates no
@@ -828,10 +832,11 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
                     del acc[e]
         if not all(states.values()):
             states = {key: acc for key, acc in states.items() if acc}
+    adopt = LaurentPoly._adopt
     if halves == 2:  # its callers read only the one value it leaves
-        return {key: LaurentPoly(acc) for key, acc in states.items()}, laid
+        return {key: adopt(acc) for key, acc in states.items()}, laid
     return {(frozenset(zip(layouts[covered], map(
-        layouts[covered].__getitem__, half))), covered): LaurentPoly(acc)
+        layouts[covered].__getitem__, half))), covered): adopt(acc)
         for (half, covered), acc in states.items()}, laid
 
 

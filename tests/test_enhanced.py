@@ -586,7 +586,8 @@ def test_kinks_and_bigons_of_a_graph_reach_no_planner(monkeypatch):
     ([(label, _)], [_]) = enhanced._peeled_links(d)
     ((labels, _, _),) = _plan(monkeypatch, invariant_total_poly, d)
     # the 4-valent vertex the thick edge contracts to, not a crossing
-    assert labels == enhanced._contracted_vertex(d, label)
+    assert labels == enhanced._contracted_vertex(
+        d.trivalent, edge_occurrences(d)[label])
     assert invariant_total_poly(d) == expected
 
 
@@ -1277,6 +1278,63 @@ def test_planner_matches_the_state_oracle_on_graph_tangles():
             shapes += 1
     assert shapes >= 40
     assert refused >= 1
+
+
+def _walked_vertex_links(d):
+    """The link table of d by a slot-by-slot walk, the reference of
+    enhanced._traced_vertex_links: from every trivalent slot, follow the
+    strand through crossings to its end; a strand that ends at another
+    trivalent vertex is a link if it passed no crossing, added to both
+    entries from its lower slot, and refused if it did."""
+    occ = edge_occurrences(d)
+    links = [[] for _ in d.trivalent]
+    for vi, t in enumerate(d.trivalent):
+        for slot, start_label in enumerate(t):
+            label = start_label
+            prev = ("V", vi, slot)
+            hops = 0
+            while True:
+                near, far = occ[label]
+                kind, idx, s = near if far == prev else far
+                if kind == "X":
+                    hops += 1
+                    s2 = (s + 2) % 4
+                    label = d.crossings[idx][s2]
+                    prev = ("X", idx, s2)
+                    continue
+                if kind == "V" and idx != vi:
+                    if hops:
+                        raise DomainError(
+                            "cannot enumerate enhancements: a strand "
+                            "through crossings joins two trivalent "
+                            "vertices")
+                    if (vi, slot) < (idx, s):
+                        links[vi].append((start_label, idx))
+                        links[idx].append((start_label, vi))
+                break
+    return links
+
+
+def test_the_link_table_matches_a_slot_by_slot_walk():
+    # the table is read off the label index in one pass, and only the
+    # strands into crossings are walked: the walk from every slot gives
+    # the same table, or the same refusal
+    graphs = [_graph_tangle(seed) for seed in range(300)]
+    graphs += [random_trivalent(random.Random(seed), max_vertices=12)
+               for seed in range(300)]
+    refused = linked = 0
+    for d in graphs:
+        try:
+            expected = _walked_vertex_links(d)
+        except DomainError as exc:
+            refused += 1
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                enhanced._traced_vertex_links(d)
+            continue
+        assert enhanced._traced_vertex_links(d) == expected
+        linked += any(expected)
+    assert refused >= 40
+    assert linked >= 300
 
 
 @settings(max_examples=25)

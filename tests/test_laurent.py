@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -320,3 +321,22 @@ def test_subtraction_from_a_non_int_is_refused():
         2.5 - ONE
     assert 3 - ONE == 2
     assert 1 - Q == LaurentPoly({0: 1, 1: -1})
+
+
+def test_the_norm_is_the_product_with_the_bar():
+    # P(D)'s norm b * bar(b) sums each unordered pair of b's terms once,
+    # as its coefficients at k and -k are equal: on seeded term maps with
+    # negative exponents, pairs that cancel (1 + q - q^2 has no q^1 term
+    # in its norm), monomials and zero it equals the full product, and so
+    # keeps no zero coefficient
+    rng = random.Random(41)
+    cases = [ZERO, ONE, LaurentPoly({-7: -3}), Q, DELTA,
+             LaurentPoly({0: 1, 1: 1, 2: -1}), LaurentPoly({-3: 2, 5: 2})]
+    for _ in range(300):
+        cases.append(LaurentPoly({rng.randint(-12, 12): rng.randint(-4, 4)
+                                  for _ in range(rng.randint(0, 9))}))
+    assert 1 not in LaurentPoly({0: 1, 1: 1, 2: -1}).norm().terms
+    for b in cases:
+        norm = b.norm()
+        assert norm == b * b.bar()
+        assert norm.bar() == norm

@@ -421,16 +421,17 @@ def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
         monkeypatch.setattr(owner, name, (getattr(owner, name)[0], {}))
     diagrams = [load_tng(path) for path in sorted(fixtures_dir.rglob("*.tng"))
                 if path.parent.name != "bad"]
+    returned = []
 
     def sweep_all():
         for d in diagrams:
             if not (d.trivalent or d.fourvalent):
-                p_poly(d)
-                bracket(d)
+                returned.append(p_poly(d))
+                returned.extend(bracket(d).coords)
                 # the state sum reads P(D) off one half: the crossings'
                 # two-half picks are swept directly
                 _two_half_sum(d)
-            invariant_total_poly(d)
+            returned.append(invariant_total_poly(d))
 
     # a landing table fills on first use and is only read after it: the
     # second round meets no pair of patterns the first did not, and an
@@ -445,3 +446,28 @@ def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
     assert any(terms != {0: 1} for _, terms in units)
     assert all(unit.terms == terms for unit, terms in units)
     assert ONE.terms == {0: 1}
+    # the last table's maps are adopted as they stand, so each must be a
+    # normal term map, with no zero coefficient, and none a map that a
+    # weight, a pick table or ONE holds
+    assert all(p == LaurentPoly(p.terms) for p in returned)
+    held = _term_maps((skein._WEIGHTS, skein._CROSSING_PICKS,
+                       skein._ONE_HALF_PICKS, enhanced._TWIN_PICKS,
+                       enhanced._TAKE, ONE._terms, units))
+    assert not held & {id(p._terms) for p in returned}
+
+
+def _term_maps(held) -> set[int]:
+    """The ids of every dict that held reaches through tuples, lists and
+    dict values, a weight's term maps and a pick table's entries among
+    them."""
+    ids, work = set(), [held]
+    while work:
+        x = work.pop()
+        if isinstance(x, LaurentPoly):
+            work.append(x._terms)
+        elif isinstance(x, dict):
+            ids.add(id(x))
+            work.extend(x.values())
+        elif isinstance(x, (tuple, list)):
+            work.extend(x)
+    return ids
