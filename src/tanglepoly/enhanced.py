@@ -209,11 +209,11 @@ def _matchings(links, matched: list[bool], chosen: list[int]):
 
 #: Largest number of enhancements `rho`, and `--rho` in `states` and
 #: `invariant`, list.  The listing holds and sorts them all: a closed
-#: 22-rung ladder has 75025, listed by `rho` in about 0.5 s end to end on
-#: a 2-core AMD EPYC with Python 3.11.7, and the count grows by a factor
+#: 22-rung ladder has 75025, listed by `rho` in about 1.5 s end to end on
+#: a 2-core Intel Xeon with Python 3.11.7, and the count grows by a factor
 #: of about 1.6 per rung.  The count comes first, from a sweep that lays
 #: no arcs: `rho` refuses a 1200-rung ladder (about 10^251 enhancements)
-#: in about 0.11 s end to end on the same host.
+#: in about 0.35 s end to end on the same host.
 MAX_LISTED_ENHANCEMENTS = 100000
 
 

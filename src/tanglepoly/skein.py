@@ -57,29 +57,32 @@ the first half and arc set t in the second.  The states of one covered
 mask share one layout, and each step compiles its links against each
 layout once (_compiled), for both kinds of sweep.
 
-Where a state's halves land is all that the two kinds of sweep do
-differently, and a landing function for each kind gives it
-(_one_half_lands, _two_half_lands).  Each reads a table kept beside its
-picks, which every sweep with those picks shares.  Its keys are free of
-labels, in four shapes: a link's signature (the layout's width, the
-slots of its first arc set's ends[, the target layout's order]) holds
-its laying (_laying); a narrow one-half state's (slot tuple, laying
-ident) holds its landings; a narrow two-half state's ((h1, h2), laying
-ident) holds its whole landing list; and, in the two-half tables, a pair
-of landing patterns holds its picks' weights summed per landing.  A
-half's landing pattern is, for each arc set, which of its distinct new
-slot tuples it lands on and how many loops it closes: a node's two arc
-sets of two arcs each allow 18, so a table holds at most 324 pattern
-pairs.  A state is narrow when it has at most _NARROW open ends; a wider
-one is laid each time, a two-half one once per step, link and mask.
+One landing function serves both kinds of sweep (_lands): a state's
+landings, the new states it lands in with its picks' weights summed,
+are read from a table kept beside its picks, which every sweep with
+those picks shares.  How a miss is laid is all that the two kinds do
+differently (_one_half_miss, _two_half_miss).  A table's keys are free
+of labels.  A link's signature (the layout's width, the slots of its
+first arc set's ends[, the target layout's order]) holds its laying
+(_laying), complete for every state of that width: its arc sets on the
+old slots' names, the getters of the new slot tuple and of the new
+layout, and whether the state is narrow, with at most _NARROW open ends
+in each half.  A narrow state's (state, laying ident) holds its
+landings; a wider one is laid each time, though a two-half sweep lays
+each half once per step, link and mask.  The two-half tables also hold,
+under a pair of landing patterns, the picks' weights summed per pair
+of new halves.  A half's landing pattern is, for each arc set, which
+of its distinct new slot tuples it lands on and how many loops it
+closes: a node's two arc sets of two arcs each allow 18, so a table
+holds at most 324 pattern pairs.
 Entries are filled at first use while the table holds fewer than
-_TABLE_CAP of them, and never written to after.  _frontier_states reads
-a one-half sweep's last table back into (frozenset of (end, partner)
-items, covered) keys.  The loops laid before a two-half sweep, L of
-them, are laid in each half, so the value of a closure is
-delta^(2L + m mod 2) times the one value left: the extra delta is the
-loop that an odd side's last points, left open in each half, close
-through the caps joining the copies.
+_TABLE_CAP of them (_stored), and never written to after.
+_frontier_states reads a one-half sweep's last table back into
+(frozenset of (end, partner) items, covered) keys.  The loops laid
+before a two-half sweep, L of them, are laid in each half, so the value
+of a closure is delta^(2L + m mod 2) times the one value left: the
+extra delta is the loop that an odd side's last points, left open in
+each half, close through the caps joining the copies.
 """
 
 from __future__ import annotations
@@ -245,7 +248,8 @@ def _picks(weights):
     matrix of weights.  A joint pick (s, t, weights[s][t]) lays arc set s
     in the first half and arc set t in the second.  The table starts
     empty and fills as the sweeps first meet each link signature, narrow
-    state and pair of landing patterns (_compiled, _two_half_lands)."""
+    state and pair of landing patterns (_compiled, _lands,
+    _two_half_miss)."""
     return tuple((s, t, w) for s, row in enumerate(weights)
                  for t, w in enumerate(row)), {}
 
@@ -480,10 +484,25 @@ def bracket(d: TangleDiagram) -> CoordinateVector:
     return CoordinateVector(basis, tuple(acc.get(mt, ZERO) for mt in basis.elements))
 
 
+def _stored(table, key, value):
+    """value, stored in table under key while the table holds fewer than
+    _TABLE_CAP entries: a pick table's one write."""
+    if len(table) < _TABLE_CAP:
+        table[key] = value
+    return value
+
+
+def _getter(keys):
+    """A getter of the tuple of a container's values at keys, which are
+    none or at least two, as a layout's are: () when there are none."""
+    return itemgetter(*keys) if keys else lambda _: ()
+
+
 def _laying(sig, arc_sets, source, table):
-    """The laying of a link's signature (width, codes[, order]): (ident,
-    arc sets, order, olds), stored in table while it holds fewer than
-    _TABLE_CAP entries, its ident the table's size then.
+    """The laying of a link's signature (width, codes[, order]), complete
+    for every state of that width: (ident, arc sets, order, olds, narrow,
+    take, slots), stored in table (_stored), its ident the table's size
+    then.
 
     source is the old layout followed by the ends of the link's first arc
     set, and a label's key is its first place there; codes are those
@@ -491,7 +510,10 @@ def _laying(sig, arc_sets, source, table):
     slots the arcs leave open, then the labels they open.  Each key is
     named by its new slot, or past the new slots if its label closes, so
     laying arc sets on olds, the old slots' names, leaves exactly the
-    new slots open."""
+    new slots open.  narrow says that a state of the old layout has at
+    most _NARROW open ends, so its landings are kept (_lands); take reads
+    a laid slot-keyed dict's new slot tuple, and slots reads the new
+    layout off source."""
     width, codes = sig[:2]
     odd = {k for k in codes if codes.count(k) % 2}
     order = sig[2] if len(sig) > 2 else tuple(
@@ -502,35 +524,20 @@ def _laying(sig, arc_sets, source, table):
         name[k] = j
     arc_sets = tuple(tuple((name[source.index(x)], name[source.index(y)])
                            for x, y in arcs) for arcs in arc_sets)
-    laying = len(table), arc_sets, order, tuple(name[:width])
-    if len(table) < _TABLE_CAP:
-        table[sig] = laying
-    return laying
+    return _stored(table, sig, (
+        len(table), arc_sets, order, tuple(name[:width]), width <= _NARROW,
+        _getter(range(len(order))), _getter(order)))
 
 
-@lru_cache(maxsize=64)
-def _take(width):
-    """The tuple of a laid map's values at new slots 0..width-1; width is
-    even, and a map with no new slot left is empty, whose tuple is ().
-    The 64 latest widths are kept."""
-    return itemgetter(*range(width)) if width else tuple
-
-
-@lru_cache(maxsize=256)
-def _slots(order):
-    """The tuple of a layout's labels at the keys in order, which is not
-    empty and has an even length, as a laying lists them; the 256 latest
-    orders are kept."""
-    return itemgetter(*order)
-
-
-def _compiled(layouts, vertex, links):
+def _compiled(layouts, vertex, links, miss):
     """(links, layouts) for a step of a sweep, of one half or two, that
     reads a table of the given layouts, one per covered mask: each link
     (partner, smoothings) becomes (partner, {covered: (laying, picks,
-    table, laid)}) for each mask that takes it (_laying), laid an empty
-    dict in which a two-half step keeps the halves it lays (_laid), and
-    the layouts are those of the table the step writes (_slots).
+    table, laid, miss)}) for each mask that takes it (_laying), laid an
+    empty dict in which a two-half step keeps the halves it lays (_laid),
+    and miss the sweep's routine that lays a state's landings when its
+    table does not hold them (_lands).  The layouts are those of the
+    table the step writes, each read off its source by its laying.
 
     A link keeps the labels its arc sets leave open, in order, and
     appends those it opens; each arc set of a link lays the same labels
@@ -540,57 +547,53 @@ def _compiled(layouts, vertex, links):
     that link's signature then names the layout's order.  A signature
     reads the first arc set alone, since the links that share a picks
     table lay their other arc sets as one rearrangement of the first's
-    ends, as _smoothings builds them.  A link that lays nothing on an
-    empty layout, as the enhancement count's do, gives every mask the
-    one laying, looked up once per link."""
+    ends, as _smoothings builds them."""
     nxt = {covered ^ vertex: layout for covered, layout in layouts.items()
            if covered & vertex} if vertex else {}
     out = []
     for partner, (arc_sets, (picks, table)) in links:
         ends = sum(arc_sets[0], ())
         by_mask = {}
-        kept = None
         for covered, layout in layouts.items():
             if covered & (vertex | partner):
-                continue
-            if not (ends or layout):
-                # nothing laid on nothing, as in the enhancement count:
-                # the state stays (), and every mask shares one laying
-                nxt[covered | partner] = ()
-                kept = kept or (table.get((0, ())) or _laying(
-                    (0, ()), arc_sets, (), table), picks, table, {})
-                by_mask[covered] = kept
                 continue
             source = layout + ends
             sig = len(layout), tuple(map(source.index, ends))
             laying = table.get(sig) or _laying(sig, arc_sets, source, table)
-            order = laying[2]
-            new = _slots(order)(source) if order else ()
+            new = laying[6](source)  # its slots getter
             target = nxt.setdefault(covered | partner, new)
             if target != new:
                 sig += (tuple(map(source.index, target)),)
                 laying = (table.get(sig)
                           or _laying(sig, arc_sets, source, table))
-            by_mask[covered] = laying, picks, table, {}
+            by_mask[covered] = laying, picks, table, {}, miss
         out.append((partner, by_mask))
     return out, nxt
 
 
-def _one_half_lands(by_mask, half, covered):
-    """(new half, summed weights) of one state of a one-half sweep, its
-    slot tuple half laid in the arc set of each pick (s, weights) by the
-    laying of its link for its mask (_compiled).  A state of at most
-    _NARROW slots reads its landings from its picks' table under (half,
-    the laying's ident); a miss lays them with _join on a slot-keyed dict
-    and stores them while the table holds fewer than _TABLE_CAP entries,
-    and no entry is written to after.  A wider state is laid each time."""
-    (ident, arc_sets, order, olds), picks, table, _ = by_mask[covered]
-    narrow = len(half) <= _NARROW
-    if narrow:
-        landed = table.get((half, ident))
-        if landed is not None:
-            return landed
-    take = _take(len(order))
+def _lands(by_mask, state, covered):
+    """The landings of one state of a sweep, of one half or two, by the
+    laying of its link for its mask (_compiled): each new state it lands
+    in, with its picks' weights summed.  A narrow state reads them from
+    its picks' table under (state, the laying's ident); a miss lays them
+    with the sweep's miss routine (_one_half_miss, _two_half_miss) and
+    stores them (_stored), and no entry is written to after.  A wider
+    state is laid each time."""
+    laying, picks, table, laid, miss = by_mask[covered]
+    if not laying[4]:  # not narrow
+        return miss(state, laying, picks, table, laid)
+    key = state, laying[0]
+    landed = table.get(key)
+    if landed is None:
+        landed = _stored(table, key, miss(state, laying, picks, table, laid))
+    return landed
+
+
+def _one_half_miss(half, laying, picks, table, laid):
+    """((new half, summed weights), ...) of a state of a one-half sweep,
+    its slot tuple half laid in the arc set of each pick (s, weights)
+    with _join on a slot-keyed dict."""
+    _, arc_sets, _, olds, _, take, _ = laying
     base = dict(zip(olds, map(olds.__getitem__, half)))
     landed = {}
     for s, weights in picks:
@@ -601,10 +604,7 @@ def _one_half_lands(by_mask, half, covered):
         if prev is not None:
             w = prev | {e: prev.get(e, 0) + c for e, c in w.items()}
         landed[new] = w
-    landed = tuple(landed.items())
-    if narrow and len(table) < _TABLE_CAP:
-        table[half, ident] = landed
-    return landed
+    return tuple(landed.items())
 
 
 def _laid(half, laying) -> tuple[list[tuple], tuple]:
@@ -612,8 +612,7 @@ def _laid(half, laying) -> tuple[list[tuple], tuple]:
     link's laying laid (_compiled): news its distinct new slot tuples, in
     order, and pattern its landing pattern, for each arc set the pair
     (index in news of the slot tuple it lands on, loops it closes)."""
-    _, arc_sets, order, olds = laying
-    take = _take(len(order))
+    _, arc_sets, _, olds, _, take, _ = laying
     base = dict(zip(olds, map(olds.__getitem__, half)))
     news: list[tuple] = []
     pattern = []
@@ -643,28 +642,17 @@ def _landings(picks, pattern1, pattern2):
     return tuple(landed.items())
 
 
-def _two_half_lands(by_mask, halves, covered):
-    """((new h1, new h2), summed weights) of one state of a two-half sweep,
-    its slot tuples h1 and h2 laid in the arc sets of each joint pick (s,
-    t, weights) by the laying of its link for its mask (_compiled): both
-    halves lay the same labels, so they share one layout.  A state of at
-    most _NARROW slots reads its whole landing list from its picks' table
-    under ((h1, h2), the laying's ident).  A miss lays each half once per
-    step, into the laid dict of its link and mask (_laid), and reads the
-    summed weights off the table's entry for its two halves' landing
-    patterns, filled at its first use (_landings).  A node has two arc
-    sets of two arcs each, so a pattern is one of 2 * 3 * 3 = 18 (the
-    second arc set lands on the first's slot tuple or a new one; each
-    closes 0 to 2 loops), and a table holds at most 324 pattern pairs.  A
-    narrow state's list is stored while the table holds fewer than
-    _TABLE_CAP entries, pattern pairs too, and no entry is written to
-    after."""
-    laying, picks, table, laid = by_mask[covered]
-    narrow = len(halves[0]) <= _NARROW
-    if narrow:
-        landed = table.get((halves, laying[0]))
-        if landed is not None:
-            return landed
+def _two_half_miss(halves, laying, picks, table, laid):
+    """(((new h1, new h2), summed weights), ...) of a state of a two-half
+    sweep, its slot tuples h1 and h2 laid in the arc sets of each joint
+    pick (s, t, weights): both halves lay the same labels, so they share
+    one layout.  Each half is laid once per step, into the laid dict of
+    its link and mask (_laid), and the summed weights are read off the
+    table's entry for the two halves' landing patterns, filled at its
+    first use (_landings, _stored).  A node has two arc sets of two arcs
+    each, so a pattern is one of 2 * 3 * 3 = 18 (the second arc set
+    lands on the first's slot tuple or a new one; each closes 0 to 2
+    loops), and a table holds at most 324 pattern pairs."""
     h1, h2 = halves
     first = laid.get(h1)
     if first is None:
@@ -677,21 +665,18 @@ def _two_half_lands(by_mask, halves, covered):
     patterns = pattern1, pattern2
     landings = table.get(patterns)
     if landings is None:
-        landings = _landings(picks, pattern1, pattern2)
-        if len(table) < _TABLE_CAP:
-            table[patterns] = landings
-    landed = tuple(((news1[i], news2[j]), w) for (i, j), w in landings)
-    if narrow and len(table) < _TABLE_CAP:
-        table[halves, laying[0]] = landed
-    return landed
+        landings = _stored(table, patterns,
+                           _landings(picks, pattern1, pattern2))
+    return tuple(((news1[i], news2[j]), w) for (i, j), w in landings)
 
 
-def _step(states, vertex, links, lands):
+def _step(states, vertex, links):
     """The next table, before its zero terms are dropped: each state
-    absorbs a node (labels, links, vertex), landing where lands(smoothings,
-    half, covered) sends its half (_frontier_states).  links are the
-    node's links to the partners still unabsorbed; a plain node's one
-    link (0, smoothings) has no partner, so every state takes it."""
+    absorbs a node (labels, links, vertex), landing where _lands sends
+    it (_frontier_states).  links are the node's links to the partners
+    still unabsorbed; a plain node's one link (0, smoothings) has no
+    partner, so every state takes it."""
+    lands = _lands  # a local name, read faster in the loop
     nxt: dict[tuple, dict[int, int]] = {}
     for key, coeff in states.items():
         half, covered = key
@@ -754,10 +739,10 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
 
     A state's half is the tuple of its partner slots over the layout of
     its mask, and each step compiles its links against those layouts
-    (_compiled); its landings come from its picks' shared table
-    (_one_half_lands).  The returned table is keyed by (ends, covered),
-    ends the frozenset of (end, partner) items over the open ends, read
-    off the last layouts.
+    (_compiled), each with the sweep's miss routine, here _one_half_miss;
+    its landings come from its picks' shared table (_lands).  The
+    returned table is keyed by (ends, covered), ends the frozenset of
+    (end, partner) items over the open ends, read off the last layouts.
 
     With halves=2 the sweep is a two-half sweep (see the module
     docstring): a state is ((h1, h2), covered), two slot tuples over the
@@ -767,12 +752,12 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     them.  The crossings are the plain nodes _node(t, _CROSSING_PICKS), the
     reflection barring the second half's weights.  A narrow state reads
     its whole landing list, the summed weights per pair of new slot
-    tuples, in one lookup of its picks' shared table; a miss lays each
-    half once per step and sums the picks per pair of landing patterns
-    (_two_half_lands).  The returned table keeps these keys, since the
-    state sums read only the value a closure leaves.  Both halves start
-    from the same slot tuple, and the kinks' unit u of the first meets
-    bar(u) in the second, so the table starts at 1.
+    tuples, in one lookup of its picks' shared table (_lands); a miss
+    lays each half once per step and sums the picks per pair of landing
+    patterns (_two_half_miss).  The returned table keeps these keys,
+    since the state sums read only the value a closure leaves.  Both
+    halves start from the same slot tuple, and the kinks' unit u of the
+    first meets bar(u) in the second, so the table starts at 1.
 
     A closure, its caps laid as joins, leaves at most one state, whose
     ends are not empty when an odd side's last point is left open.
@@ -813,10 +798,10 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
     half = tuple(map(layout.index, start.values()))
     if halves == 1:
         states = {(half, _NO_VERTICES): unit.terms}
-        picks, lands = _ONE_HALF_PICKS, _one_half_lands
+        picks, miss = _ONE_HALF_PICKS, _one_half_miss
     else:
         states = {((half, half), _NO_VERTICES): {0: 1}}  # u * bar(u) = 1
-        picks, lands = _CROSSING_PICKS, _two_half_lands
+        picks, miss = _CROSSING_PICKS, _two_half_miss
     all_nodes = [_node(t, picks) for t in crossings]
     all_nodes += nodes
     absorbed = _NO_VERTICES
@@ -824,8 +809,8 @@ def _frontier_states(crossings, circles: int = 0, joins=(), nodes=(),
         if vertex:
             absorbed |= vertex
             links = [link for link in links if not link[0] & absorbed]
-        links, layouts = _compiled(layouts, vertex, links)
-        states = _step(states, vertex, links, lands)
+        links, layouts = _compiled(layouts, vertex, links, miss)
+        states = _step(states, vertex, links)
         for acc in states.values():
             if 0 in acc.values():
                 for e in [e for e, c in acc.items() if not c]:

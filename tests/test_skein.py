@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path
 from test_cli import _ladder
-from test_enhanced import _peak_table, _two_half_sum
+from test_enhanced import WIDE_GRAPHS, _filled, _peak_table, _two_half_sum
 from tanglepoly import enhanced, skein
 from tanglepoly.diagram import TangleDiagram, load_tng
 from tanglepoly.enhanced import enumerate_enhancements, invariant_total_poly
@@ -292,7 +292,7 @@ def test_the_shared_landing_table_holds_no_label_and_is_only_filled(
     values = [(p_poly(d), bracket(d)) for d in diagrams]
     table = skein._ONE_HALF_PICKS[1]
     assert table
-    filled = copy.deepcopy(table)
+    filled = _filled(table)
     for d in diagrams:
         labels = {x for t in d.crossings for x in t}
         shifted = relabeled(d, {x: x + 1000 for x in labels.union(
@@ -300,13 +300,71 @@ def test_the_shared_landing_table_holds_no_label_and_is_only_filled(
         assert (p_poly(shifted), bracket(shifted).coords) == (
             p_poly(d), bracket(d).coords)
     assert [(p_poly(d), bracket(d)) for d in diagrams] == values
-    assert table == filled
+    assert _filled(table) == filled
     # the table stops growing at its cap, and the sweeps stay exact
     monkeypatch.setattr(skein, "_TABLE_CAP", 5)
     monkeypatch.setattr(skein, "_ONE_HALF_PICKS",
                         (skein._ONE_HALF_PICKS[0], {}))
     assert [(p_poly(d), bracket(d)) for d in diagrams] == values
     assert len(skein._ONE_HALF_PICKS[1]) == 5
+
+
+def test_every_stored_landing_list_is_a_fresh_lay(fixtures_dir,
+                                                  monkeypatch):
+    # a narrow state's landings are laid once, by its sweep's miss
+    # routine, and read from its picks' table under (state, the laying's
+    # ident) ever after: each stored list must be what the routine lays
+    # afresh for that state and laying, and only a state of at most
+    # _NARROW open ends, as many as its laying's old slots, may have one.
+    # All four tables start empty
+    tables = []
+    for owner, name, miss in (
+            (skein, "_ONE_HALF_PICKS", skein._one_half_miss),
+            (skein, "_CROSSING_PICKS", skein._two_half_miss),
+            (enhanced, "_TWIN_PICKS", skein._two_half_miss)):
+        picks = getattr(owner, name)[0]
+        monkeypatch.setattr(owner, name, (picks, {}))
+        tables.append((picks, getattr(owner, name)[1], miss))
+    arc_sets, (picks, _) = enhanced._TAKE
+    monkeypatch.setattr(enhanced, "_TAKE", (arc_sets, (picks, {})))
+    tables.append((picks, enhanced._TAKE[1][1], skein._one_half_miss))
+    monkeypatch.setattr(enhanced, "MAX_STATE_VERTICES", 14)
+    for path in sorted(fixtures_dir.rglob("*.tng")):
+        if path.parent.name == "bad":
+            continue
+        d = load_tng(path)
+        if d.trivalent or d.fourvalent:
+            enumerate_enhancements(d)
+        else:
+            p_poly(d)
+            bracket(d)
+            _two_half_sum(d)
+        invariant_total_poly(d)
+    for shape in WIDE_BRAIDS:
+        d = _positive_braid(*shape)
+        p_poly(d)
+        bracket(d)
+    for build, _, _ in WIDE_GRAPHS.values():
+        invariant_total_poly(build())
+    # the count refuses the ladder's 9.4 * 10^62 enhancements
+    with pytest.raises(DomainError):
+        enumerate_enhancements(_ladder(300))
+    for picks, table, miss in tables:
+        # a signature starts with its width, a landing list's key ends
+        # with its laying's ident, and a pair of patterns is neither
+        layings = {value[0]: value for key, value in table.items()
+                   if isinstance(key[0], int)}
+        lists = {key: value for key, value in table.items()
+                 if not isinstance(key[0], int) and isinstance(key[1], int)}
+        assert lists
+        for (state, ident), landed in lists.items():
+            laying = layings[ident]
+            half = state[0] if miss is skein._two_half_miss else state
+            assert laying[4] and len(half) == len(laying[3]) <= skein._NARROW
+            assert miss(state, laying, picks, {}, {}) == landed
+    # the count's links lay nothing on an empty layout: every mask of
+    # every step reads one signature's laying and one landing list
+    assert list(tables[3][1]) == [(0, ()), ((), 0)]
 
 
 def _node(labels, *smoothings):
@@ -350,12 +408,12 @@ def _checked_steps(monkeypatch, compute, *args, **kwargs):
     step = skein._step
     passed = died = absorbed = 0
 
-    def checked(states, vertex, links, lands):
+    def checked(states, vertex, links):
         nonlocal passed, died, absorbed
         absorbed |= vertex
         # no link is kept to a partner absorbed before, or at, this node
         assert not any(partner & absorbed for partner, _ in links)
-        nxt = step(states, vertex, links, lands)
+        nxt = step(states, vertex, links)
         # a covered mask holds only the vertices matched ahead
         assert all(not covered & absorbed for _, covered in nxt)
         for half, covered in states:
@@ -438,10 +496,10 @@ def test_the_sweeps_write_to_no_weight_and_no_unit(fixtures_dir,
     # entry added into would show here.  Both start empty
     sweep_all()
     tables = [skein._CROSSING_PICKS[1], enhanced._TWIN_PICKS[1]]
-    filled = copy.deepcopy(tables)
+    filled = list(map(_filled, tables))
     sweep_all()
     assert all(filled)
-    assert tables == filled
+    assert list(map(_filled, tables)) == filled
     assert (skein._WEIGHTS, enhanced._TWIN_WEIGHTS) == weights
     assert any(terms != {0: 1} for _, terms in units)
     assert all(unit.terms == terms for unit, terms in units)
